@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,17 +252,37 @@ class TestFileInterfaces:
         assert code == 1
 
 
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+# stdout of trace-bearing runs, locked beside the emit-goldens suites
+TRACE_GOLDENS = {
+    "volterra_trace.csv": "--format csv volterra --ngrid 256 --n-max 5",
+    "kerim_trace.jsonl": "--format jsonl kerim --n 2 --k-max-exp 6",
+    "tensor_trace.csv": "--format csv tensor --dims 2,1",
+    "mixing_trace.csv": "--format csv mixing",
+    "mixing_trace.jsonl": "--format jsonl mixing",
+    "jordan_trace.csv": "--format csv jordan --n-max 2 --pairs 1",
+}
+
+
 class TestGoldens:
-    @pytest.mark.parametrize("suite", ["nilpotent", "salas", "regions"])
-    def test_regeneration_is_byte_stable(self, suite, tmp_path):
-        d1 = tmp_path / "g1"
-        d2 = tmp_path / "g2"
-        files1 = emit_goldens(suite, str(d1))
-        files2 = emit_goldens(suite, str(d2))
-        assert len(files1) == len(files2) >= 1
-        for a, b in zip(files1, files2):
-            with open(a, "rb") as fa, open(b, "rb") as fb:
-                assert fa.read() == fb.read()
+    @pytest.mark.parametrize(
+        "golden", ["nilpotent", "salas", "regions", "volterra", *TRACE_GOLDENS]
+    )
+    def test_regeneration_is_byte_stable(self, golden, tmp_path, capsys):
+        """Two regenerations agree with each other and with tests/goldens/."""
+        runs = []
+        for d in ("g1", "g2"):
+            if golden in TRACE_GOLDENS:
+                code, out = run_cli(TRACE_GOLDENS[golden].split(), capsys)
+                assert code == 0
+                runs.append([(golden, out.encode())])
+            else:
+                files = emit_goldens(golden, str(tmp_path / d))
+                runs.append([(Path(f).name, Path(f).read_bytes()) for f in files])
+        assert runs[0] == runs[1]
+        assert len(runs[0]) >= 1
+        assert runs[0] == [(name, (GOLDEN_DIR / name).read_bytes()) for name, _ in runs[0]]
 
     def test_volterra_suite_emits_csv(self, tmp_path):
         files = emit_goldens("volterra", str(tmp_path))
