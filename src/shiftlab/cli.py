@@ -9,6 +9,8 @@ hits), 1 on input errors.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -41,6 +43,55 @@ NEGATIVE_VERDICTS = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonneg_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+_two_or_more = _int_at_least(2)
+
+
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: comma-separated positive integers, e.g. 4,16,64."""
+    return [_positive_int(part) for part in text.split(",")]
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected an exact rational, got {text!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _weights_from_args(args) -> op.WeightSequence:
     kind = args.weights
     if kind == "genshi-hc":
@@ -52,8 +103,6 @@ def _weights_from_args(args) -> op.WeightSequence:
     if kind == "symmetric-decay":
         return op.symmetric_decay_weights()
     if kind.startswith("file:"):
-        import json
-
         with open(kind[5:], encoding="utf-8") as fh:
             return op.WeightSequence.from_dict(json.load(fh))
     raise ShiftlabError(f"unknown weight family {kind!r}")
@@ -112,11 +161,12 @@ def cmd_jordan(args) -> ExperimentReport:
         seed=args.seed,
         verdict=verdict,
         data={"rows": rows},
+        trace=rows,
     )
 
 
 def cmd_tensor(args) -> ExperimentReport:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = tuple(args.dims)
     tt = nil.TensorShiftTuple(dims)
     u = np.zeros(tt.dim)
     u[0] = 1.0
@@ -127,9 +177,8 @@ def cmd_tensor(args) -> ExperimentReport:
         zs = lambda m: tuple(  # noqa: E731
             float(m) if j == 0 else 1.0 for j in range(len(dims))
         )
-    steps = [int(s) for s in args.steps.split(",")]
     rows = []
-    for m in steps:
+    for m in args.steps:
         r1, r2 = nil.tensor_approach_residuals(tt, zs, u, v, m)
         rows.append({"m": m, "residual_u": r1, "residual_v": r2})
     decreasing = all(
@@ -138,22 +187,24 @@ def cmd_tensor(args) -> ExperimentReport:
     )
     return ExperimentReport(
         "tensor",
-        {"dims": list(dims), "mode": args.mode, "steps": steps},
+        {"dims": list(dims), "mode": args.mode, "steps": args.steps},
         verdict="satisfied" if decreasing else "inconclusive",
         data={"rows": rows},
+        trace=rows,
     )
 
 
 def cmd_kerim(args) -> ExperimentReport:
-    z = complex(args.z)
+    z = args.z
     a = nil.backward_shift(2 * args.n)
     x = np.zeros(2 * args.n)
     x[args.n - 1] = 1.0  # top of the length-n chain
-    rows = []
+    rows, trace = [], []
     for e in range(2, args.k_max_exp + 1):
         k = 2**e
         res = nil.unimodular_residuals(a, z, x, k)
         rows.append({"k": k, "residuals": list(res)})
+        trace.append({"k": k, **{f"residual_{i}": r for i, r in enumerate(res)}})
     last = max(rows[-1]["residuals"])
     first = max(rows[0]["residuals"])
     verdict = "satisfied" if last < first else "inconclusive"
@@ -162,6 +213,7 @@ def cmd_kerim(args) -> ExperimentReport:
         {"n": args.n, "z": [z.real, z.imag], "k_max_exp": args.k_max_exp},
         verdict=verdict,
         data={"rows": rows},
+        trace=trace,
     )
 
 
@@ -199,8 +251,7 @@ def _subspace_operator(args):
 
 def cmd_subspaces(args) -> ExperimentReport:
     if args.which == "ebsk":
-        dims = tuple(int(d) for d in args.dims.split(","))
-        tt = nil.TensorShiftTuple(dims)
+        tt = nil.TensorShiftTuple(tuple(args.dims))
         space = cr.ebs_tuple_kernel(tt.operators(), tol=args.tol)
         data = {"dim": space.dim, "ambient": space.ambient}
         verdict = "nontrivial" if space.dim else "trivial"
@@ -246,7 +297,7 @@ def _shaped_nilpotent_tensor(rng, dim: int):
 
 def cmd_perturb(args) -> ExperimentReport:
     rng = np.random.default_rng(args.seed)
-    s = Fraction(args.s)
+    s = args.s
     all_exact = True
     rows = []
     for trial in range(args.trials):
@@ -305,7 +356,7 @@ def cmd_symmetry(args) -> ExperimentReport:
         )
     n = args.n
     t = op.bilateral_shift(op.constant_weights(1.0, n), n)
-    b = cr.flip_pairing(n)
+    b = op.flip_matrix(n)
     x = np.eye(2 * n + 1)[n]
     y = np.eye(2 * n + 1)[n + 1]
     rep = cr.b_symmetry_check(t, b, x, y, horizon=args.N, seed=args.seed)
@@ -371,6 +422,7 @@ def cmd_mixing(args) -> ExperimentReport:
         seed=args.seed,
         verdict=verdict,
         data=rep.to_dict(),
+        trace=[{"n": n, "hit": bool(h)} for n, h in enumerate(rep.hits, 1)],
     )
 
 
@@ -410,8 +462,6 @@ def cmd_density(args) -> ExperimentReport:
 
 def load_grid_function(path: str, ngrid: int):
     """Grid function from the documented JSON form: {"values": [...]}"""
-    import json
-
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     values = np.asarray(data["values"], dtype=float)
@@ -420,6 +470,10 @@ def load_grid_function(path: str, ngrid: int):
             f"grid function has {values.shape[0]} samples; expected ngrid+1 = {ngrid + 1}"
         )
     return values
+
+
+def _distance_rows(trace: dyn.DistanceTrace) -> list[dict]:
+    return [{"n": n, "d_n": d} for n, d in enumerate(trace.distances)]
 
 
 def cmd_volterra(args) -> ExperimentReport:
@@ -439,6 +493,7 @@ def cmd_volterra(args) -> ExperimentReport:
         {"ngrid": args.ngrid, "q": args.q, "n_max": args.n_max},
         verdict=verdict,
         data=trace.to_dict(),
+        trace=_distance_rows(trace),
     )
 
 
@@ -468,70 +523,76 @@ def cmd_saan_group(args) -> ExperimentReport:
     )
 
 
-GOLDEN_SUITES = ("nilpotent", "volterra", "salas", "regions")
+def _write(out_dir: str, name: str, text: str) -> str:
+    path = os.path.join(out_dir, name)
+    write_text(path, text)
+    return path
 
 
-def emit_goldens(suite: str, out_dir: str) -> list[str]:
-    """Regenerate golden files for a regression suite; byte-stable per seed."""
-    if suite not in GOLDEN_SUITES:
-        raise ShiftlabError(f"unknown golden suite {suite!r}; have {GOLDEN_SUITES}")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if suite == "nilpotent":
-        rows = []
-        for n in (1, 2, 3):
-            for j in (4, 64, 1024):
-                r1, r2 = nil.discrete_pair_errors_exact(
-                    n, j, [Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(0)] * n
-                )
-                rows.append({"n": n, "j": j, "err_u": r1, "err_v": r2})
-        path = os.path.join(out_dir, "nilpotent_residuals.json")
-        write_text(path, canonical_json({"suite": "nilpotent", "rows": rows}))
-        written.append(path)
-    elif suite == "volterra":
-        trace = dyn.volterra_dist(512, 0.5, n_max=24)
-        path = os.path.join(out_dir, "volterra_dist.csv")
-        write_text(
-            path,
-            trace_csv(
-                {
-                    "n": list(range(len(trace.distances))),
-                    "d_n": list(trace.distances),
-                }
-            ),
-        )
-        written.append(path)
-        path2 = os.path.join(out_dir, "volterra_meta.json")
-        write_text(path2, canonical_json(trace.to_dict()))
-        written.append(path2)
-    elif suite == "salas":
-        out = {}
+def _golden_nilpotent(out_dir: str) -> list[str]:
+    rows = []
+    for n in (1, 2, 3):
+        for j in (4, 64, 1024):
+            r1, r2 = nil.discrete_pair_errors_exact(
+                n, j, [Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(0)] * n
+            )
+            rows.append({"n": n, "j": j, "err_u": r1, "err_v": r2})
+    text = canonical_json({"suite": "nilpotent", "rows": rows})
+    return [_write(out_dir, "nilpotent_residuals.json", text)]
+
+
+def _golden_volterra(out_dir: str) -> list[str]:
+    trace = dyn.volterra_dist(512, 0.5, n_max=24)
+    return [
+        _write(out_dir, "volterra_dist.csv", trace_csv(_distance_rows(trace))),
+        _write(out_dir, "volterra_meta.json", canonical_json(trace.to_dict())),
+    ]
+
+
+def _golden_salas(out_dir: str) -> list[str]:
+    out = {
+        name: fn(w, 4, 2**10).to_dict()
         for name, w, fn in (
             ("genshi-hc", op.genshi_hypercyclic_weights(), cr.salas_hypercyclic),
             ("genshi-sc", op.genshi_supercyclic_weights(), cr.salas_supercyclic),
             ("const-1", op.constant_weights(1.0), cr.salas_hypercyclic),
-        ):
-            cert = fn(w, 4, 2**10)
-            out[name] = cert.to_dict()
-        path = os.path.join(out_dir, "salas_certificates.json")
-        write_text(path, canonical_json(out))
-        written.append(path)
-    else:
-        out = {}
-        for reg, tr in (("U", "shift1"), ("U", "exp"), ("V", "shift1"), ("V", "exp")):
-            verdict = cr.gs_region_verdict(cr.builtin_region(reg), tr, 10**4, seed=0)
-            out[f"{reg}/{tr}"] = verdict.to_dict()
-        path = os.path.join(out_dir, "region_verdicts.json")
-        write_text(path, canonical_json(out))
-        written.append(path)
-    return written
+        )
+    }
+    return [_write(out_dir, "salas_certificates.json", canonical_json(out))]
+
+
+def _golden_regions(out_dir: str) -> list[str]:
+    out = {
+        f"{reg}/{tr}": cr.gs_region_verdict(cr.builtin_region(reg), tr, 10**4, seed=0).to_dict()
+        for reg, tr in (("U", "shift1"), ("U", "exp"), ("V", "shift1"), ("V", "exp"))
+    }
+    return [_write(out_dir, "region_verdicts.json", canonical_json(out))]
+
+
+# suite -> writer of its golden files (returns the paths in write order)
+GOLDEN_WRITERS = {
+    "nilpotent": _golden_nilpotent,
+    "volterra": _golden_volterra,
+    "salas": _golden_salas,
+    "regions": _golden_regions,
+}
+GOLDEN_SUITES = tuple(GOLDEN_WRITERS)
+
+
+def emit_goldens(suite: str, out_dir: str) -> list[str]:
+    """Regenerate golden files for a regression suite; byte-stable per seed."""
+    if suite not in GOLDEN_WRITERS:
+        raise ShiftlabError(f"unknown golden suite {suite!r}; have {GOLDEN_SUITES}")
+    os.makedirs(out_dir, exist_ok=True)
+    return GOLDEN_WRITERS[suite](out_dir)
 
 
 def cmd_emit_goldens(args) -> ExperimentReport:
-    files = emit_goldens(args.suite, args.out_dir)
+    out_dir = args.out_dir if args.out_dir is not None else default_output_dir() or "goldens"
+    files = emit_goldens(args.suite, out_dir)
     return ExperimentReport(
         "emit-goldens",
-        {"suite": args.suite, "out_dir": args.out_dir},
+        {"suite": args.suite, "out_dir": out_dir},
         verdict="written",
         data={"files": files},
     )
@@ -541,17 +602,16 @@ def argv_from_config(path: str) -> list[str]:
     """Translate the documented JSON config form into an argv list.
 
     The config mirrors the flags: {"command": "salas", "out": ..., "format":
-    ..., "threads": ..., "args": {"weights": "genshi-hc", "n-max": 4096,
-    "full-traces": true}}.  Boolean values toggle flag presence.
+    ..., "args": {"weights": "genshi-hc", "n-max": 4096, "full-traces":
+    true}}.  "out" and "format" go before the command, each entry of "args"
+    after it; boolean values toggle flag presence.
     """
-    import json
-
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if "command" not in cfg:
         raise ShiftlabError("config file must name a command")
     argv = []
-    for key in ("out", "format", "threads"):
+    for key in ("out", "format"):
         if key in cfg and cfg[key] is not None:
             argv.extend([f"--{key}", str(cfg[key])])
     argv.append(str(cfg["command"]))
@@ -583,13 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="report format (csv/jsonl need a trace-bearing subcommand)",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; 1 guarantees byte-stable output (and is the only "
-        "implemented mode)",
-    )
     # the same options are accepted after the subcommand; SUPPRESS keeps the
     # child from clobbering a value parsed before it
     common = argparse.ArgumentParser(add_help=False)
@@ -597,126 +650,125 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv", "jsonl"), default=argparse.SUPPRESS
     )
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+
+    # the weight family shared by salas and symmetry
+    weight_flags = argparse.ArgumentParser(add_help=False)
+    weights = weight_flags.add_argument(
+        "--weights", help="genshi-hc | genshi-sc | const | symmetric-decay | file:PATH"
+    )
+    weight_flags.add_argument("--c", type=_finite_float, default=2.0)
+    weight_flags.add_argument("--m0", type=_positive_int, default=3)
+    weight_flags.add_argument("--value", type=_finite_float, default=1.0)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def sub_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     p = sub_parser("detan", help="determinant recurrence vs direct exact sweep")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-k", type=int, default=8)
+    p.add_argument("--max-n", type=_positive_int, default=8)
+    p.add_argument("--max-k", type=_positive_int, default=8)
     p.set_defaults(fn=cmd_detan)
 
     p = sub_parser("jordan", help="approach-pair solver residuals and tail decay")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--z-max-exp", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=_positive_int, default=3)
+    p.add_argument("--pairs", type=_positive_int, default=10)
+    p.add_argument("--z-max-exp", type=_positive_int, default=10)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_jordan)
 
     p = sub_parser("tensor", help="tensor-tuple approach residual trace")
-    p.add_argument("--dims", default="1,1")
+    p.add_argument("--dims", type=_positive_ints, default="1,1")
     p.add_argument("--mode", choices=("diag", "bounded"), default="diag")
-    p.add_argument("--steps", default="4,16,64,256")
+    p.add_argument("--steps", type=_positive_ints, default="4,16,64,256")
     p.set_defaults(fn=cmd_tensor)
 
     p = sub_parser("kerim", help="unimodular twisted approach residuals")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--z", default="1", help="unimodular complex (python literal)")
-    p.add_argument("--k-max-exp", type=int, default=10)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--z", type=complex, default="1", help="unimodular complex (python literal)")
+    p.add_argument("--k-max-exp", type=_two_or_more, default=10)
     p.set_defaults(fn=cmd_kerim)
 
-    p = sub_parser("salas", help="weight-product criteria with certificates")
-    p.add_argument(
-        "--weights",
-        default="genshi-hc",
-        help="genshi-hc | genshi-sc | const | symmetric-decay | file:PATH",
-    )
+    p = sub_parser("salas", weight_flags, help="weight-product criteria with certificates")
     p.add_argument("--variant", choices=("hypercyclic", "supercyclic"), default="hypercyclic")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--m0", type=int, default=3)
-    p.add_argument("--value", type=float, default=1.0)
-    p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=2**14)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--m-max", type=_positive_int, default=8)
+    p.add_argument("--n-max", type=_positive_int, default=2**14)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument(
         "--full-traces", action="store_true", help="embed the full log traces"
     )
-    p.set_defaults(fn=cmd_salas)
+    p.set_defaults(fn=cmd_salas, weights="genshi-hc")
 
     p = sub_parser("subspaces", help="ker-dagger / unimodular-chain / EBS spans")
     p.add_argument("--which", choices=("kerdagger", "lambda", "ebsk"), default="kerdagger")
     p.add_argument("--op", choices=("shift", "unipotent", "diag"), default="shift")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--dims", default="1,1", help="tensor block dims for ebsk")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive_int, default=3)
+    p.add_argument("--dims", type=_positive_ints, default="1,1", help="tensor block dims for ebsk")
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_subspaces)
 
     p = sub_parser("perturb", help="exact nilpotent tensor perturbation identities")
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--s", default="1/2", help="exact rational scale")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_positive_int, default=10)
+    p.add_argument("--s", type=_fraction, default="1/2", help="exact rational scale")
+    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_perturb)
 
     p = sub_parser("regions", help="plane-region vs unit-circle verdicts")
     p.add_argument("--builtin", choices=("U", "V"), default="U")
     p.add_argument("--transform", choices=("shift1", "exp", "identity"), default="shift1")
-    p.add_argument("--samples", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_positive_int, default=10**5)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_regions)
 
-    p = sub_parser("symmetry", help="symmetry obstructions to cyclicity")
+    p = sub_parser("symmetry", weight_flags, help="symmetry obstructions to cyclicity")
     p.add_argument("--mode", choices=("weights", "pairing"), default="weights")
-    p.add_argument("--weights", default="symmetric-decay")
     p.add_argument("--p", choices=("t", "1+t"), default="1+t")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--m0", type=int, default=3)
-    p.add_argument("--value", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--N", type=int, default=50)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_symmetry)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--N", type=_positive_int, default=50)
+    p.add_argument("--n", type=_positive_int, default=6)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.set_defaults(fn=cmd_symmetry, weights="symmetric-decay")
+    # set_defaults also writes onto the --weights action, which both commands
+    # share through the parent; SUPPRESS leaves each its own parser default
+    weights.default = argparse.SUPPRESS
 
     p = sub_parser("grading", help="degree bounds n0 in the rational-function model")
     p.add_argument("--preset", choices=("powers", "split", "random"), default="powers")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--degree", type=_nonneg_int, default=2)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_grading)
 
     p = sub_parser("mixing", help="mixing-window hit report for I + shift")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--radius", type=float, default=0.25)
-    p.add_argument("--horizon", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_positive_int, default=3)
+    p.add_argument("--radius", type=_finite_float, default=0.25)
+    p.add_argument("--horizon", type=_positive_int, default=40)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_mixing)
 
     p = sub_parser("density", help="pair-set net coverage (universality probe)")
     p.add_argument("--family", choices=("genshi-sc", "identity"), default="genshi-sc")
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--cells", type=int, default=6)
-    p.add_argument("--box", type=float, default=4.0)
-    p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--horizon", type=_positive_int, default=1000)
+    p.add_argument("--cells", type=_positive_int, default=6)
+    p.add_argument("--box", type=_finite_float, default=4.0)
+    p.add_argument("--threshold", type=_finite_float, default=0.9)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_density)
 
     p = sub_parser("volterra", help="adjoint identity and distance trace")
-    p.add_argument("--ngrid", type=int, default=2048)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--ngrid", type=_positive_int, default=2048)
+    p.add_argument("--q", type=_finite_float, default=0.5)
+    p.add_argument("--n-max", type=_positive_int, default=40)
     p.add_argument(
         "--f-file", default=None, help='JSON grid function {"values": [...]}'
     )
     p.set_defaults(fn=cmd_volterra)
 
     p = sub_parser("saan-group", help="commuting generators and the group law")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--degree", type=int, default=8, help="multi-index degree box")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_positive_int, default=2)
+    p.add_argument("--degree", type=_nonneg_int, default=8, help="multi-index degree box")
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_saan_group)
 
     p = sub_parser("emit-goldens", help="regenerate golden regression files")
@@ -725,49 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_emit_goldens)
 
     return parser
-
-
-def _trace_rows(report: ExperimentReport):
-    """Per-step row dicts for trace-bearing subcommands, or None."""
-    data = report.data
-    if report.command == "volterra":
-        return [
-            {"n": n, "d_n": d} for n, d in enumerate(data["distances"])
-        ]
-    if report.command == "kerim":
-        return [
-            {"k": r["k"], **{f"residual_{i}": r["residuals"][i] for i in range(4)}}
-            for r in data["rows"]
-        ]
-    if report.command == "tensor":
-        return [
-            {"m": r["m"], "residual_u": r["residual_u"], "residual_v": r["residual_v"]}
-            for r in data["rows"]
-        ]
-    if report.command == "mixing":
-        return [
-            {"n": n + 1, "hit": bool(h)} for n, h in enumerate(data["hits"])
-        ]
-    if report.command == "jordan":
-        return list(data["rows"])
-    return None
-
-
-def _csv_of_report(report: ExperimentReport) -> str | None:
-    rows = _trace_rows(report)
-    if not rows:
-        return None
-    names = list(rows[0])
-    return trace_csv({n: [r[n] for r in rows] for n in names})
-
-
-def _jsonl_of_report(report: ExperimentReport) -> str | None:
-    import json
-
-    rows = _trace_rows(report)
-    if not rows:
-        return None
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
 
 
 def main(argv=None) -> int:
@@ -791,10 +800,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; the runner contract reserves 2
         # for negative verdicts and reports input errors as 1
         return 0 if exc.code in (0, None) else 1
-    if args.threads != 1:
-        print("note: only --threads 1 is implemented; continuing single-threaded", file=sys.stderr)
-    if getattr(args, "out_dir", "sentinel") is None:
-        args.out_dir = default_output_dir() or "goldens"
     try:
         report = args.fn(args)
     except ShiftlabError as exc:
@@ -804,16 +809,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format in ("csv", "jsonl"):
-        text = _csv_of_report(report) if args.format == "csv" else _jsonl_of_report(report)
-        if text is None:
-            print(
-                "error: this subcommand has no trace rows; use --format json",
-                file=sys.stderr,
-            )
-            return 1
-    else:
+    if args.format == "json":
         text = report.to_json()
+    elif not report.trace:
+        print(
+            "error: this subcommand has no trace rows; use --format json",
+            file=sys.stderr,
+        )
+        return 1
+    elif args.format == "csv":
+        text = trace_csv(report.trace)
+    else:
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in report.trace)
 
     out = args.out
     if out is None and default_output_dir():

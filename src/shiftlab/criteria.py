@@ -788,12 +788,3 @@ def b_symmetry_check(
         )
         ann = max(ann, abs(x @ (bm @ ty) - tx @ (bm @ y)) / scale)
     return BSymmetryReport(True, None, worst, ann, horizon)
-
-
-def flip_pairing(N: int) -> np.ndarray:
-    """b(x, y) = sum_n x_n y_{-n} on the window -N..N."""
-    dim = 2 * N + 1
-    b = np.zeros((dim, dim))
-    for n in range(-N, N + 1):
-        b[n + N, -n + N] = 1.0
-    return b

@@ -22,6 +22,7 @@ class ExperimentReport:
     seed: int | None = None
     verdict: str | None = None
     data: dict = field(default_factory=dict)
+    trace: list | None = None  # per-step rows for --format csv/jsonl; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -65,17 +66,13 @@ def _plain(obj):
     return obj
 
 
-def trace_csv(columns: dict) -> str:
-    """CSV with one column per named trace; plain repr floats."""
+def trace_csv(rows: list[dict]) -> str:
+    """CSV with one column per key of the first row; plain repr values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    names = list(columns)
+    names = list(rows[0])
     writer.writerow(names)
-    length = max(len(v) for v in columns.values())
-    for i in range(length):
-        writer.writerow(
-            [repr(columns[n][i]) if i < len(columns[n]) else "" for n in names]
-        )
+    writer.writerows([repr(row[n]) for n in names] for row in rows)
     return buf.getvalue()
 
 

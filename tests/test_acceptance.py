@@ -264,7 +264,7 @@ def test_c09_symmetry_obstructions():
     n = 6
     t = op.bilateral_shift(op.constant_weights(1.0, n), n)
     rep_b = cr.b_symmetry_check(
-        t, cr.flip_pairing(n), unit(n, 2 * n + 1), unit(n + 1, 2 * n + 1), horizon=50
+        t, op.flip_matrix(n), unit(n, 2 * n + 1), unit(n + 1, 2 * n + 1), horizon=50
     )
     ok &= rep_b.symmetric and rep_b.annihilator_residual <= 1e-9
     assert _report(

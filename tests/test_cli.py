@@ -1,6 +1,7 @@
 """End-to-end runner tests: exit codes, schema, golden stability."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,32 @@ class TestExitCodes:
     def test_unknown_weight_family_is_input_error(self, capsys):
         code, _ = run_cli(["salas", "--weights", "nonsense"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "jordan --n-max 0",
+            "detan --max-n 0",
+            "symmetry --N -1",
+            "density --horizon -5",
+            "salas --c nan",
+            "kerim --k-max-exp 1",
+            "kerim --z abc",
+            "tensor --steps ''",
+            "density --box nan",
+            "jordan --seed -1",
+            "perturb --s 1/0",
+            "salas --tol 0",
+        ],
+    )
+    def test_bad_input_is_rejected(self, argv, capsys):
+        """Empty sweeps, non-finite numbers and malformed values end in an
+        input error, not a verdict or a traceback."""
+        code = main(shlex.split(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error: argument" in captured.err
 
     def test_regions_witness(self, capsys):
         code, out = run_cli(

@@ -13,7 +13,6 @@ from shiftlab.criteria import (
     builtin_region,
     ebs_perturb,
     ebs_tuple_kernel,
-    flip_pairing,
     gs_region_verdict,
     ker_dagger,
     lambda_t,
@@ -30,6 +29,7 @@ from shiftlab.operators import (
     WeightSequence,
     bilateral_shift,
     constant_weights,
+    flip_matrix,
     genshi_hypercyclic_weights,
     genshi_supercyclic_weights,
     symmetric_decay_weights,
@@ -320,7 +320,7 @@ class TestBSymmetry:
     def test_bilateral_shift_flip_pairing(self):
         n = 6
         t = bilateral_shift(constant_weights(1.0, n), n)
-        b = flip_pairing(n)
+        b = flip_matrix(n)
         rep = b_symmetry_check(t, b, unit(n, 2 * n + 1), unit(n + 1, 2 * n + 1), horizon=50)
         assert rep.symmetric
         assert rep.annihilator_residual <= 1e-9
