@@ -9,6 +9,7 @@ hits), 1 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -89,6 +90,14 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _fraction_of_one(text: str) -> float:
+    """argparse type: a coverage fraction t with 0 < t <= 1."""
+    value = _finite_float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
     return value
 
 
@@ -625,7 +634,9 @@ def argv_from_config(path: str) -> list[str]:
     return argv
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shiftlab parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Desk-scale experiments on hypercyclic/mixing operator dynamics",
@@ -752,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_positive_int, default=1000)
     p.add_argument("--cells", type=_positive_int, default=6)
     p.add_argument("--box", type=_finite_float, default=4.0)
-    p.add_argument("--threshold", type=_finite_float, default=0.9)
+    p.add_argument("--threshold", type=_fraction_of_one, default=0.9)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_density)
 

@@ -418,9 +418,8 @@ def _ebs_perturb_exact(xi, x1, x2, s, n):
             f"need a biorthogonal system of size {2 * n}; "
             f"dim L = {len(f0)}, dim ker T = {len(u0)}"
         )
-    g = RationalMatrix(
-        [[sum(a * b for a, b in zip(u, bmat @ np.asarray(f, dtype=object))) for f in f0] for u in u0]
-    )
+    bf0 = [bmat @ np.asarray(f, dtype=object) for f in f0]
+    g = RationalMatrix([[sum(a * b for a, b in zip(u, bf)) for bf in bf0] for u in u0])
     bio = _biorthogonalize_exact(g, 2 * n)
     if bio is None:
         raise DimensionError(

@@ -9,6 +9,7 @@ with no trailing zeros, so ``()`` is the zero polynomial.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -286,8 +287,26 @@ def rf_deg(r: RationalFunction):
     return r.degree
 
 
+def _cleared(rows):
+    """Each row of Fractions as integers over its lcm denominator.
+
+    Returns ``(int_rows, dens)`` with ``rows[i][j] == int_rows[i][j] / dens[i]``.
+    """
+    int_rows, dens = [], []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return int_rows, dens
+
+
 class RationalMatrix:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Fraction.
+
+    Products clear each row and column to integers over its lcm denominator
+    and build one Fraction per entry: summing Fractions directly costs a gcd
+    per term, most of them on zeros.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -356,18 +375,27 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise InputError("matmul shape mismatch")
-            cols = list(zip(*other.data))
+            rows, row_dens = _cleared(self.data)
+            cols, col_dens = _cleared(zip(*other.data))
             return RationalMatrix(
                 [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.data
+                    [
+                        Fraction(sum(map(operator.mul, row, col)), dr * dc)
+                        for col, dc in zip(cols, col_dens)
+                    ]
+                    for row, dr in zip(rows, row_dens)
                 ]
             )
         # vector: sequence of Fractions
         vec = [_as_fraction(x) for x in other]
         if len(vec) != self.cols:
             raise InputError("matvec shape mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
+        rows, row_dens = _cleared(self.data)
+        (col,), (dc,) = _cleared([vec])
+        return [
+            Fraction(sum(map(operator.mul, row, col)), dr * dc)
+            for row, dr in zip(rows, row_dens)
+        ]
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.data)))
@@ -391,12 +419,7 @@ class RationalMatrix:
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
         n = self.rows
-        scale = Fraction(1)
-        m = []
-        for row in self.data:
-            d = math.lcm(*(x.denominator for x in row))
-            scale *= d
-            m.append([int(x * d) for x in row])
+        m, dens = _cleared(self.data)
         # Bareiss fraction-free elimination on the integer matrix.
         sign = 1
         prev = 1
@@ -414,7 +437,7 @@ class RationalMatrix:
                     m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
                 m[i][k] = 0
             prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], 1) / scale
+        return Fraction(sign * m[n - 1][n - 1], math.prod(dens))
 
     def rref(self):
         """Row-reduced echelon form; returns (matrix, pivot column list)."""

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import shaped_nilpotent_tensor
 from shiftlab import criteria as cr
@@ -329,16 +330,29 @@ def test_c12_group_law_on_generators():
 def test_c12_transitivity_at_horizon():
     # As stated: residuals <= 1e-6 at k = 2^12 for T = I + S on K^8.  The
     # twisted approach-pair construction has error Theta(1/k) (first tail
-    # coordinate of the chain solve), i.e. about 2.4e-4 at k = 4096, so the
-    # stated tolerance is unattainable; expected to FAIL (see ledger).
+    # coordinate of the chain solve): k * residual is about 2.83 for u and
+    # 4.12 for v, i.e. 6.9e-4 and 1.0e-3 at k = 4096 (pinned by
+    # test_c12_transitivity_rate), so the stated tolerance is unattainable;
+    # expected to FAIL (see ledger).
     t = np.eye(8) + nil.backward_shift(8)
     pair = dyn.transitivity_pair(t, unit(0, 8), unit(1, 8), 2**12)
     worst = max(pair.residual_u, pair.residual_v)
     ok = worst <= 1e-6
     assert _report("12b transitivity", ok, f"residuals=({pair.residual_u:.2e}, {pair.residual_v:.2e})"), (
         f"residuals at k=2^12 are {worst:.2e}; the construction's error is "
-        "Theta(1/k) ~ 2.4e-4, making 1e-6 unattainable (see decisions ledger)"
+        "Theta(1/k), about 2.83/k and 4.12/k, making 1e-6 unattainable (see "
+        "decisions ledger)"
     )
+
+
+def test_c12_transitivity_rate():
+    # The constants behind the red test above: k * residual for (u, v)
+    # settles near (2.83, 4.12) from k = 2^8 on.
+    t = np.eye(8) + nil.backward_shift(8)
+    for k in (2**8, 2**12):
+        pair = dyn.transitivity_pair(t, unit(0, 8), unit(1, 8), k)
+        assert k * pair.residual_u == pytest.approx(2.83, rel=0.05)
+        assert k * pair.residual_v == pytest.approx(4.12, rel=0.05)
 
 
 def test_c12_u3_density_regression():

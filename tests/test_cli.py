@@ -64,6 +64,9 @@ class TestExitCodes:
             "jordan --seed -1",
             "perturb --s 1/0",
             "salas --tol 0",
+            "density --threshold -1",
+            "density --threshold 0",
+            "density --threshold 1.5",
         ],
     )
     def test_bad_input_is_rejected(self, argv, capsys):
@@ -154,6 +157,35 @@ class TestExitCodes:
         code, out = run_cli(["subspaces", "--which", "kerdagger", "--op", "shift", "--n", "3"], capsys)
         assert code == 0
         assert load_report(out)["data"]["dim"] == 3
+
+
+class TestParserReuse:
+    """main builds its parser once per process; one report's flags must not
+    leak into the next, least of all the --weights flag salas and symmetry
+    share with different defaults."""
+
+    ARGV = {
+        "salas": "salas --weights const --value 2 --n-max 256",
+        "symmetry": "symmetry --trials 5",
+    }
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return {
+            name: subprocess.run(
+                [sys.executable, "-m", "shiftlab.cli", *shlex.split(argv)],
+                capture_output=True,
+                text=True,
+            ).stdout
+            for name, argv in self.ARGV.items()
+        }
+
+    @pytest.mark.parametrize("order", [("salas", "symmetry"), ("symmetry", "salas")])
+    def test_reports_match_fresh_processes(self, order, fresh, capsys):
+        for name in order:
+            code, out = run_cli(shlex.split(self.ARGV[name]), capsys)
+            assert code in (0, 2)
+            assert out == fresh[name]
 
 
 class TestOutputs:

@@ -141,6 +141,17 @@ class TestU3Density:
         with pytest.raises(InputError):
             NetSpec(cells=1, box=4.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
+    def test_overflowing_orbit_stops_instead_of_raising(self, scale_grid):
+        # 3^n x leaves float range near n = 646; the cells the orbit hits
+        # on its way out are all hit within the first 20 steps
+        net = NetSpec()
+        long = u3_density(3 * np.eye(2), net, horizon=1000, scale_grid=scale_grid)
+        short = u3_density(3 * np.eye(2), net, horizon=20, scale_grid=scale_grid)
+        assert long.to_dict() == {**short.to_dict(), "horizon": 1000}
+
 
 class TestMixingWindow:
     def test_unipotent_hits_tail_window(self):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.errors import DomainError, InputError
 from shiftlab.rational import NEG_INF, Poly, RationalFunction, RationalMatrix
@@ -107,3 +109,58 @@ def test_rational_matrix_pow():
     assert s.pow(0) == RationalMatrix.identity(2)
     assert s.pow(1) == s
     assert s.pow(2).is_zero()
+
+
+# Products clear denominators to integers; these compare them with the plain
+# Fraction sum of products on zero rows, negative entries, non-square shapes
+# and large coprime denominators.
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(
+        Fraction, st.integers(-(10**20), 10**20), st.sampled_from((2**61 - 1, 10**9 + 7, 998244353))
+    ),
+)
+_dims = st.integers(1, 5)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    data = [draw(st.lists(_entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        data[i] = [Fraction(0)] * cols
+    return data
+
+
+def _reference_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_dims, _dims, _dims).flatmap(lambda s: st.tuples(_matrix(s[0], s[1]), _matrix(s[1], s[2]))))
+def test_matmul_matches_fraction_reference(ab):
+    a, b = ab
+    assert (RationalMatrix(a) @ RationalMatrix(b)).data == tuple(
+        tuple(row) for row in _reference_product(a, b)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_dims, _dims).flatmap(lambda s: st.tuples(_matrix(s[0], s[1]), _matrix(1, s[1]))))
+def test_matvec_matches_fraction_reference(av):
+    a, (v,) = av
+    out = RationalMatrix(a) @ v
+    assert all(isinstance(x, Fraction) for x in out)
+    assert out == [row[0] for row in _reference_product(a, [[x] for x in v])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_dims.flatmap(lambda n: _matrix(n, n)), st.integers(0, 5))
+def test_pow_matches_fraction_reference(a, power):
+    expected = [[Fraction(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(power):
+        expected = _reference_product(expected, a)
+    assert RationalMatrix(a).pow(power).data == tuple(tuple(row) for row in expected)
