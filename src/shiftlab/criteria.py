@@ -338,49 +338,6 @@ def _nilpotency_index_float(t: np.ndarray, cap: int, tol: float) -> int | None:
     return None
 
 
-def _biorthogonalize_exact(g: RationalMatrix, count: int):
-    """P (count x rows), Q (cols x count) with P G Q = I_count, or None."""
-    rows, cols = g.rows, g.cols
-    gm = [list(r) for r in g.data]
-    p = [[Fraction(1 if i == j else 0) for j in range(rows)] for i in range(rows)]
-    q = [[Fraction(1 if i == j else 0) for j in range(cols)] for i in range(cols)]
-    # p tracks row ops applied to g; q tracks column ops.
-    for step in range(count):
-        piv = None
-        for i in range(step, rows):
-            for j in range(step, cols):
-                if gm[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            return None
-        pi, pj = piv
-        gm[step], gm[pi] = gm[pi], gm[step]
-        p[step], p[pi] = p[pi], p[step]
-        for i in range(rows):
-            gm[i][step], gm[i][pj] = gm[i][pj], gm[i][step]
-        for i in range(cols):
-            q[i][step], q[i][pj] = q[i][pj], q[i][step]
-        pivval = gm[step][step]
-        gm[step] = [x / pivval for x in gm[step]]
-        p[step] = [x / pivval for x in p[step]]
-        for i in range(rows):
-            if i != step and gm[i][step] != 0:
-                f = gm[i][step]
-                gm[i] = [a - f * b for a, b in zip(gm[i], gm[step])]
-                p[i] = [a - f * b for a, b in zip(p[i], p[step])]
-        for j in range(cols):
-            if j != step and gm[step][j] != 0:
-                f = gm[step][j]
-                for i in range(rows):
-                    gm[i][j] -= f * gm[i][step]
-                for i in range(cols):
-                    q[i][j] -= f * q[i][step]
-    return RationalMatrix(p[:count]), RationalMatrix([row[:count] for row in q])
-
-
 def ebs_perturb(
     xi: TensorElement, x1, x2, s, n: int | None = None, tol: float = 1e-9
 ) -> EbsPerturbation:
@@ -406,33 +363,31 @@ def _ebs_perturb_exact(xi, x1, x2, s, n):
         n = _nilpotency_index_exact(t, t.rows)
         if n is None:
             raise DomainError("T_xi is not nilpotent")
-    bmat = xi.pairing
+    bmat = RationalMatrix(xi.pairing)
     # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]
-    lrows = [list(r) for r in smat.data]
-    lrows.append(list(x1 @ bmat))
-    lrows.append(list(x2 @ bmat))
-    f0 = RationalMatrix(lrows).nullspace()
-    u0 = RationalMatrix([list(r) for r in t.data]).nullspace()
+    targets = RationalMatrix([x1, x2]) @ bmat
+    f0 = RationalMatrix(smat.data + targets.data).nullspace()
+    u0 = t.nullspace()
     if len(f0) < 2 * n or len(u0) < 2 * n:
         raise DimensionError(
             f"need a biorthogonal system of size {2 * n}; "
             f"dim L = {len(f0)}, dim ker T = {len(u0)}"
         )
-    bf0 = [bmat @ np.asarray(f, dtype=object) for f in f0]
-    g = RationalMatrix([[sum(a * b for a, b in zip(u, bf)) for bf in bf0] for u in u0])
-    bio = _biorthogonalize_exact(g, 2 * n)
-    if bio is None:
+    # Gram matrix G = U0 B F0^T.  The rref of [G | I] is [E G | E]; rows
+    # i < rank of E G carry the identity at G's pivot columns p_j, so
+    # u_i = (E U0)_i and f_j = f0[p_j] satisfy b(u_i, f_j) = delta_ij.
+    u0m = RationalMatrix(u0)
+    g = u0m @ (bmat @ RationalMatrix(f0).transpose())
+    eye = RationalMatrix.identity(g.rows)
+    red, pivots = RationalMatrix([a + b for a, b in zip(g.data, eye.data)]).rref()
+    if len(pivots) < 2 * n or pivots[2 * n - 1] >= g.cols:
         raise DimensionError(
             f"biorthogonal system of size {2 * n} is infeasible: rank of the "
             "pairing between ker T and L is too small"
         )
-    p, q = bio
-    u0m = RationalMatrix(u0)
-    f0m = RationalMatrix(f0)
-    u_vecs = [np.asarray((p @ u0m).data[i], dtype=object) for i in range(2 * n)]
-    f_vecs = [
-        np.asarray((q.transpose() @ f0m).data[i], dtype=object) for i in range(2 * n)
-    ]
+    p = RationalMatrix([row[g.cols :] for row in red.data[: 2 * n]])
+    u_vecs = [np.asarray(row, dtype=object) for row in (p @ u0m).data]
+    f_vecs = [np.asarray(f0[c], dtype=object) for c in pivots[: 2 * n]]
     eta = _eta_pairs(x1, x2, u_vecs, f_vecs, n)
     xi_s = xi.scaled_added(s, eta)
     return EbsPerturbation(xi_s, s, n, tuple(u_vecs), tuple(f_vecs))

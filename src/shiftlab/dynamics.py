@@ -197,21 +197,26 @@ def u3_density(
     scales = [1.0] if scale_grid is None else list(scale_grid)
     reach = max(map(abs, scales), default=0.0)
     hit = np.zeros(net.cells * net.cells, dtype=bool)
-    for x in bases:
-        u = float(np.real(x[net.x_coord]))
-        cur = x.astype(np.complex128)
-        for _n in range(horizon + 1):
-            # cell_of cannot bin a non-finite coordinate, and an orbit that
-            # overflowed stays non-finite, so it can hit no further cell
-            y = reach * complex(cur[net.y_coord])
-            if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-                break
-            for a in scales:
-                v = float(np.real(a * cur[net.y_coord]))
-                cell = net.cell_of(u, v)
-                if cell is not None:
-                    hit[cell] = True
-            cur = t @ cur
+    # t @ cur may overflow; the finiteness check at the top of the next step
+    # then ends that orbit, so numpy's warnings carry nothing.  The errstate
+    # wraps the whole loop because entering it per step would triple a
+    # step's matrix-vector cost.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in bases:
+            u = float(np.real(x[net.x_coord]))
+            cur = x.astype(np.complex128)
+            for _n in range(horizon + 1):
+                # cell_of cannot bin a non-finite coordinate, and an orbit that
+                # overflowed stays non-finite, so it can hit no further cell
+                y = reach * complex(cur[net.y_coord])
+                if not (math.isfinite(y.real) and math.isfinite(y.imag)):
+                    break
+                for a in scales:
+                    v = float(np.real(a * cur[net.y_coord]))
+                    cell = net.cell_of(u, v)
+                    if cell is not None:
+                        hit[cell] = True
+                cur = t @ cur
     hits = int(np.sum(hit))
     total = net.cells * net.cells
     return CoverageReport(hits / total, hits, total, horizon, seed)

@@ -8,7 +8,6 @@ flavor lives in :mod:`shiftlab.rational`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,12 +236,3 @@ def defective_cluster_radius(A, floor: float = 1e-7) -> float:
     scale = max(1.0, float(np.linalg.norm(m)))
     backward = np.finfo(float).eps * scale * d
     return max(floor, 2.5 * backward ** (1.0 / d))
-
-
-def matrix_power_norm(A, n: int) -> float:
-    m = as_matrix(A)
-    return float(np.linalg.norm(np.linalg.matrix_power(m, n)))
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

@@ -181,16 +181,19 @@ def _head_part(w, n: int) -> np.ndarray:
     return w.copy()
 
 
-def _head_cross_terms(n: int, z: complex, u: np.ndarray) -> np.ndarray:
-    """w_j = v_{n-j+1} - sum_{k=n-j+1}^n z^(k+j-n-1) u_k/(k+j-n-1)!; the sum part."""
-    w = np.zeros(n, dtype=np.complex128)
-    for j in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        for k in range(n - j + 1, n + 1):
-            p = k + j - n - 1
-            acc += z**p * u[k - 1] / math.factorial(p)
-        w[j - 1] = acc
-    return w
+def _head_cross_terms(n: int, z, u) -> list:
+    """w_j = v_{n-j+1} - sum_{k=n-j+1}^n z^(k+j-n-1) u_k/(k+j-n-1)!; the sum part.
+
+    Generic over the scalars: complex z with a complex array u, or Fraction
+    z with Fraction u.
+    """
+    return [
+        sum(
+            z ** (k + j - n - 1) * u[k - 1] / math.factorial(k + j - n - 1)
+            for k in range(n - j + 1, n + 1)
+        )
+        for j in range(1, n + 1)
+    ]
 
 
 def jordan_solve(
@@ -261,13 +264,7 @@ def jordan_solve_exact(n: int, z, u, v) -> list[Fraction]:
     v = [Fraction(x) for x in v]
     if len(u) != n or len(v) != n:
         raise InputError(f"head vectors must have length {n}")
-    w = []
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(n - j + 1, n + 1):
-            p = k + j - n - 1
-            acc += z**p * u[k - 1] / math.factorial(p)
-        w.append(v[n - j] - acc)
+    w = [a - b for a, b in zip(reversed(v), _head_cross_terms(n, z, u))]
     tail = _anz_inverse_exact(n, z) @ w
     return u + tail
 
@@ -324,30 +321,18 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
 def similarity_j(n: int) -> RationalMatrix:
     """Upper-triangular invertible J on K^(2n) with J S = (e^S - I) J exactly.
 
-    Built column by column: J e_1 = e_1, then the triangular system
-    N (J e_j) = J e_{j-1} with N = e^S - I, taking the free first coordinate
-    as 0; the diagonal stays identically 1.
+    Built column by column: J e_1 = e_1, then J e_j = N.solve(J e_{j-1})
+    with N = e^S - I.  N is strictly upper triangular with a unit
+    superdiagonal, so column 0 is its only free variable; ``solve`` sets
+    it to 0, so J e_j has first coordinate 0 for j > 1 and the diagonal
+    stays identically 1.
     """
     dim = 2 * n
-    nmat = [
-        [
-            Fraction(1, math.factorial(j - i)) if j > i else Fraction(0)
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    cols: list[list[Fraction]] = [[Fraction(1)] + [Fraction(0)] * (dim - 1)]
-    for j in range(1, dim):
-        prev = cols[j - 1]
-        col = [Fraction(0)] * dim
-        # back-substitute rows i = j-1 .. 0; support of col is {1..j} (0-based 1..j)
-        for i in range(j - 1, -1, -1):
-            acc = prev[i]
-            for ll in range(i + 2, j + 1):
-                acc -= nmat[i][ll] * col[ll]
-            col[i + 1] = acc / nmat[i][i + 1]
-        cols.append(col)
-    return RationalMatrix(list(map(list, zip(*cols))))
+    nmat = exp_shift_exact(dim) - RationalMatrix.identity(dim)
+    cols = [[Fraction(1)] + [Fraction(0)] * (dim - 1)]
+    for _ in range(1, dim):
+        cols.append(nmat.solve(cols[-1]))
+    return RationalMatrix(list(zip(*cols)))
 
 
 def discrete_pair(n: int, j: int, u, v, check_tol: float | None = None) -> np.ndarray:

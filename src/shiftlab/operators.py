@@ -181,10 +181,6 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def window_indices(N: int) -> list[int]:
-    return list(range(-N, N + 1))
-
-
 def bilateral_shift(w: WeightSequence, N: int) -> TruncatedOperator:
     """T e_n = w_n e_{n-1} compressed to the window -N..N."""
     if N < 1:
@@ -204,10 +200,6 @@ def flip_matrix(N: int) -> np.ndarray:
     for n in range(-N, N + 1):
         u[-n + N, n + N] = 1.0
     return u
-
-
-def dual_weight(w: WeightSequence) -> WeightSequence:
-    return w.dual()
 
 
 def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
@@ -435,24 +427,16 @@ def _scale(vec, s, exact: bool):
 def tensor_op(xi: TensorElement):
     """Matrices of T_xi x = sum b(x, y_j) x_j and S_xi y = sum b(x_j, y) y_j."""
     if xi.exact:
-        dx, dy = xi.dim_x, xi.dim_y
-        t = [[Fraction(0)] * dx for _ in range(dx)]
-        s = [[Fraction(0)] * dy for _ in range(dy)]
-        bmat = xi.pairing
-        for x, y in xi.pairs:
-            by = bmat @ y  # row functional of b(., y_j)
-            bx = x @ bmat
-            for i in range(dx):
-                if x[i] == 0:
-                    continue
-                for j in range(dx):
-                    t[i][j] += x[i] * by[j]
-            for i in range(dy):
-                if y[i] == 0:
-                    continue
-                for j in range(dy):
-                    s[i][j] += y[i] * bx[j]
-        return RationalMatrix(t), RationalMatrix(s)
+        if not xi.pairs:
+            return (
+                RationalMatrix.zeros(xi.dim_x, xi.dim_x),
+                RationalMatrix.zeros(xi.dim_y, xi.dim_y),
+            )
+        # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T), S = Y^T (X B)
+        b = RationalMatrix(xi.pairing)
+        xs = RationalMatrix([x for x, _ in xi.pairs])
+        ys = RationalMatrix([y for _, y in xi.pairs])
+        return xs.transpose() @ (ys @ b.transpose()), ys.transpose() @ (xs @ b)
     b = as_matrix(xi.pairing)
     t = np.zeros((xi.dim_x, xi.dim_x), dtype=np.complex128)
     s = np.zeros((xi.dim_y, xi.dim_y), dtype=np.complex128)

@@ -282,11 +282,6 @@ class RationalFunction:
         return f"RF({self.num!r} / {self.den!r})"
 
 
-def rf_deg(r: RationalFunction):
-    """Degree grading on rational functions; the zero element maps to -inf."""
-    return r.degree
-
-
 def _cleared(rows):
     """Each row of Fractions as integers over its lcm denominator.
 

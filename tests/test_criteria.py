@@ -245,6 +245,33 @@ class TestEbsPerturb:
         with pytest.raises(DimensionError):
             ebs_perturb(xi, exact_unit(5, dim), exact_unit(1, dim), Fraction(1))
 
+    def test_ladder_is_biorthogonal(self):
+        rng = np.random.default_rng(11)
+        cases = [shaped_nilpotent_tensor(rng, 10, depth=2) + (2,) for _ in range(3)]
+        cases += [shaped_nilpotent_tensor(rng, 12, depth=3) + (3,) for _ in range(3)]
+        for xi, x1, x2, depth in cases:
+            pert = ebs_perturb(xi, x1, x2, Fraction(2, 3), n=depth)
+            assert len(pert.u_vectors) == len(pert.f_vectors) == 2 * depth
+            t, s = tensor_op(xi)
+            for f in pert.f_vectors:  # f in L
+                assert all(a == 0 for a in s @ list(f))
+                assert xi.b(x1, f) == 0 and xi.b(x2, f) == 0
+            for i, u in enumerate(pert.u_vectors):  # u in ker T
+                assert all(a == 0 for a in t @ list(u))
+                for j, f in enumerate(pert.f_vectors):
+                    assert xi.b(u, f) == (i == j)
+
+    def test_dimension_error_when_pairing_rank_is_too_small(self):
+        # ker T and L are the whole space, but b has rank 1 < 2n = 2
+        dim = 4
+        zero = (exact_unit(0, dim, 0), exact_unit(0, dim, 0))
+        pairing = exact_identity_pairing(dim)
+        for i in range(1, dim):
+            pairing[i, i] = Fraction(0)
+        xi = TensorElement((zero,), pairing)
+        with pytest.raises(DimensionError, match="infeasible"):
+            ebs_perturb(xi, exact_unit(1, dim), exact_unit(2, dim), Fraction(1), n=1)
+
     def test_zero_scale_rejected(self):
         dim = 6
         zero = (exact_unit(0, dim, 0), exact_unit(0, dim, 0))

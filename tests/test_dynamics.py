@@ -141,8 +141,7 @@ class TestU3Density:
         with pytest.raises(InputError):
             NetSpec(cells=1, box=4.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
     def test_overflowing_orbit_stops_instead_of_raising(self, scale_grid):
         # 3^n x leaves float range near n = 646; the cells the orbit hits

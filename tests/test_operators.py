@@ -13,7 +13,6 @@ from shiftlab.operators import (
     bilateral_shift,
     constant_weights,
     default_alpha,
-    dual_weight,
     flip_matrix,
     genshi_hypercyclic_weights,
     genshi_supercyclic_weights,
@@ -45,7 +44,7 @@ class TestWeightSequence:
 
     def test_dual_constant_family(self):
         w = WeightSequence([1.0, 2.0, 3.0], "constant", c_plus=4.0, c_minus=0.5)
-        d = dual_weight(w)
+        d = w.dual()
         for n in range(-7, 8):
             assert d.value(n) == w.value(1 - n)
 
@@ -55,7 +54,7 @@ class TestWeightSequence:
             symmetric_decay_weights(half=3),
             WeightSequence([1, 2, 3], "zero"),
         ):
-            dd = dual_weight(dual_weight(w))
+            dd = w.dual().dual()
             for n in range(-10, 11):
                 assert abs(dd.value(n) - w.value(n)) < 1e-14
 
@@ -100,7 +99,7 @@ class TestBilateralShift:
         t = bilateral_shift(w, n).matrix
         u = flip_matrix(n)
         lhs = np.linalg.inv(u) @ t.T @ u
-        rhs = bilateral_shift(dual_weight(w), n).matrix
+        rhs = bilateral_shift(w.dual(), n).matrix
         assert np.array_equal(lhs, rhs)
 
 
@@ -232,6 +231,28 @@ class TestTensorOp:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             TensorElement(((np.ones(3), np.ones(4)),), np.eye(3))
+
+    @pytest.mark.parametrize("dx, dy, count", [(4, 6, 3), (5, 3, 1), (3, 3, 0), (6, 4, 5)])
+    def test_exact_matches_outer_product_sum(self, dx, dy, count):
+        rng = np.random.default_rng(dx * 100 + dy * 10 + count)
+
+        def frac():
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+
+        def vec(d):
+            return np.array([frac() for _ in range(d)], dtype=object)
+
+        b = np.array([[frac() for _ in range(dy)] for _ in range(dx)], dtype=object)
+        pairs = tuple((vec(dx), vec(dy)) for _ in range(count))
+        t, s = tensor_op(TensorElement(pairs, b))
+        t_ref = np.zeros((dx, dx), dtype=object)
+        s_ref = np.zeros((dy, dy), dtype=object)
+        for x, y in pairs:
+            t_ref += np.outer(x, b @ y)
+            s_ref += np.outer(y, x @ b)
+        assert (t.rows, t.cols, s.rows, s.cols) == (dx, dx, dy, dy)
+        assert t.data == tuple(map(tuple, t_ref))
+        assert s.data == tuple(map(tuple, s_ref))
 
 
 class TestSaanGenerators:

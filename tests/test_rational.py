@@ -164,3 +164,30 @@ def test_pow_matches_fraction_reference(a, power):
     for _ in range(power):
         expected = _reference_product(expected, a)
     assert RationalMatrix(a).pow(power).data == tuple(tuple(row) for row in expected)
+
+
+# solve: every returned vector is checked by a product, every None by a left
+# null vector y with y A = 0 and y . b != 0, so neither verdict rests on rref.
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_agrees_with_products(data):
+    rows, cols = data.draw(_dims), data.draw(_dims)
+    a = data.draw(_matrix(rows, cols))
+    if data.draw(st.booleans()):  # zero columns, so some variables are free
+        a = [list(col) for col in zip(*data.draw(_matrix(cols, rows)))]
+    m = RationalMatrix(a)
+    built_in_span = data.draw(st.booleans())
+    if built_in_span:
+        b = m @ data.draw(st.lists(_entries, min_size=cols, max_size=cols))
+    else:
+        b = data.draw(st.lists(_entries, min_size=rows, max_size=rows))
+    x = m.solve(b)
+    if x is None:
+        assert not built_in_span
+        left_null = m.transpose().nullspace()
+        assert all(m.transpose() @ y == [0] * cols for y in left_null)
+        assert any(sum(yi * bi for yi, bi in zip(y, b)) != 0 for y in left_null)
+    else:
+        assert m @ x == b
+        _, pivots = m.rref()
+        assert all(x[c] == 0 for c in range(cols) if c not in pivots)
