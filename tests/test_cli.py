@@ -313,7 +313,9 @@ class TestFileInterfaces:
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-# stdout of trace-bearing runs, locked beside the emit-goldens suites
+# stdout of trace-bearing runs and of the float probes' JSON reports, locked
+# beside the emit-goldens suites.  density runs at horizon 100 to stay fast;
+# 24 cells leave 24 of 576 cells unhit, so a change in the binning shows.
 TRACE_GOLDENS = {
     "volterra_trace.csv": "--format csv volterra --ngrid 256 --n-max 5",
     "kerim_trace.jsonl": "--format jsonl kerim --n 2 --k-max-exp 6",
@@ -321,6 +323,8 @@ TRACE_GOLDENS = {
     "mixing_trace.csv": "--format csv mixing",
     "mixing_trace.jsonl": "--format jsonl mixing",
     "jordan_trace.csv": "--format csv jordan --n-max 2 --pairs 1",
+    "mixing.json": "mixing",
+    "density.json": "density --horizon 100 --cells 24",
 }
 
 
