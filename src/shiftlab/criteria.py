@@ -319,7 +319,7 @@ class EbsPerturbation:
         return self.u_vectors[2 * self.n - 1]
 
 
-def _nilpotency_index_exact(t: RationalMatrix, cap: int) -> int | None:
+def _nilpotency_index(t: RationalMatrix, cap: int) -> int | None:
     power = RationalMatrix.identity(t.rows)
     for n in range(1, cap + 1):
         power = power @ t
@@ -328,39 +328,24 @@ def _nilpotency_index_exact(t: RationalMatrix, cap: int) -> int | None:
     return None
 
 
-def _nilpotency_index_float(t: np.ndarray, cap: int, tol: float) -> int | None:
-    scale = max(1.0, float(np.linalg.norm(t)))
-    power = np.eye(t.shape[0], dtype=np.complex128)
-    for n in range(1, cap + 1):
-        power = power @ t
-        if float(np.linalg.norm(power)) <= tol * scale**n:
-            return n
-    return None
-
-
-def ebs_perturb(
-    xi: TensorElement, x1, x2, s, n: int | None = None, tol: float = 1e-9
-) -> EbsPerturbation:
+def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPerturbation:
     """Perturb a nilpotent xi so that x1, x2 land in ker-dagger of T_{xi_s}.
 
-    Adds s * eta where eta couples x1, x2 and a biorthogonal ladder
-    u_1..u_2n in ker T_xi against functionals f_1..f_2n that annihilate
-    range-side obstructions; then T_{xi_s}^n u_n = s^n x1,
-    T_{xi_s}^n u_2n = s^n x2 and T_{xi_s}^(2n) = 0.
+    Exact only (``TensorElement`` holds Fractions; x1, x2 and s are read as
+    Fractions).  Adds s * eta where eta couples x1, x2 and a biorthogonal
+    ladder u_1..u_2n in ker T_xi against functionals f_1..f_2n in L, the
+    null space of S_xi and of b(x1, .), b(x2, .); then T_{xi_s}^n u_n =
+    s^n x1, T_{xi_s}^n u_2n = s^n x2 and T_{xi_s}^(2n) = 0 hold exactly.
+    ``n`` defaults to the nilpotency index of T_xi.
     """
     if s == 0:
         raise InputError("the perturbation scale s must be nonzero")
-    if xi.exact:
-        return _ebs_perturb_exact(xi, x1, x2, Fraction(s), n)
-    return _ebs_perturb_float(xi, x1, x2, complex(s), n, tol)
-
-
-def _ebs_perturb_exact(xi, x1, x2, s, n):
+    s = Fraction(s)
     t, smat = tensor_op(xi)
     x1 = np.asarray([Fraction(v) for v in x1], dtype=object)
     x2 = np.asarray([Fraction(v) for v in x2], dtype=object)
     if n is None:
-        n = _nilpotency_index_exact(t, t.rows)
+        n = _nilpotency_index(t, t.rows)
         if n is None:
             raise DomainError("T_xi is not nilpotent")
     bmat = RationalMatrix(xi.pairing)
@@ -388,45 +373,6 @@ def _ebs_perturb_exact(xi, x1, x2, s, n):
     p = RationalMatrix([row[g.cols :] for row in red.data[: 2 * n]])
     u_vecs = [np.asarray(row, dtype=object) for row in (p @ u0m).data]
     f_vecs = [np.asarray(f0[c], dtype=object) for c in pivots[: 2 * n]]
-    eta = _eta_pairs(x1, x2, u_vecs, f_vecs, n)
-    xi_s = xi.scaled_added(s, eta)
-    return EbsPerturbation(xi_s, s, n, tuple(u_vecs), tuple(f_vecs))
-
-
-def _ebs_perturb_float(xi, x1, x2, s, n, tol):
-    t, smat = tensor_op(xi)
-    x1 = as_vector(x1, xi.dim_x)
-    x2 = as_vector(x2, xi.dim_x)
-    if n is None:
-        n = _nilpotency_index_float(t, t.shape[0], tol)
-        if n is None:
-            raise DomainError("T_xi is not numerically nilpotent")
-    bmat = as_matrix(xi.pairing)
-    stacked = np.vstack([smat, (x1 @ bmat)[None, :], (x2 @ bmat)[None, :]])
-    lspace, _ = kernel_and_image(stacked, tol)
-    kt, _ = kernel_and_image(t, tol)
-    if lspace.dim < 2 * n or kt.dim < 2 * n:
-        raise DimensionError(
-            f"need a biorthogonal system of size {2 * n}; "
-            f"dim L = {lspace.dim}, dim ker T = {kt.dim}"
-        )
-    g = np.array([[u @ (bmat @ f) for f in lspace.basis] for u in kt.basis])
-    uu, sig, vh = np.linalg.svd(g)
-    rank = int(np.sum(sig > tol * (sig[0] if sig.size and sig[0] > 0 else 1.0)))
-    if rank < 2 * n:
-        raise DimensionError(
-            f"biorthogonal system of size {2 * n} is infeasible: pairing rank {rank}"
-        )
-    scale = np.diag(1.0 / np.sqrt(sig[: 2 * n]))
-    p = scale @ uu[:, : 2 * n].conj().T  # note: P G Q = I with these factors
-    q = vh[: 2 * n].conj().T @ scale
-    # undo the conjugations introduced by the complex SVD so that P G Q = I
-    u_vecs = [np.asarray(p[i] @ kt.basis) for i in range(2 * n)]
-    f_vecs = [np.asarray(lspace.basis.T @ q[:, i]) for i in range(2 * n)]
-    # correct residual coupling: enforce b(u_i, f_j) = delta exactly enough
-    gram = np.array([[u @ (bmat @ f) for f in f_vecs] for u in u_vecs])
-    corr = np.linalg.inv(gram)
-    u_vecs = [sum(corr[i, kk] * u_vecs[kk] for kk in range(2 * n)) for i in range(2 * n)]
     eta = _eta_pairs(x1, x2, u_vecs, f_vecs, n)
     xi_s = xi.scaled_added(s, eta)
     return EbsPerturbation(xi_s, s, n, tuple(u_vecs), tuple(f_vecs))

@@ -61,16 +61,19 @@ def orbit(T, x, steps: int, scalings=None) -> OrbitTrace:
     norms = []
     cur = x.copy()
     truncated = False
-    for k in range(steps + 1):
-        scaled = cur * scalings[k] if scalings is not None else cur
-        nrm = float(np.linalg.norm(scaled))
-        if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
-            truncated = True
-            break
-        iterates.append(scaled)
-        norms.append(nrm)
-        if k < steps:
-            cur = t @ cur
+    # the norm of the step that overflows is inf or nan and ends the trace
+    # with the truncation flag, so numpy's warnings carry nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            scaled = cur * scalings[k] if scalings is not None else cur
+            nrm = float(np.linalg.norm(scaled))
+            if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
+                truncated = True
+                break
+            iterates.append(scaled)
+            norms.append(nrm)
+            if k < steps:
+                cur = t @ cur
     return OrbitTrace(
         x,
         tuple(iterates),

@@ -24,10 +24,7 @@ from .rational import RationalMatrix
 
 def backward_shift(dim: int) -> np.ndarray:
     """S e_1 = 0, S e_k = e_{k-1} (unit superdiagonal)."""
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(1, dim):
-        s[k - 1, k] = 1.0
-    return s
+    return np.eye(dim, k=1, dtype=np.complex128)
 
 
 def backward_shift_exact(dim: int) -> RationalMatrix:
@@ -36,6 +33,7 @@ def backward_shift_exact(dim: int) -> RationalMatrix:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def exp_shift_exact(dim: int, z: Fraction = Fraction(1)) -> RationalMatrix:
     """e^{zS} on K^dim, exact: entry (i,j) = z^(j-i)/(j-i)! for j >= i."""
     z = Fraction(z)
@@ -88,34 +86,25 @@ class ShiftSpace:
         return np.concatenate([u, np.zeros(self.n, dtype=np.complex128)])
 
 
-def build_anz(n: int, z) -> np.ndarray:
-    """The n x n matrix with entries z^(j+k-1)/(j+k-1)!, 1-based j,k."""
+def _anz_rows(n: int, z) -> list[list]:
+    """Rows of A_{n,z}, generic over the scalar type of z."""
     if n < 1:
         raise InputError("n must be >= 1")
-    z = complex(z)
     if z == 0:
         raise DomainError("A_{n,z} is singular at z = 0")
-    return np.array(
-        [
-            [z ** (j + k - 1) / math.factorial(j + k - 1) for k in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ],
-        dtype=np.complex128,
-    )
+    return [
+        [z ** (j + k - 1) / math.factorial(j + k - 1) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+
+
+def build_anz(n: int, z) -> np.ndarray:
+    """The n x n matrix with entries z^(j+k-1)/(j+k-1)!, 1-based j,k."""
+    return np.array(_anz_rows(n, complex(z)), dtype=np.complex128)
 
 
 def build_anz_exact(n: int, z) -> RationalMatrix:
-    if n < 1:
-        raise InputError("n must be >= 1")
-    z = Fraction(z)
-    if z == 0:
-        raise DomainError("A_{n,z} is singular at z = 0")
-    return RationalMatrix(
-        [
-            [z ** (j + k - 1) / math.factorial(j + k - 1) for k in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
-    )
+    return RationalMatrix(_anz_rows(n, Fraction(z)))
 
 
 def scaling_dnz(n: int, z) -> np.ndarray:
@@ -250,11 +239,6 @@ def _anz_inverse_exact(n: int, z: Fraction) -> RationalMatrix:
     return build_anz_exact(n, z).inv()
 
 
-@functools.lru_cache(maxsize=256)
-def _exp_shift_cached(dim: int, z: Fraction) -> RationalMatrix:
-    return exp_shift_exact(dim, z)
-
-
 def jordan_solve_exact(n: int, z, u, v) -> list[Fraction]:
     """Exact-rational mirror of jordan_solve for rational z, u, v."""
     z = Fraction(z)
@@ -280,36 +264,29 @@ def jordan_residuals_exact(n: int, z, u, v, x) -> tuple[Fraction, Fraction]:
     u = [Fraction(a) for a in u]
     v = [Fraction(a) for a in v]
     x = [Fraction(a) for a in x]
-    ez = _exp_shift_cached(2 * n, z)
+    ez = exp_shift_exact(2 * n, z)
     ex = ez @ x
     r1 = sum((x[i] - u[i]) ** 2 for i in range(n))
     r2 = sum((ex[i] - v[i]) ** 2 for i in range(n))
     return r1, r2
 
 
-def discrete_pair_exact(n: int, j: int, u, v) -> list[Fraction]:
-    """Exact-rational x_j for the (I+S)^j approach pair."""
+def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
+    """True error norms of the exact discrete pair x_j, evaluated exactly.
+
+    x_j is the exact-rational mirror of ``discrete_pair``, and (I+S)^j is
+    expanded with exact binomial coefficients, so the returned floats carry
+    no cancellation noise even at j in the thousands.
+    """
     if j < 1:
         raise InputError("step index j must be >= 1")
-    jmat = similarity_j(n)
-    u = [Fraction(a) for a in u] + [Fraction(0)] * n
-    v = [Fraction(a) for a in v] + [Fraction(0)] * n
-    ju = (jmat @ u)[:n]
-    jv = (jmat @ v)[:n]
-    x = jordan_solve_exact(n, j, ju, jv)
-    return jmat.inv() @ x
-
-
-def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
-    """True error norms of the exact discrete pair, evaluated exactly.
-
-    (I+S)^j is expanded with exact binomial coefficients, so the returned
-    floats carry no cancellation noise even at j in the thousands.
-    """
-    x = discrete_pair_exact(n, j, u, v)
     dim = 2 * n
     u = [Fraction(a) for a in u]
     v = [Fraction(a) for a in v]
+    jmat = similarity_j(n)
+    ju = (jmat @ (u + [Fraction(0)] * n))[:n]
+    jv = (jmat @ (v + [Fraction(0)] * n))[:n]
+    x = jmat.inv() @ jordan_solve_exact(n, j, ju, jv)
     ipows = (backward_shift_exact(dim) + RationalMatrix.identity(dim)).pow(j)
     tx = ipows @ x
     r1 = sum((x[i] - (u[i] if i < n else 0)) ** 2 for i in range(dim))

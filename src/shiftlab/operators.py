@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 from .rational import Poly, RationalMatrix
 
 TAIL_KINDS = ("constant", "geometric", "zero")
@@ -371,8 +371,9 @@ def integral_op(alpha, psi, ngrid: int):
 class TensorElement:
     """Finite sum xi = sum_j x_j (x) y_j with an explicit bilinear pairing.
 
-    ``pairing[i, j] = b(e_i, f_j)``; exact inputs (Fractions) are kept as
-    numpy object arrays so every downstream identity can be checked exactly.
+    Exact only: ``pairing[i, j] = b(e_i, f_j)`` must be a numpy object array
+    of Fractions, and the factors are kept as object arrays, so every
+    downstream identity (``tensor_op``, ``ebs_perturb``) holds literally.
     """
 
     pairs: tuple  # tuple of (x_j, y_j) 1-d arrays
@@ -382,11 +383,11 @@ class TensorElement:
         pairing = np.asarray(self.pairing)
         if pairing.ndim != 2:
             raise InputError("pairing must be a matrix")
-        exact = pairing.dtype == object
-        conv = (lambda a: np.asarray(a, dtype=object)) if exact else (
-            lambda a: as_vector(a)
+        if pairing.dtype != object:
+            raise InputError("pairing must be an exact (Fraction, dtype=object) matrix")
+        pairs = tuple(
+            (np.asarray(x, dtype=object), np.asarray(y, dtype=object)) for x, y in self.pairs
         )
-        pairs = tuple((conv(x), conv(y)) for x, y in self.pairs)
         for x, y in pairs:
             if x.shape[0] != pairing.shape[0] or y.shape[0] != pairing.shape[1]:
                 raise InputError("tensor factor shapes do not match the pairing")
@@ -401,49 +402,29 @@ class TensorElement:
     def dim_y(self) -> int:
         return self.pairing.shape[1]
 
-    @property
-    def exact(self) -> bool:
-        return self.pairing.dtype == object
-
     def b(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        return (x @ (self.pairing @ y)) if self.exact else complex(
-            np.asarray(x, dtype=np.complex128)
-            @ (as_matrix(self.pairing) @ np.asarray(y, dtype=np.complex128))
-        )
+        return np.asarray(x) @ (self.pairing @ np.asarray(y))
 
     def scaled_added(self, s, extra_pairs) -> "TensorElement":
-        new = list(self.pairs) + [(_scale(x, s, self.exact), y) for x, y in extra_pairs]
+        s = Fraction(s)
+        new = list(self.pairs) + [
+            (np.asarray([s * a for a in x], dtype=object), y) for x, y in extra_pairs
+        ]
         return TensorElement(tuple(new), self.pairing)
-
-
-def _scale(vec, s, exact: bool):
-    if exact:
-        return np.asarray([Fraction(s) * x for x in vec], dtype=object)
-    return np.asarray(vec, dtype=np.complex128) * complex(s)
 
 
 def tensor_op(xi: TensorElement):
     """Matrices of T_xi x = sum b(x, y_j) x_j and S_xi y = sum b(x_j, y) y_j."""
-    if xi.exact:
-        if not xi.pairs:
-            return (
-                RationalMatrix.zeros(xi.dim_x, xi.dim_x),
-                RationalMatrix.zeros(xi.dim_y, xi.dim_y),
-            )
-        # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T), S = Y^T (X B)
-        b = RationalMatrix(xi.pairing)
-        xs = RationalMatrix([x for x, _ in xi.pairs])
-        ys = RationalMatrix([y for _, y in xi.pairs])
-        return xs.transpose() @ (ys @ b.transpose()), ys.transpose() @ (xs @ b)
-    b = as_matrix(xi.pairing)
-    t = np.zeros((xi.dim_x, xi.dim_x), dtype=np.complex128)
-    s = np.zeros((xi.dim_y, xi.dim_y), dtype=np.complex128)
-    for x, y in xi.pairs:
-        t += np.outer(x, b @ y)
-        s += np.outer(y, b.T @ x)
-    return t, s
+    if not xi.pairs:
+        return (
+            RationalMatrix.zeros(xi.dim_x, xi.dim_x),
+            RationalMatrix.zeros(xi.dim_y, xi.dim_y),
+        )
+    # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T), S = Y^T (X B)
+    b = RationalMatrix(xi.pairing)
+    xs = RationalMatrix([x for x, _ in xi.pairs])
+    ys = RationalMatrix([y for _, y in xi.pairs])
+    return xs.transpose() @ (ys @ b.transpose()), ys.transpose() @ (xs @ b)
 
 
 def graded_lex_indices(k: int, count: int) -> list[tuple[int, ...]]:

@@ -219,20 +219,12 @@ class TestEbsPerturb:
         # x1 in ker T^n and in T^n(X): T^n u_n = s^n x1 witnesses the range
         assert all(a == 0 for a in t.pow(2) @ list(x1))
 
-    def test_float_path(self):
+    def test_float_pairing_rejected(self):
+        # the perturbation is exact only: a float tensor element is refused
+        # when it is built, before ebs_perturb can start on it
         dim = 10
-        x1v = np.zeros(dim)
-        x1v[5] = 1.3
-        y1v = np.zeros(dim)
-        y1v[0] = 1.0
-        xi = TensorElement(((x1v, y1v),), np.eye(dim))
-        x1 = unit(7, dim)
-        x2 = unit(8, dim)
-        pert = ebs_perturb(xi, x1, x2, 0.5)
-        t, _ = tensor_op(pert.xi_s)
-        n = pert.n
-        assert np.linalg.norm(np.linalg.matrix_power(t, n) @ pert.u_n - 0.5**n * x1) <= 1e-10
-        assert np.linalg.norm(np.linalg.matrix_power(t, 2 * n)) <= 1e-10
+        with pytest.raises(InputError, match="pairing must be an exact"):
+            TensorElement(((unit(5, dim), unit(0, dim)),), np.eye(dim))
 
     def test_dimension_error_when_ladder_does_not_fit(self):
         dim = 6

@@ -191,3 +191,48 @@ def test_solve_agrees_with_products(data):
         assert m @ x == b
         _, pivots = m.rref()
         assert all(x[c] == 0 for c in range(cols) if c not in pivots)
+
+
+# det, inv and rref each eliminate on their own; these tie them together.
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_det_is_zero_exactly_when_inv_raises(data):
+    n = data.draw(_dims)
+    a = data.draw(_matrix(n, n))
+    dependent = n > 1 and data.draw(st.booleans())
+    if dependent:  # last row a combination of the others, none of them zero
+        coeffs = data.draw(st.lists(_entries, min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum((c * row[j] for c, row in zip(coeffs, a)), Fraction(0)) for j in range(n)]
+    m = RationalMatrix(a)
+    if m.det() == 0:
+        with pytest.raises(DomainError):
+            m.inv()
+    else:
+        assert not dependent
+        inv = m.inv()
+        assert m @ inv == inv @ m == RationalMatrix.identity(n)
+
+
+@st.composite
+def _invertible(draw, n):
+    """P = Q L U with Q a permutation, L unit lower and U upper triangular
+    with a nonzero diagonal, so det P != 0 by construction."""
+    nonzero = _entries.filter(lambda x: x != 0)
+    low = [[draw(_entries) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    up = [
+        [draw(nonzero) if j == i else draw(_entries) if j > i else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    perm = draw(st.permutations(range(n)))
+    q = [[Fraction(int(j == perm[i])) for j in range(n)] for i in range(n)]
+    return RationalMatrix(q) @ RationalMatrix(low) @ RationalMatrix(up)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_is_invariant_under_invertible_row_operations(data):
+    rows, cols = data.draw(_dims), data.draw(_dims)
+    a = RationalMatrix(data.draw(_matrix(rows, cols)))
+    p = data.draw(_invertible(rows))
+    assert p.det() != 0
+    assert (p @ a).rref() == a.rref()
