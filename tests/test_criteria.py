@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_identity_pairing, exact_unit, shaped_nilpotent_tensor
 from shiftlab.criteria import (
+    _in_region_v,
+    _in_triangle_u,
     b_symmetry_check,
     builtin_region,
     ebs_perturb,
@@ -313,6 +317,39 @@ class TestRegions:
     def test_sample_count_floor(self):
         with pytest.raises(InputError):
             gs_region_verdict(builtin_region("U"), "shift1", 100)
+
+
+def _ref_triangle_u(z: complex) -> bool:
+    a, b = z.real, z.imag
+    return a < 0 and b - a < 1 and b + a > -1
+
+
+def _ref_region_v(z: complex) -> bool:
+    a, b = z.real, z.imag
+    return 0 < b < 1 and abs(a) < 1.0 - math.sqrt(1.0 - b * b)
+
+
+_coord = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1.0 - 2.0**-53]),
+)
+
+
+@st.composite
+def _region_points(draw):
+    """A point and its projections onto the region edges b = 0, a = 0,
+    b - a = 1 and b + a = -1."""
+    a, b = draw(_coord), draw(_coord)
+    return [complex(a, b), complex(a, 0.0), complex(0.0, b), complex(a, a + 1.0), complex(a, -1.0 - a)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_region_points(), min_size=1, max_size=8))
+def test_region_predicates_match_scalar_reference(groups):
+    zs = [z for group in groups for z in group]
+    for pred, ref in ((_in_triangle_u, _ref_triangle_u), (_in_region_v, _ref_region_v)):
+        expected = [ref(z) for z in zs]
+        assert [bool(pred(z)) for z in zs] == expected
 
 
 class TestSymmetryObstruction:

@@ -1,10 +1,13 @@
 """Orbits, exponential groups and the empirical diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shiftlab.dynamics import (
     Ball,
+    CoverageReport,
     NetSpec,
     bump_function,
     default_scale_grid,
@@ -40,6 +43,41 @@ def nilpotent_weighted_shift(dim, seed=2):
     for k in range(1, dim):
         m[k - 1, k] = 0.5 + rng.uniform(0, 1)
     return m
+
+
+def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40, pair_sampler=None):
+    """The per-scalar loop u3_density is checked against: one cell lookup
+    per (base, n, scale) with Python float floor division."""
+    t = np.asarray(T.matrix if hasattr(T, "matrix") else T, dtype=np.complex128)
+    dim = t.shape[0]
+    rng = np.random.default_rng(seed)
+    if pair_sampler is None:
+        bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
+        strata = np.arange(base_count) % net.cells + rng.uniform(size=base_count)
+        bases[:, net.x_coord] = strata / net.cells * 2.0 * net.box - net.box
+    else:
+        bases = np.asarray(pair_sampler(rng, base_count, dim))
+    scales = [1.0] if scale_grid is None else list(scale_grid)
+    reach = max(map(abs, scales), default=0.0)
+    side = 2.0 * net.box / net.cells
+    hit = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in bases:
+            u = float(np.real(x[net.x_coord]))
+            cur = x.astype(np.complex128)
+            for _n in range(horizon + 1):
+                y = reach * complex(cur[net.y_coord])
+                if not (math.isfinite(y.real) and math.isfinite(y.imag)):
+                    break
+                for a in scales:
+                    v = float(np.real(a * cur[net.y_coord]))
+                    iu = int((u + net.box) // side)
+                    iv = int((v + net.box) // side)
+                    if 0 <= iu < net.cells and 0 <= iv < net.cells:
+                        hit.add(iu * net.cells + iv)
+                cur = t @ cur
+    total = net.cells * net.cells
+    return CoverageReport(len(hit) / total, len(hit), total, horizon, seed)
 
 
 class TestOrbit:
@@ -150,6 +188,35 @@ class TestU3Density:
         long = u3_density(3 * np.eye(2), net, horizon=1000, scale_grid=scale_grid)
         short = u3_density(3 * np.eye(2), net, horizon=20, scale_grid=scale_grid)
         assert long.to_dict() == {**short.to_dict(), "horizon": 1000}
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
+    def test_matches_per_scalar_reference(self, seed, scale_grid):
+        t = bilateral_shift(genshi_supercyclic_weights(), 6)
+        net = NetSpec(cells=10, box=4.0, x_coord=6, y_coord=5)
+        kwargs = dict(horizon=120, seed=seed, scale_grid=scale_grid, base_count=15)
+        assert u3_density(t, net, **kwargs) == reference_u3_density(t, net, **kwargs)
+
+    @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
+    def test_overflowing_orbit_matches_reference(self, scale_grid):
+        net = NetSpec()
+        kwargs = dict(horizon=1000, scale_grid=scale_grid)
+        assert u3_density(3 * np.eye(2), net, **kwargs) == reference_u3_density(3 * np.eye(2), net, **kwargs)
+
+    def test_bases_outside_the_box_and_on_cell_edges_match_reference(self):
+        # side 1.0: integer coordinates sit on cell edges, +-4 on the box
+        # edges, and 9 / -7 put the input coordinate outside the net
+        def sampler(rng, count, dim):
+            xs = np.array([9.0, -7.0, -4.0, 4.0, 0.0, 3.0, -1.0, 2.5])[:count]
+            ys = np.array([1.0, 2.0, -4.0, 4.0, 3.0, -3.0, 8.0, -0.5])[:count]
+            return np.stack([xs, ys], axis=1)
+
+        t = np.array([[1.0, 0.0], [0.0, 0.5]])
+        net = NetSpec(cells=8, box=4.0, x_coord=0, y_coord=1)
+        kwargs = dict(horizon=12, scale_grid=[1.0, -1.0, 2.0, -2.0, 0.0], base_count=8, pair_sampler=sampler)
+        got = u3_density(t, net, **kwargs)
+        assert got == reference_u3_density(t, net, **kwargs)
+        assert 0 < got.hit_cells < net.cells * net.cells
 
 
 class TestMixingWindow:
@@ -262,6 +329,21 @@ class TestSupercyclicProbe:
         rep = supercyclic_probe(t, NetSpec(cells=4, box=2.0), horizon=6, seed=0)
         lam = rep.scalings
         assert all(lam[k] >= 2.0 ** (k + 1) * 0.999 for k in range(len(lam)))
+
+    def test_pinned_coverage_and_scalings(self):
+        # fixed at the per-point binning loop; the scalings print exactly
+        t = nilpotent_weighted_shift(8)
+        net = NetSpec(cells=16, box=2.0, x_coord=0, y_coord=1)
+        rep = supercyclic_probe(t, net, horizon=6, seed=5)
+        assert rep.coverage == CoverageReport(150 / 256, 150, 256, 6, 5)
+        assert [repr(s) for s in rep.scalings] == [
+            "6.952560767775469",
+            "17.013935244606802",
+            "29.57480988239278",
+            "65.54043553818882",
+            "141.35102200237586",
+            "196.05959865437606",
+        ]
 
 
 class TestVolterraDist:

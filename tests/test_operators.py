@@ -11,6 +11,7 @@ from shiftlab.errors import InputError, PreconditionError
 from shiftlab.operators import (
     TensorElement,
     WeightSequence,
+    _log_int,
     bilateral_shift,
     constant_weights,
     default_alpha,
@@ -138,6 +139,27 @@ class TestVolterra:
             volterra(8)
 
 
+def reference_h_eval(n: int, ngrid: int) -> np.ndarray:
+    """h^(n) on the grid by integer Horner over every coefficient of Q_n."""
+    coeffs = [c.numerator for c in h_derivative(n).coeffs]
+    degree = len(coeffs) - 1
+    out = np.zeros(ngrid + 1)
+    for i in range(ngrid):
+        num, den = ngrid, i - ngrid
+        acc = coeffs[degree]
+        dp = 1
+        for d in range(degree - 1, -1, -1):
+            dp *= den
+            acc = acc * num + coeffs[d] * dp
+        if acc == 0:
+            continue
+        den_sign = 1.0 if (den > 0 or degree % 2 == 0) else -1.0
+        sign = den_sign * (1.0 if acc > 0 else -1.0)
+        logmag = float(Fraction(num, den)) + _log_int(abs(acc)) - degree * math.log(abs(den))
+        out[i] = sign * math.exp(logmag) if logmag > -745.0 else 0.0
+    return out
+
+
 class TestHDerivative:
     def test_first_three(self):
         assert h_derivative(0) == Poly.one()
@@ -154,6 +176,11 @@ class TestHDerivative:
                 direct = math.exp(t) * float(q(Fraction(ngrid, i - ngrid)))
                 assert abs(hs[i] - direct) <= 1e-9 * max(1.0, abs(direct))
             assert hs[ngrid] == 0.0  # exactly zero at x = 1
+
+    @pytest.mark.parametrize("ngrid", [16, 100])
+    def test_eval_bytes_match_full_horner(self, ngrid):
+        for n in range(41):
+            assert h_eval(n, ngrid).tobytes() == reference_h_eval(n, ngrid).tobytes(), n
 
 
 class TestIntegralOp:
