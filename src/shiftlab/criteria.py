@@ -392,10 +392,14 @@ def _eta_pairs(x1, x2, u_vecs, f_vecs, n):
 
 @dataclass(frozen=True)
 class RegionPredicate:
-    """Plane region with a membership test, bounding box and name."""
+    """Plane region with a membership test, bounding box and name.
+
+    ``contains`` maps an ndarray of complex points to an ndarray of bools,
+    elementwise, and a single complex point to a single bool.
+    """
 
     name: str
-    contains: object = field(repr=False)  # callable complex -> bool
+    contains: object = field(repr=False)  # elementwise: complex ndarray -> bool ndarray
     bbox: tuple = (-1.0, 1.0, -1.0, 1.0)  # (re_min, re_max, im_min, im_max)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -407,22 +411,24 @@ class RegionPredicate:
             zs = rng.uniform(re_min, re_max, batch) + 1j * rng.uniform(
                 im_min, im_max, batch
             )
-            keep = np.fromiter((self.contains(z) for z in zs), dtype=bool, count=batch)
-            sel = zs[keep]
+            sel = zs[np.asarray(self.contains(zs), dtype=bool)]
             take = min(sel.size, count - got)
             out[got : got + take] = sel[:take]
             got += take
         return out
 
 
-def _in_triangle_u(z: complex) -> bool:
-    a, b = z.real, z.imag
-    return a < 0 and b - a < 1 and b + a > -1
+def _in_triangle_u(z):
+    a, b = np.real(z), np.imag(z)
+    return (a < 0) & (b - a < 1) & (b + a > -1)
 
 
-def _in_region_v(z: complex) -> bool:
-    a, b = z.real, z.imag
-    return 0 < b < 1 and abs(a) < 1.0 - math.sqrt(1.0 - b * b)
+def _in_region_v(z):
+    a, b = np.real(z), np.imag(z)
+    # np.sqrt is correctly rounded, like math.sqrt; off 0 < b < 1 its nan
+    # is masked out
+    with np.errstate(invalid="ignore"):
+        return (0 < b) & (b < 1) & (np.abs(a) < 1.0 - np.sqrt(1.0 - b * b))
 
 
 def builtin_region(name: str) -> RegionPredicate:

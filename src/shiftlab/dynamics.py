@@ -133,13 +133,22 @@ class NetSpec:
         if self.cells < 2 or self.box <= 0:
             raise InputError("net needs at least 2 cells per axis and a positive box")
 
-    def cell_of(self, u: float, v: float) -> int | None:
-        side = 2.0 * self.box / self.cells
-        iu = int((u + self.box) // side)
-        iv = int((v + self.box) // side)
-        if 0 <= iu < self.cells and 0 <= iv < self.cells:
-            return iu * self.cells + iv
-        return None
+    def _axis(self, w):
+        """Float row index of each coordinate w; on the net iff in [0, cells).
+
+        ``np.floor_divide`` has Python's float ``//`` semantics, so an array
+        bins exactly as a loop of scalar lookups would.
+        """
+        return np.floor_divide(np.add(w, self.box), 2.0 * self.box / self.cells)
+
+    def cell_of(self, u, v) -> np.ndarray:
+        """Flat cell index of each point (u, v) (broadcast), -1 off the net."""
+        iu, iv = np.broadcast_arrays(self._axis(u), self._axis(v))
+        # mask before the cast: a huge finite index must not reach astype(int)
+        inside = (0 <= iu) & (iu < self.cells) & (0 <= iv) & (iv < self.cells)
+        out = np.full(iu.shape, -1)
+        out[inside] = iu[inside].astype(int) * self.cells + iv[inside].astype(int)
+        return out
 
 
 @dataclass(frozen=True)
@@ -199,6 +208,7 @@ def u3_density(
         bases = np.asarray(pair_sampler(rng, base_count, dim))
     scales = [1.0] if scale_grid is None else list(scale_grid)
     reach = max(map(abs, scales), default=0.0)
+    scales = np.asarray(scales)
     hit = np.zeros(net.cells * net.cells, dtype=bool)
     # t @ cur may overflow; the finiteness check at the top of the next step
     # then ends that orbit, so numpy's warnings carry nothing.  The errstate
@@ -207,19 +217,24 @@ def u3_density(
     with np.errstate(over="ignore", invalid="ignore"):
         for x in bases:
             u = float(np.real(x[net.x_coord]))
+            if not 0 <= net._axis(u) < net.cells:
+                continue  # no point (u, v) of this base lies on the net
+            # one matrix-vector product per step, as a per-base orbit, so
+            # every iterate keeps its bits; the binning is batched per base
             cur = x.astype(np.complex128)
-            for _n in range(horizon + 1):
-                # cell_of cannot bin a non-finite coordinate, and an orbit that
-                # overflowed stays non-finite, so it can hit no further cell
+            ys = []
+            for n in range(horizon + 1):
+                # an overflowed orbit stays non-finite and can hit no further
+                # cell, and a non-finite coordinate cannot be binned
                 y = reach * complex(cur[net.y_coord])
                 if not (math.isfinite(y.real) and math.isfinite(y.imag)):
                     break
-                for a in scales:
-                    v = float(np.real(a * cur[net.y_coord]))
-                    cell = net.cell_of(u, v)
-                    if cell is not None:
-                        hit[cell] = True
-                cur = t @ cur
+                ys.append(cur[net.y_coord])
+                if n < horizon:
+                    cur = t @ cur
+            # the same complex multiply as a * cur[y_coord], per (n, a)
+            cells = net.cell_of(u, np.real(np.multiply.outer(np.asarray(ys), scales)))
+            hit[cells[cells >= 0]] = True
     hits = int(np.sum(hit))
     total = net.cells * net.cells
     return CoverageReport(hits / total, hits, total, horizon, seed)
@@ -448,6 +463,7 @@ def supercyclic_probe(
         lambdas.append((2.0**k) * worst)
 
     smags = np.logspace(-3, 0, scale_points)
+    factors = np.concatenate([smags, -smags])
     hit = np.zeros(net.cells * net.cells, dtype=bool)
     for _p in range(probe_count):
         cur = rng.normal(size=dim).astype(np.complex128)
@@ -456,14 +472,10 @@ def supercyclic_probe(
             if float(np.linalg.norm(cur)) == 0.0:
                 break
             y = lambdas[k - 1] * cur
-            for s in smags:
-                for sign in (1.0, -1.0):
-                    pt = sign * s * y
-                    cell = net.cell_of(
-                        float(np.real(pt[net.x_coord])), float(np.real(pt[net.y_coord]))
-                    )
-                    if cell is not None:
-                        hit[cell] = True
+            # every scaling s and -s at once; the factors +-s are exact
+            pts = np.real(np.multiply.outer(factors, y[[net.x_coord, net.y_coord]]))
+            cells = net.cell_of(pts[:, 0], pts[:, 1])
+            hit[cells[cells >= 0]] = True
     hits = int(np.sum(hit))
     total = net.cells * net.cells
     cov = CoverageReport(hits / total, hits, total, horizon, seed)

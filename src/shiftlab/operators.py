@@ -6,6 +6,7 @@ never wrapped, so nilpotent/triangular structure survives truncation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -256,6 +257,18 @@ def grid_inner(f, g, ngrid: int) -> complex:
     return complex(np.sum(w * np.conj(np.asarray(g)) * np.asarray(f)))
 
 
+@functools.lru_cache(maxsize=64)
+def _q_coeffs(n: int) -> tuple:
+    """Integer coefficients of Q_n, constant term first, each rung of the
+    ladder Q_{n+1}(t) = -t^2 (Q_n(t) + Q_n'(t)) built from the one below."""
+    if n == 0:
+        return (1,)
+    if n > 64:
+        _q_coeffs(n - 64)  # a cold call climbs in strides: shallow recursion
+    c = _q_coeffs(n - 1)
+    return (0, 0, *(-(c[d] + (d + 1) * c[d + 1]) for d in range(len(c) - 1)), -c[-1])
+
+
 def h_derivative(n: int) -> Poly:
     """Exact Q_n with h^(n)(x) = h(x) Q_n(1/(x-1)) for h(x) = exp(1/(x-1)).
 
@@ -263,11 +276,7 @@ def h_derivative(n: int) -> Poly:
     """
     if n < 0:
         raise InputError("derivative order must be >= 0")
-    q = Poly.one()
-    tsq = Poly.monomial(2, -1)
-    for _ in range(n):
-        q = tsq * (q + q.derivative())
-    return q
+    return Poly(_q_coeffs(n))
 
 
 def h_eval(n: int, ngrid: int) -> np.ndarray:
@@ -277,25 +286,32 @@ def h_eval(n: int, ngrid: int) -> np.ndarray:
     t = 1/(x-1) with pure integer Horner and combined with e^t in log space;
     h and all derivatives vanish at x = 1 exactly.
     """
-    q = h_derivative(n)
-    coeffs = [c.numerator for c in q.coeffs]  # the recurrence stays integral
+    if n < 0:
+        raise InputError("derivative order must be >= 0")
+    coeffs = _q_coeffs(n)
     degree = len(coeffs) - 1
+    low = next(d for d, c in enumerate(coeffs) if c)
+    # With t = num/den, num = ngrid and den = i - ngrid, Q_n(t) = acc/den^degree
+    # for acc = sum_d c_d num^d den^(degree-d).  The terms below the lowest
+    # nonzero coefficient vanish, so acc = num^low * H(den), where the
+    # integer polynomial H has the same coefficients c_d num^(d-low) at every
+    # point: one integer Horner in den runs over all points at once.
+    dens = np.arange(-ngrid, 0).astype(object)  # Python ints, exact
+    acc = np.full(ngrid, coeffs[low], dtype=object)
+    for d in range(low + 1, degree + 1):
+        acc = acc * dens + coeffs[d] * ngrid ** (d - low)
+    low_scale = ngrid**low
     out = np.zeros(ngrid + 1)
-    for i in range(ngrid):
-        num, den = ngrid, i - ngrid  # t = 1/(x-1) at x = i/ngrid
-        acc = coeffs[degree]
-        dp = 1
-        for d in range(degree - 1, -1, -1):
-            dp *= den
-            acc = acc * num + coeffs[d] * dp
-        if acc == 0:
+    for i, a in enumerate(acc.tolist()):
+        if a == 0:
             continue
-        # Q_n(t) = acc / den^degree; den < 0 here, so track its parity
+        num, den = ngrid, i - ngrid  # t = 1/(x-1) at x = i/ngrid
+        a *= low_scale
+        # den < 0 here, so track its parity
         den_sign = 1.0 if (den > 0 or degree % 2 == 0) else -1.0
-        sign = den_sign * (1.0 if acc > 0 else -1.0)
-        logmag = float(Fraction(num, den)) + _log_int(abs(acc)) - degree * math.log(
-            abs(den)
-        )
+        sign = den_sign * (1.0 if a > 0 else -1.0)
+        # int / int is the correctly rounded quotient, as float(Fraction) is
+        logmag = num / den + _log_int(abs(a)) - degree * math.log(abs(den))
         out[i] = sign * math.exp(logmag) if logmag > -745.0 else 0.0
     return out
 

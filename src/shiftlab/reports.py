@@ -11,8 +11,14 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import numpy as np
 
 SCHEMA_VERSION = 1
+# JSON leaves returned as they are (matched by exact type: a numpy scalar
+# that subclasses float is not one)
+_LEAVES = frozenset((float, int, str, bool, type(None)))
 
 
 @dataclass
@@ -44,15 +50,14 @@ def canonical_json(obj) -> str:
 
 def _plain(obj):
     """Coerce numpy scalars/arrays, complex numbers and tuples to JSON types."""
-    import numpy as np
-    from fractions import Fraction
-
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return _plain(obj.tolist())
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):

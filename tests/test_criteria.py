@@ -349,7 +349,9 @@ def test_region_predicates_match_scalar_reference(groups):
     zs = [z for group in groups for z in group]
     for pred, ref in ((_in_triangle_u, _ref_triangle_u), (_in_region_v, _ref_region_v)):
         expected = [ref(z) for z in zs]
-        assert [bool(pred(z)) for z in zs] == expected
+        got = pred(np.array(zs))
+        assert got.dtype == bool and got.tolist() == expected
+        assert [bool(pred(z)) for z in zs] == expected  # scalars still work
 
 
 class TestSymmetryObstruction:
