@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .criteria import commutator_residual, unimodular_chain_spaces
 from .errors import DomainError, InputError, PreconditionError
@@ -85,6 +84,8 @@ def orbit(T, x, steps: int, scalings=None) -> OrbitTrace:
 
 def exp_group(As, z, tol: float = 1e-8) -> np.ndarray:
     """e^{z_1 A_1 + ... + z_k A_k} for a pairwise commuting tuple."""
+    from scipy.linalg import expm  # lazy: most reports never need scipy
+
     mats = [_matrix_of(a) for a in As]
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     if len(mats) != z.shape[0]:
@@ -103,6 +104,8 @@ def exp_group(As, z, tol: float = 1e-8) -> np.ndarray:
 
 def group_law_residual(As, z, w) -> float:
     """|| e^{<z+w,A>} - e^{<z,A>} e^{<w,A>} || (no commutation check)."""
+    from scipy.linalg import expm
+
     mats = [_matrix_of(a) for a in As]
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
