@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, PreconditionError
 from .linalg import as_matrix
-from .rational import Poly, RationalMatrix
+from .rational import Poly, RationalMatrix, _as_fraction
 
 TAIL_KINDS = ("constant", "geometric", "zero")
 
@@ -388,8 +388,9 @@ class TensorElement:
     """Finite sum xi = sum_j x_j (x) y_j with an explicit bilinear pairing.
 
     Exact only: ``pairing[i, j] = b(e_i, f_j)`` must be a numpy object array
-    of Fractions, and the factors are kept as object arrays, so every
-    downstream identity (``tensor_op``, ``ebs_perturb``) holds literally.
+    of exact rationals, and every entry of the pairing and of the factors is
+    stored as a Fraction, so every downstream identity (``tensor_op``,
+    ``ebs_perturb``) holds literally and a float entry fails here.
     """
 
     pairs: tuple  # tuple of (x_j, y_j) 1-d arrays
@@ -401,9 +402,8 @@ class TensorElement:
             raise InputError("pairing must be a matrix")
         if pairing.dtype != object:
             raise InputError("pairing must be an exact (Fraction, dtype=object) matrix")
-        pairs = tuple(
-            (np.asarray(x, dtype=object), np.asarray(y, dtype=object)) for x, y in self.pairs
-        )
+        pairing = _exact(pairing)
+        pairs = tuple((_exact(x), _exact(y)) for x, y in self.pairs)
         for x, y in pairs:
             if x.shape[0] != pairing.shape[0] or y.shape[0] != pairing.shape[1]:
                 raise InputError("tensor factor shapes do not match the pairing")
@@ -427,6 +427,12 @@ class TensorElement:
             (np.asarray([s * a for a in x], dtype=object), y) for x, y in extra_pairs
         ]
         return TensorElement(tuple(new), self.pairing)
+
+
+def _exact(a) -> np.ndarray:
+    """Object array of the Fractions of ``a``'s entries (InputError if inexact)."""
+    a = np.asarray(a, dtype=object)
+    return np.array([_as_fraction(v) for v in a.flat], dtype=object).reshape(a.shape)
 
 
 def tensor_op(xi: TensorElement):

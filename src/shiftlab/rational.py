@@ -9,6 +9,7 @@ with no trailing zeros, so ``()`` is the zero polynomial.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
+    if isinstance(x, numbers.Integral):  # numpy integers are exact too
+        return Fraction(int(x))
     raise InputError(f"cannot coerce {x!r} to an exact rational")
 
 

@@ -270,6 +270,21 @@ class TestTensorOp:
         with pytest.raises(InputError, match="shapes"):
             TensorElement(((_frac_vec(rng, 3), _frac_vec(rng, 4)),), exact_identity_pairing(3))
 
+    def test_integer_entries_are_stored_as_fractions(self):
+        # an integer numpy array is exact; its entries reach tensor_op as Fractions
+        ints = np.arange(3).astype(object)  # np.int64 entries
+        xi = TensorElement(((ints, ints),), np.eye(3, dtype=np.int64).astype(object))
+        assert all(type(v) is Fraction for v in (*xi.pairing.flat, *xi.pairs[0][0], *xi.pairs[0][1]))
+        t, _ = tensor_op(xi)
+        assert t.data[2] == (0, 2, 4)
+
+    def test_float_entries_fail_at_construction(self):
+        floats = np.array([0.5, 1.0, 0.0], dtype=object)
+        with pytest.raises(InputError, match="exact rational"):
+            TensorElement(((floats, floats),), exact_identity_pairing(3))
+        with pytest.raises(InputError, match="exact rational"):
+            TensorElement((), np.eye(3).astype(object))
+
     @pytest.mark.parametrize("dx, dy, count", [(4, 6, 3), (5, 3, 1), (3, 3, 0), (6, 4, 5)])
     def test_exact_matches_outer_product_sum(self, dx, dy, count):
         rng = np.random.default_rng(dx * 100 + dy * 10 + count)

@@ -104,6 +104,14 @@ def test_rational_matrix_shape_errors():
         RationalMatrix([[1]]) @ RationalMatrix([[1, 2], [3, 4]])
 
 
+def test_rational_matrix_accepts_numpy_integers():
+    m = RationalMatrix([[np.int64(1), np.int32(-2)], [np.uint8(3), 4]])
+    assert m == RationalMatrix([[1, -2], [3, 4]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    with pytest.raises(InputError):
+        RationalMatrix([[np.float64(1.0)]])
+
+
 def test_rational_matrix_pow():
     s = RationalMatrix([[0, 1], [0, 0]])
     assert s.pow(0) == RationalMatrix.identity(2)
