@@ -325,6 +325,8 @@ TRACE_GOLDENS = {
     "jordan_trace.csv": "--format csv jordan --n-max 2 --pairs 1",
     "mixing.json": "mixing",
     "density.json": "density --horizon 100 --cells 24",
+    "salas_full.json": "salas --full-traces --n-max 64 --m-max 2",
+    "symmetry.json": "symmetry --seed 2",
 }
 
 

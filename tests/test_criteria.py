@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import exact_identity_pairing, exact_unit, shaped_nilpotent_tensor
 from shiftlab.criteria import (
     _in_region_v,
+    _log_weight_prefix,
     _in_triangle_u,
     b_symmetry_check,
     builtin_region,
@@ -106,6 +107,64 @@ class TestSalas:
     def test_small_horizon_rejected(self):
         with pytest.raises(InputError):
             salas_hypercyclic(constant_weights(1.0), 2, 4)
+
+
+def reference_log_weight_prefix(w, lo, hi):
+    """Scalar two-sum loop over log|w_j|: the prefix _log_weight_prefix must equal."""
+    his = [np.longdouble(0.0)]
+    los = [np.longdouble(0.0)]
+    s = np.longdouble(0.0)
+    c = np.longdouble(0.0)
+    for j in range(lo, hi + 1):
+        t = w.log_abs(j, extended=True)
+        if t is None:
+            return None
+        total = s + t
+        bv = total - s
+        c += (s - (total - bv)) + (t - bv)
+        s = total
+        his.append(s)
+        los.append(c)
+    return np.array(his, dtype=np.longdouble), np.array(los, dtype=np.longdouble)
+
+
+_PREFIX_WEIGHTS = {
+    "constant": genshi_hypercyclic_weights(2.0, 3),
+    "constant-uneven": WeightSequence(
+        [0.3, 1.7 + 0.2j, -2.5, 1.1, 0.9], "constant", c_plus=3.3, c_minus=0.41j
+    ),
+    "geometric": symmetric_decay_weights(),
+    "geometric-uneven": WeightSequence([0.7, 1.3, 2.9], "geometric", ratio=0.37 + 0.1j),
+    "zero-tail": WeightSequence([0.5, 1.5, 2.5, 3.5, 4.5], "zero"),
+}
+
+
+class TestLogWeightPrefix:
+    @pytest.mark.parametrize("name", sorted(_PREFIX_WEIGHTS))
+    @pytest.mark.parametrize("lo, hi", [(-2, 2), (-40, 57), (-1023, 1032), (3, 3)])
+    def test_matches_scalar_two_sum_loop(self, name, lo, hi):
+        w = _PREFIX_WEIGHTS[name]
+        got = _log_weight_prefix(w, lo, hi)
+        want = reference_log_weight_prefix(w, lo, hi)
+        if want is None:
+            assert got is None
+            return
+        for g, r in zip(got, want):
+            assert g.dtype == np.longdouble
+            # array_equal plus signbit, not tobytes: longdouble padding bytes vary
+            assert np.array_equal(g, r)
+            assert np.array_equal(np.signbit(g), np.signbit(r))
+
+    def test_vanishing_weight_gives_none(self):
+        w = WeightSequence([1.0, 2.0, 0.0, 3.0, 1.0], "constant", c_plus=1.0, c_minus=1.0)
+        assert _log_weight_prefix(w, -5, 5) is None
+        assert reference_log_weight_prefix(w, -5, 5) is None
+        assert _log_weight_prefix(w, 1, 5) is not None
+
+    def test_zero_tail_vanishes_outside_the_window(self):
+        w = _PREFIX_WEIGHTS["zero-tail"]
+        assert _log_weight_prefix(w, -2, 3) is None
+        assert _log_weight_prefix(w, -3, 2) is None
 
 
 class TestKerDagger:

@@ -232,6 +232,24 @@ class TestDiscretePair:
         with pytest.raises(InputError):
             discrete_pair(2, 0, [1.0, 0.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, 0.0, 2.0], [1.0] * 5])
+    def test_rejects_head_of_wrong_length(self, bad):
+        # heads have length n or 2n; anything else is an input error
+        good = [1.0, 0.0]
+        for u, v in ((bad, good), (good, bad)):
+            with pytest.raises(InputError):
+                discrete_pair(2, 4, u, v)
+            with pytest.raises(InputError):
+                discrete_pair_residuals(2, 4, u, v, x=np.zeros(4))
+
+    def test_full_length_heads_match_padded_heads(self):
+        x = discrete_pair(2, 8, [1.0, 0.5], [0.0, 1.0])
+        y = discrete_pair(2, 8, [1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+        assert x.tobytes() == y.tobytes()
+        assert discrete_pair_residuals(2, 8, [1.0, 0.5], [0.0, 1.0], x) == (
+            discrete_pair_residuals(2, 8, [1.0, 0.5, 0, 0], [0.0, 1.0, 0, 0], x)
+        )
+
 
 class TestTensorShiftTuple:
     def test_operators_commute_exactly_and_are_nilpotent(self):

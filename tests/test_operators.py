@@ -182,6 +182,11 @@ class TestHDerivative:
         for n in range(41):
             assert h_eval(n, ngrid).tobytes() == reference_h_eval(n, ngrid).tobytes(), n
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
+    def test_eval_bytes_match_full_horner_at_volterra_grid(self, n):
+        # ngrid 2048 is the grid of the volterra report
+        assert h_eval(n, 2048).tobytes() == reference_h_eval(n, 2048).tobytes()
+
 
 class TestIntegralOp:
     def test_ladder_halving(self):
