@@ -59,7 +59,7 @@ class SalasCertificate:
             "trace_minima": [float(np.min(t)) for t in self.log_traces],
         }
         if full_traces:
-            out["log_traces"] = [[float(x) for x in t] for t in self.log_traces]
+            out["log_traces"] = self.log_traces.tolist()
         return out
 
 
@@ -74,23 +74,17 @@ def _log_weight_prefix(w: WeightSequence, lo: int, hi: int):
     exact to far below the contract.  Returns (hi, lo) arrays indexed by
     t - lo + 1.
     """
-    count = hi - lo + 1
-    his = np.empty(count + 1, dtype=np.longdouble)
-    los = np.empty(count + 1, dtype=np.longdouble)
-    his[0] = los[0] = np.longdouble(0.0)
-    s = np.longdouble(0.0)
-    c = np.longdouble(0.0)
-    for i, j in enumerate(range(lo, hi + 1), start=1):
-        t = w.log_abs(j, extended=True)
-        if t is None:
-            return None
-        total = s + t
-        bv = total - s
-        c += (s - (total - bv)) + (t - bv)
-        s = total
-        his[i] = s
-        los[i] = c
-    return his, los
+    logs = w.log_abs_range(lo, hi)
+    if logs is None:
+        return None
+    # np.cumsum adds in sequence, so each prefix is the scalar loop's s + t;
+    # the leading 0 keeps the first one 0 + t (which turns -0.0 into +0.0)
+    zero = np.zeros(1, dtype=np.longdouble)
+    his = np.cumsum(np.concatenate((zero, logs)))
+    s, total = his[:-1], his[1:]
+    bv = total - s
+    errs = (s - (total - bv)) + (logs - bv)
+    return his, np.cumsum(np.concatenate((zero, errs)))
 
 
 def _salas_traces(w: WeightSequence, m_max: int, n_max: int, variant: str):
@@ -616,15 +610,13 @@ def symmetry_obstruction(
     for _ in range(trials):
         x = rng.uniform(-1.0, 1.0, dim)
         y = rng.uniform(-1.0, 1.0, dim)
-        a, b = x.copy(), y.copy()
+        # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector
+        x_norm, y_norm = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
+        a, b = x, y
         for _n in range(1, horizon + 1):
             a = s0 @ a
             b = s0t @ b
-            scale = max(
-                1.0,
-                float(np.linalg.norm(a)) * float(np.linalg.norm(y)),
-                float(np.linalg.norm(b)) * float(np.linalg.norm(x)),
-            )
+            scale = max(1.0, math.sqrt(a.dot(a)) * y_norm, math.sqrt(b.dot(b)) * x_norm)
             res = abs(float(a @ y) - float(b @ x)) / scale
             max_res = max(max_res, res)
     return SymmetryReport("holds", None, sim_exact, max_res, trials, horizon)

@@ -18,10 +18,10 @@ from .linalg import Subspace, as_matrix, as_vector, kernel_and_image
 from .nilpotent import unimodular_approach
 from .operators import (
     TruncatedOperator,
+    _simpson_adjoint,
     grid_inner,
-    h_eval,
+    h_evals,
     trapezoid_weights,
-    volterra,
 )
 
 OVERFLOW_LIMIT = 1e250
@@ -528,7 +528,7 @@ def volterra_dist(
     """
     if not 0.0 < cutoff < 1.0:
         raise InputError("cutoff must lie in (0, 1)")
-    _v, vstar = volterra(ngrid)
+    vstar = _simpson_adjoint(ngrid)
     xs = np.arange(ngrid + 1) / ngrid
     if f is None:
         fvals = bump_function(ngrid, cutoff)
@@ -539,13 +539,13 @@ def volterra_dist(
         if np.any(np.abs(fvals[xs >= cutoff]) > 0):
             raise InputError(f"f must vanish on [{cutoff}, 1] at grid resolution")
 
-    h0 = h_eval(0, ngrid)
-    h1 = h_eval(1, ngrid)
-    adj = float(np.max(np.abs(vstar.matrix.real @ h1 + h0)))
+    hs = h_evals(max(n_max, 1), ngrid)
+    # the strided real view of the complex matrix: a contiguous float64 copy
+    # would sum in another order and move the residual's bytes
+    adj = float(np.max(np.abs(vstar.matrix.real @ hs[1] + hs[0])))
 
     dists = []
-    for n in range(n_max + 1):
-        hn = h_eval(n, ngrid)
+    for hn in hs[: n_max + 1]:
         norm_hn = math.sqrt(abs(grid_inner(hn, hn, ngrid)))
         inner = abs(grid_inner(fvals, hn, ngrid))
         dists.append(inner / norm_hn if norm_hn > 0 else float("nan"))

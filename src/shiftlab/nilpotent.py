@@ -77,7 +77,8 @@ class ShiftSpace:
         return Subspace(self.dim, basis)
 
     def embed_head(self, u) -> np.ndarray:
-        """Pad a length-n head vector with zeros to full length 2n."""
+        """Pad a length-n head vector with zeros to full length 2n; a length-2n
+        vector passes as it is, any other length is an InputError."""
         u = as_vector(u)
         if u.shape[0] == self.dim:
             return u
@@ -319,8 +320,7 @@ def discrete_pair(n: int, j: int, u, v, check_tol: float | None = None) -> np.nd
     sp = ShiftSpace(n)
     jmat = similarity_j(n).to_float()
     jinv = np.linalg.inv(jmat)
-    uu = sp.embed_head(as_vector(u)) if len(as_vector(u)) == n else as_vector(u, sp.dim)
-    vv = sp.embed_head(as_vector(v)) if len(as_vector(v)) == n else as_vector(v, sp.dim)
+    uu, vv = sp.embed_head(u), sp.embed_head(v)  # length n or 2n; one coercion each
     ju = (jmat @ uu)[: n]
     jv = (jmat @ vv)[: n]
     x = jordan_solve(n, j, ju, jv, check_tol=check_tol)
@@ -332,8 +332,7 @@ def discrete_pair_residuals(n: int, j: int, u, v, x=None) -> tuple[float, float]
     sp = ShiftSpace(n)
     if x is None:
         x = discrete_pair(n, j, u, v)
-    uu = sp.embed_head(as_vector(u)) if len(as_vector(u)) == n else as_vector(u, sp.dim)
-    vv = sp.embed_head(as_vector(v)) if len(as_vector(v)) == n else as_vector(v, sp.dim)
+    uu, vv = sp.embed_head(u), sp.embed_head(v)  # length n or 2n; one coercion each
     ispow = np.linalg.matrix_power(np.eye(sp.dim) + sp.S, j)
     r1 = float(np.linalg.norm(x - uu))
     r2 = float(np.linalg.norm(ispow @ x - vv))

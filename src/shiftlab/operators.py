@@ -85,6 +85,34 @@ class WeightSequence:
             return None
         return log(edge) + (abs(n) - half) * log(r)
 
+    def log_abs_range(self, lo: int, hi: int):
+        """log |w_n| for n = lo..hi as one longdouble array; None if any is 0.
+
+        Element for element these are the operations of
+        ``log_abs(n, extended=True)``: the log of the longdouble of |w_n|,
+        and for a geometric tail log|edge| + (|n| - half) log|ratio|.
+        """
+        half = self.half
+        ns = np.arange(lo, hi + 1)
+        inside = np.abs(ns) <= half
+        if self.tail_kind == "zero" and not inside.all():
+            return None
+        # window values; outside the window its nearest edge value
+        mags = np.array([abs(v) for v in self.window])[np.clip(ns + half, 0, 2 * half)]
+        if self.tail_kind == "constant":
+            mags[ns > half] = abs(self.c_plus)
+            mags[ns < -half] = abs(self.c_minus)
+        if np.any(mags == 0):
+            return None
+        logs = np.log(mags.astype(np.longdouble))
+        if self.tail_kind == "geometric" and not inside.all():
+            r = abs(self.ratio)
+            if r == 0:
+                return None
+            outside = ~inside
+            logs[outside] += (np.abs(ns[outside]) - half) * np.log(np.longdouble(r))
+        return logs
+
     def sup_bound(self) -> float:
         out = max(abs(w) for w in self.window)
         if self.tail_kind == "constant":
@@ -207,14 +235,9 @@ def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Grid sections of f -> int_0^x f and its adjoint f -> int_x^1 f.
 
     V uses the composite trapezoid rule, so its matrix is lower triangular
-    with the operator's causal structure.  V* uses a composite Simpson rule
-    (one leading trapezoid cell when the interval count is odd): the adjoint
-    identity only needs O(1/ngrid^2), but the exactness checks downstream
-    need the sup-norm residual of V*h' + h below 1e-8 at ngrid = 2048, which
-    the trapezoid rule misses by a factor of five.
+    with the operator's causal structure.  V* is ``_simpson_adjoint``.
     """
-    if ngrid < 16:
-        raise InputError("ngrid must be >= 16")
+    vstar = _simpson_adjoint(ngrid)
     npts = ngrid + 1
     h = 1.0 / ngrid
     v = np.zeros((npts, npts))
@@ -222,6 +245,21 @@ def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
         v[i, 0] = h / 2.0
         v[i, 1:i] = h
         v[i, i] = h / 2.0
+    return TruncatedOperator(v, "L2_grid", vstar.params), vstar
+
+
+def _simpson_adjoint(ngrid: int) -> TruncatedOperator:
+    """Grid section of V* f = int_x^1 f by a composite Simpson rule.
+
+    One leading trapezoid cell is used when the interval count is odd.  The
+    adjoint identity only needs O(1/ngrid^2), but the exactness checks
+    downstream need the sup-norm residual of V*h' + h below 1e-8 at
+    ngrid = 2048, which the trapezoid rule misses by a factor of five.
+    """
+    if ngrid < 16:
+        raise InputError("ngrid must be >= 16")
+    npts = ngrid + 1
+    h = 1.0 / ngrid
     vs = np.zeros((npts, npts))
     for i in range(npts):
         cells = ngrid - i
@@ -238,11 +276,7 @@ def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
             vs[i, j + 1 : j + cells : 2] += 4.0 * h / 3.0
             vs[i, j + 2 : j + cells : 2] += 2.0 * h / 3.0
             vs[i, j + cells] += h / 3.0
-    grid_params = (("ngrid", ngrid),)
-    return (
-        TruncatedOperator(v, "L2_grid", grid_params),
-        TruncatedOperator(vs, "L2_grid", grid_params),
-    )
+    return TruncatedOperator(vs, "L2_grid", (("ngrid", ngrid),))
 
 
 def trapezoid_weights(ngrid: int) -> np.ndarray:
@@ -279,41 +313,49 @@ def h_derivative(n: int) -> Poly:
     return Poly(_q_coeffs(n))
 
 
-def h_eval(n: int, ngrid: int) -> np.ndarray:
-    """h^(n) sampled on the uniform grid i/ngrid, overflow-safe.
+def h_evals(n_max: int, ngrid: int) -> list:
+    """h, h', ..., h^(n_max) sampled on the uniform grid i/ngrid, overflow-safe.
 
-    Q_n (integer coefficients) is evaluated exactly at the rational points
-    t = 1/(x-1) with pure integer Horner and combined with e^t in log space;
-    h and all derivatives vanish at x = 1 exactly.
+    At x = i/ngrid, t = 1/(x-1) = num/den with num = ngrid, den = i - ngrid,
+    and h^(n)(x) = e^t Q_n(t).  Differentiating (x-1)^2 h' = -h n times gives
+    Q_{n+1} = -(2n t + t^2) Q_n - n(n-1) t^2 Q_{n-1}, so the integers
+    A_n = Q_n(t) den^(2n) satisfy
+
+        A_{n+1} = -(2n num den + num^2) A_n - n(n-1) num^2 den^2 A_{n-1},
+
+    which runs exactly over Python ints at all grid points at once.  Each
+    A_n is combined with e^t in log space; h and all derivatives vanish at
+    x = 1 exactly.  Returns one array per order, index n.
     """
-    if n < 0:
+    if n_max < 0:
         raise InputError("derivative order must be >= 0")
-    coeffs = _q_coeffs(n)
-    degree = len(coeffs) - 1
-    low = next(d for d, c in enumerate(coeffs) if c)
-    # With t = num/den, num = ngrid and den = i - ngrid, Q_n(t) = acc/den^degree
-    # for acc = sum_d c_d num^d den^(degree-d).  The terms below the lowest
-    # nonzero coefficient vanish, so acc = num^low * H(den), where the
-    # integer polynomial H has the same coefficients c_d num^(d-low) at every
-    # point: one integer Horner in den runs over all points at once.
-    dens = np.arange(-ngrid, 0).astype(object)  # Python ints, exact
-    acc = np.full(ngrid, coeffs[low], dtype=object)
-    for d in range(low + 1, degree + 1):
-        acc = acc * dens + coeffs[d] * ngrid ** (d - low)
-    low_scale = ngrid**low
-    out = np.zeros(ngrid + 1)
-    for i, a in enumerate(acc.tolist()):
-        if a == 0:
-            continue
-        num, den = ngrid, i - ngrid  # t = 1/(x-1) at x = i/ngrid
-        a *= low_scale
-        # den < 0 here, so track its parity
-        den_sign = 1.0 if (den > 0 or degree % 2 == 0) else -1.0
-        sign = den_sign * (1.0 if a > 0 else -1.0)
-        # int / int is the correctly rounded quotient, as float(Fraction) is
-        logmag = num / den + _log_int(abs(a)) - degree * math.log(abs(den))
-        out[i] = sign * math.exp(logmag) if logmag > -745.0 else 0.0
+    dens = range(-ngrid, 0)  # den < 0 at every point with x < 1
+    # int / int is the correctly rounded quotient, as float(Fraction) is
+    ts = [ngrid / den for den in dens]
+    log_dens = [math.log(-den) for den in dens]
+    numden = np.array([ngrid * den for den in dens], dtype=object)  # Python ints, exact
+    num2 = ngrid * ngrid
+    num2den2 = numden * numden
+    out = []
+    prev, acc = 0, np.full(ngrid, 1, dtype=object)
+    for n in range(n_max + 1):
+        degree = 2 * n  # even, so den^degree > 0 and A_n carries the sign
+        row = np.zeros(ngrid + 1)
+        for i, a in enumerate(acc.tolist()):
+            if a == 0:
+                continue
+            logmag = ts[i] + _log_int(abs(a)) - degree * log_dens[i]
+            if logmag > -745.0:
+                row[i] = math.exp(logmag) if a > 0 else -math.exp(logmag)
+        out.append(row)
+        if n < n_max:
+            prev, acc = acc, -(numden * (2 * n) + num2) * acc - (n * (n - 1)) * num2den2 * prev
     return out
+
+
+def h_eval(n: int, ngrid: int) -> np.ndarray:
+    """h^(n) sampled on the uniform grid i/ngrid (see ``h_evals``)."""
+    return h_evals(n, ngrid)[n]
 
 
 def _log_int(n: int) -> float:

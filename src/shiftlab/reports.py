@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 SCHEMA_VERSION = 1
-# JSON leaves returned as they are (matched by exact type: a numpy scalar
-# that subclasses float is not one)
-_LEAVES = frozenset((float, int, str, bool, type(None)))
+_INF = float("inf")
 
 
 @dataclass
@@ -45,30 +43,94 @@ class ExperimentReport:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Sorted keys, one-space indent, shortest-roundtrip floats, ASCII only.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, separators=(",", ": "),
+    indent=1) + "\n"`` after coercing numpy scalars and arrays, complex
+    numbers (to [re, im]), Fractions (to str), tuples and dict keys (to str),
+    written in one pass: ``indent`` would select the stdlib's pure-Python
+    encoder anyway.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def _plain(obj):
-    """Coerce numpy scalars/arrays, complex numbers and tuples to JSON types."""
-    if type(obj) in _LEAVES:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(obj, out: list, nl: str):
+    """Append the JSON of ``obj`` to ``out``; ``nl`` starts a line at its depth."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is float:
+        out.append(_float(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        plain = {str(k): v for k, v in obj.items()}
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(plain):
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(plain[key], out, inner)
+            sep = "," + inner
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if all(type(v) is float for v in obj):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" in text:  # nan or inf: spell them as json does
+                text = ("," + inner).join(map(_float, obj))
+            out += ("[", inner, text, nl, "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out += (nl, "]")
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), out, nl)
+    elif isinstance(obj, np.bool_):
+        _write(bool(obj), out, nl)
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(_float(float(obj)))
+    elif isinstance(obj, complex):
+        _write([obj.real, obj.imag], out, nl)
+    elif isinstance(obj, Fraction):
+        out.append(encode_basestring_ascii(str(obj)))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def trace_csv(rows: list[dict]) -> str:

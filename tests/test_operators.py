@@ -22,6 +22,7 @@ from shiftlab.operators import (
     grid_inner,
     h_derivative,
     h_eval,
+    h_evals,
     integral_ladder,
     integral_op,
     saan_generators,
@@ -69,6 +70,34 @@ class TestWeightSequence:
     def test_window_must_be_odd(self):
         with pytest.raises(InputError):
             WeightSequence([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            WeightSequence([0.3, 1.7 + 0.2j, -2.5], "constant", c_plus=3.3, c_minus=0.41j),
+            WeightSequence([0.7, 1.3, 2.9, 0.05, 8.0], "geometric", ratio=0.37 + 0.1j),
+            symmetric_decay_weights(),
+            WeightSequence([0.5, 1.5, 2.5], "zero"),
+        ],
+    )
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (-30, 41), (5, 9), (-9, -5), (4, 3)])
+    def test_log_abs_range_matches_log_abs(self, w, lo, hi):
+        scalars = [w.log_abs(n, extended=True) for n in range(lo, hi + 1)]
+        logs = w.log_abs_range(lo, hi)
+        if any(t is None for t in scalars):
+            assert logs is None
+            return
+        assert logs.dtype == np.longdouble and len(logs) == len(scalars)
+        want = np.array(scalars, dtype=np.longdouble)
+        assert np.array_equal(logs, want) and np.array_equal(np.signbit(logs), np.signbit(want))
+
+    def test_log_abs_range_none_when_a_weight_vanishes(self):
+        w = WeightSequence([1.0, 0.0, 2.0], "geometric", ratio=0.5)
+        assert w.log_abs_range(-3, 0) is None  # the zero window value w_0
+        assert w.log_abs_range(1, 4) is not None
+        assert WeightSequence([1.0, 1.0, 2.0], "geometric", ratio=0.0).log_abs_range(1, 2) is None
+        assert WeightSequence([0.0, 1.0, 2.0], "geometric", ratio=0.5).log_abs_range(-3, 0) is None
+        assert WeightSequence([1.0, 1.0, 1.0], "constant", c_minus=0.0).log_abs_range(-2, 5) is None
 
 
 class TestBilateralShift:
@@ -182,10 +211,22 @@ class TestHDerivative:
         for n in range(41):
             assert h_eval(n, ngrid).tobytes() == reference_h_eval(n, ngrid).tobytes(), n
 
+    @pytest.fixture(scope="class")
+    def volterra_grid_evals(self):
+        return h_evals(40, 2048)  # ngrid 2048 is the grid of the volterra report
+
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
-    def test_eval_bytes_match_full_horner_at_volterra_grid(self, n):
-        # ngrid 2048 is the grid of the volterra report
-        assert h_eval(n, 2048).tobytes() == reference_h_eval(n, 2048).tobytes()
+    def test_eval_bytes_match_full_horner_at_volterra_grid(self, n, volterra_grid_evals):
+        want = reference_h_eval(n, 2048).tobytes()
+        assert h_eval(n, 2048).tobytes() == want
+        assert volterra_grid_evals[n].tobytes() == want
+
+    def test_evals_are_one_array_per_order(self):
+        rows = h_evals(3, 16)
+        assert len(rows) == 4 and all(r.shape == (17,) for r in rows)
+        assert [r.tobytes() for r in rows] == [h_eval(n, 16).tobytes() for n in range(4)]
+        with pytest.raises(InputError):
+            h_evals(-1, 16)
 
 
 class TestIntegralOp:

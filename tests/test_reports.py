@@ -88,3 +88,9 @@ def test_canonical_json_layout():
         ' "\\u00e9": [\n  1,\n  "\\u00fc",\n  null,\n  true\n ]\n}\n'
     )
     assert canonical_json(obj) == reference_json(obj)
+
+
+def test_keys_equal_as_strings_keep_the_last_value():
+    obj = {1: "int", "1": "str", (2.5): [np.float64(2.5)], "2.5": None}
+    assert canonical_json(obj) == '{\n "1": "str",\n "2.5": null\n}\n'
+    assert canonical_json(obj) == reference_json(obj)
