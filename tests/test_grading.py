@@ -2,20 +2,23 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftlab.errors import DomainError, InputError
 from shiftlab.grading import (
     GradedVector,
     deg,
+    DegreeBoundReport,
     f_t_x_ratio,
     membership_witness,
+    monomial_intersection,
     n0_bound,
     random_graded_vector,
     random_rational_function,
     t_independent,
 )
-from shiftlab.rational import NEG_INF, Poly, RationalFunction
+from shiftlab.rational import NEG_INF, Poly, RationalFunction, RationalMatrix
 
 
 def rf(num, den=None):
@@ -78,6 +81,12 @@ class TestTIndependent:
 
             eval_rank = RationalMatrix(rows).rank()
             assert ok == (eval_rank == 3)
+
+    def test_all_zero_vectors_are_dependent(self):
+        zero = GradedVector([ZERO, ZERO])
+        ok, witness = t_independent([zero, zero, zero])
+        assert not ok
+        assert witness == [Poly.one(), Poly.zero(), Poly.zero()]
 
     def test_dependent_witness_validates(self, rng):
         x = random_graded_vector(rng, 2, 2)
@@ -199,3 +208,118 @@ class TestDeltaGrading:
 
     def test_delta_of_zero(self):
         assert GradedVector([ZERO, ZERO]).delta() == NEG_INF
+
+
+# Reference for n0_bound and monomial_intersection: clear the common
+# denominator, row-reduce the coefficient matrix over monomials z^d e_j
+# (degree descending), turn each reduced row back into a GradedVector of
+# polynomials, and intersect z^d L with L through the null space of the
+# stacked coefficient columns.
+def _reference_basis(vectors):
+    den = Poly.one()
+    for v in vectors:
+        for c in v.components:
+            den = den * (c.den // den.gcd(c.den))
+    rows = [[c.num * (den // c.den) for c in v.components] for v in vectors]
+    k = len(rows[0])
+    max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
+    cols = [(d, j) for d in range(max_deg, -1, -1) for j in range(k)]
+    mat = RationalMatrix(
+        [[row[j].coeffs[d] if d <= row[j].degree else 0 for d, j in cols] for row in rows]
+    )
+    red, pivots = mat.rref()
+    basis = []
+    for r in range(len(pivots)):
+        comp = [[Fraction(0)] * (max_deg + 1) for _ in range(k)]
+        for (d, j), c in zip(cols, red.data[r]):
+            comp[j][d] = c
+        basis.append(GradedVector([RationalFunction(Poly(cc)) for cc in comp]))
+    return basis, [cols[pc][0] for pc in pivots], den
+
+
+def _reference_intersection(basis, d):
+    shifted = [v.apply_poly(Poly.monomial(d)) for v in basis]
+    all_vecs = shifted + basis
+    max_deg = max(
+        (int(c.num.degree) for v in all_vecs for c in v.components if not c.num.is_zero()),
+        default=0,
+    )
+    rows = [
+        [
+            p.coeffs[dd] if dd <= p.degree else Fraction(0)
+            for p in (c.num for c in v.components)
+            for dd in range(max_deg + 1)
+        ]
+        for v in all_vecs
+    ]
+    for null_vec in RationalMatrix(rows).transpose().nullspace():
+        out = None
+        for c, v in zip(null_vec[: len(shifted)], shifted):
+            if c != 0:
+                term = v.scale(RationalFunction(Poly([c])))
+                out = term if out is None else out + term
+        if out is not None and not out.is_zero():
+            return out
+    return None
+
+
+def _reference_n0_bound(vectors, probe_extra=3):
+    basis, deltas, den = _reference_basis(vectors)
+    delta_plus = max(deltas) - den.degree
+    delta_minus = min(deltas) - den.degree
+    n0 = delta_plus - delta_minus + 1
+    verified = []
+    for d in range(n0, n0 + probe_extra + 1):
+        assert _reference_intersection(basis, d) is None
+        verified.append(d)
+    counter = _reference_intersection(basis, n0 - 1) if n0 >= 2 else None
+    if counter is not None:
+        counter = counter.scale(RationalFunction(Poly.one(), den))
+    return DegreeBoundReport(
+        delta_plus, delta_minus, n0, tuple(verified), n0 - 1 if counter is not None else None, counter
+    )
+
+
+def _preset_generators():
+    """The generator families of the CLI's grading presets."""
+    cases = {}
+    for degree in (0, 1, 2, 3, 4):
+        cases[f"powers-{degree}"] = [
+            GradedVector([RationalFunction(Poly.monomial(d))]) for d in range(degree + 1)
+        ]
+        cases[f"split-{degree}"] = [
+            GradedVector([ONE, ZERO]),
+            GradedVector([ZERO, RationalFunction(Poly.monomial(degree))]),
+        ]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        cases[f"random-{seed}"] = [random_graded_vector(rng, 2, 2 + seed % 2) for _ in range(3)]
+    for seed in (8, 9):  # z x and x both in L, so z^1 L ∩ L is nonzero
+        rng = np.random.default_rng(seed)
+        x, y = random_graded_vector(rng, 2, 2), random_graded_vector(rng, 2, 2)
+        cases[f"random-shifted-{seed}"] = [x, x.scale(Z), y]
+    cases["shared-leading"] = [GradedVector([rf([0, 0, 1])]), GradedVector([rf([1, 0, 1])])]
+    cases["denominators"] = [GradedVector([rf([1], [0, 1])]), GradedVector([rf([2, 1], [1, 1])])]
+    return cases
+
+
+_PRESETS = _preset_generators()
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_n0_bound_matches_reference(name):
+    gens = [g for g in _PRESETS[name] if not g.is_zero()]
+    rep = n0_bound(gens)
+    assert rep == _reference_n0_bound(gens)
+    assert (rep.counterexample is None) == (rep.counterexample_degree is None)
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_monomial_intersection_matches_reference(name):
+    gens = [g for g in _PRESETS[name] if not g.is_zero()]
+    basis, _, den = _reference_basis(gens)
+    for d in range(0, n0_bound(gens).n0 + 1):
+        expected = _reference_intersection(basis, d)
+        if expected is not None:
+            expected = expected.scale(RationalFunction(Poly.one(), den))
+        assert monomial_intersection(gens, d) == expected

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -201,7 +202,8 @@ def test_solve_agrees_with_products(data):
         assert all(x[c] == 0 for c in range(cols) if c not in pivots)
 
 
-# det, inv and rref each eliminate on their own; these tie them together.
+# det, inv and rref answer the same questions (is A singular, what is its
+# inverse, which rows reduce away); these tie their answers together.
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_det_is_zero_exactly_when_inv_raises(data):
@@ -244,3 +246,134 @@ def test_rref_is_invariant_under_invertible_row_operations(data):
     p = data.draw(_invertible(rows))
     assert p.det() != 0
     assert (p @ a).rref() == a.rref()
+
+
+# Reference eliminations: a Fraction Gauss-Jordan (pivot on the first nonzero
+# entry of each column, normalise the pivot row, clear every other row) and
+# integer Bareiss on rows cleared to their lcm denominator.  rref, rank,
+# nullspace, solve, inv and det must give exactly what these give.
+def _reference_rref(data):
+    m = [list(row) for row in data]
+    pivots, r = [], 0
+    for c in range(len(m[0])):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _reference_det(data):
+    n = len(data)
+    dens = [math.lcm(*(x.denominator for x in row)) for row in data]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(data, dens)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return Fraction(sign * m[n - 1][n - 1], math.prod(dens))
+
+
+def _reference_nullspace(data):
+    red, pivots = _reference_rref(data)
+    basis = []
+    for fc in (c for c in range(len(data[0])) if c not in pivots):
+        v = [Fraction(0)] * len(data[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(data, b):
+    cols = len(data[0])
+    red, pivots = _reference_rref([list(row) + [bi] for row, bi in zip(data, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def _reference_inv(data):
+    n = len(data)
+    red, pivots = _reference_rref(
+        [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(data)]
+    )
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@st.composite
+def _elimination_case(draw):
+    """A matrix with 1xn and nx1 shapes, zero rows and columns, rows that are
+    combinations of earlier rows (rank deficiency), and a right-hand side
+    that is in the column span or arbitrary (often inconsistent)."""
+    rows, cols = draw(st.sampled_from(((1, None), (None, 1), (None, None))))
+    rows = rows or draw(_dims)
+    cols = cols or draw(_dims)
+    a = draw(_matrix(rows, cols))
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in a:
+            row[j] = Fraction(0)
+    for i in draw(st.sets(st.integers(1, rows - 1), max_size=rows - 1)) if rows > 1 else ():
+        coeffs = draw(st.lists(_entries, min_size=i, max_size=i))
+        a[i] = [sum((c * a[r][j] for r, c in enumerate(coeffs)), Fraction(0)) for j in range(cols)]
+    if draw(st.booleans()):
+        x = draw(st.lists(_entries, min_size=cols, max_size=cols))
+        b = [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
+    else:
+        b = draw(st.lists(_entries, min_size=rows, max_size=rows))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elimination_case())
+def test_eliminations_match_fraction_references(case):
+    a, b = case
+    m = RationalMatrix(a)
+    red, pivots = m.rref()
+    ref_red, ref_pivots = _reference_rref(a)
+    assert pivots == ref_pivots
+    assert red.data == tuple(tuple(row) for row in ref_red)
+    assert _all_fractions(red.data)
+    assert m.rank() == len(ref_pivots)
+    null = m.nullspace()
+    assert null == _reference_nullspace(a) and _all_fractions(null)
+    x = m.solve(b)
+    assert x == _reference_solve(a, b)
+    assert x is None or _all_fractions([x])
+    if len(a) == len(a[0]):
+        assert type(m.det()) is Fraction and m.det() == _reference_det(a)
+        ref_inv = _reference_inv(a)
+        if ref_inv is None:
+            with pytest.raises(DomainError):
+                m.inv()
+        else:
+            assert m.inv().data == tuple(tuple(row) for row in ref_inv)
