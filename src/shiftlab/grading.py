@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError
-from .rational import NEG_INF, Poly, RationalFunction, RationalMatrix
+from .rational import Poly, RationalFunction, RationalMatrix
 
 
 def deg(r) -> float | int:
@@ -107,21 +107,6 @@ def _poly_rows(vectors):
     return rows, den
 
 
-def _coefficient_matrix(rows, max_deg: int):
-    """Coefficient matrix over monomials z^d e_j ordered by degree descending."""
-    k = len(rows[0])
-    cols = [(d, j) for d in range(max_deg, -1, -1) for j in range(k)]
-    data = []
-    for row in rows:
-        entries = []
-        for d, j in cols:
-            p = row[j]
-            c = p.coeffs[d] if d <= p.degree else Fraction(0)
-            entries.append(c)
-        data.append(entries)
-    return RationalMatrix(data), cols
-
-
 def t_independent(vectors):
     """Independence over polynomials in the multiplication operator.
 
@@ -133,11 +118,6 @@ def t_independent(vectors):
     vectors = [v if isinstance(v, GradedVector) else GradedVector(v) for v in vectors]
     rows, _ = _poly_rows(vectors)
     max_deg = max((p.degree for row in rows for p in row if not p.is_zero()), default=0)
-    if max_deg == NEG_INF:
-        # all vectors are zero: the relation 1 * x_1 = 0 witnesses dependence
-        witness = [Poly.one()] + [Poly.zero()] * (len(vectors) - 1)
-        return False, witness
-
     # Over the function field, dependence of m vectors shows up as a
     # polynomial syzygy; search by bounding the coefficient degree.  The
     # rank over Q(z) equals the rank of the polynomial matrix, so a
@@ -222,6 +202,33 @@ class DegreeBoundReport:
     counterexample: GradedVector | None
 
 
+def _reduced_basis(generators):
+    """Reduced echelon basis of L = span(generators) after clearing denominators.
+
+    Returns ``(basis, deltas, den, k)``: one ``{(degree, component):
+    coefficient}`` dict per basis vector of D L, the degree of each vector's
+    leading (pivot) monomial, the common denominator D and the component
+    count k.  Columns are the monomials z^d e_j ordered by degree descending.
+    """
+    vectors = [
+        v if isinstance(v, GradedVector) else GradedVector(v) for v in generators
+    ]
+    vectors = [v for v in vectors if not v.is_zero()]
+    if not vectors:
+        raise DomainError("L = {0}")
+    rows, den = _poly_rows(vectors)
+    k = len(rows[0])
+    max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
+    cols = [(d, j) for d in range(max_deg, -1, -1) for j in range(k)]
+    red, pivots = RationalMatrix(
+        [[row[j].coeffs[d] if d <= row[j].degree else 0 for d, j in cols] for row in rows]
+    ).rref()
+    basis = [
+        {mono: c for mono, c in zip(cols, row) if c} for row in red.data[: len(pivots)]
+    ]
+    return basis, [cols[pc][0] for pc in pivots], den, k
+
+
 def n0_bound(generators, probe_extra: int = 3) -> DegreeBoundReport:
     """Delta+, Delta- and n0 = Delta+ - Delta- + 1 for the span of the input.
 
@@ -231,39 +238,20 @@ def n0_bound(generators, probe_extra: int = 3) -> DegreeBoundReport:
     The verification checks z^d L ∩ L = {0} exactly for
     n0 <= d <= n0 + probe_extra and probes d = n0 - 1 for a counterexample.
     """
-    vectors = [
-        v if isinstance(v, GradedVector) else GradedVector(v) for v in generators
-    ]
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        raise DomainError("L = {0} has no degree bound")
-    rows, den = _poly_rows(vectors)
-    den_deg = den.degree
-    max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
-    mat, cols = _coefficient_matrix(rows, max_deg)
-    red, pivots = mat.rref()
-    # delta of each reduced row = degree of its leading (pivot) monomial
-    deltas = [cols[pc][0] for pc in pivots]
-    delta_plus = max(deltas) - den_deg
-    delta_minus = min(deltas) - den_deg
-    n0 = int(delta_plus - delta_minus + 1)
+    basis, deltas, den, k = _reduced_basis(generators)
+    delta_plus = max(deltas) - den.degree
+    delta_minus = min(deltas) - den.degree
+    n0 = delta_plus - delta_minus + 1
 
-    basis_rows = [
-        _row_to_vector(red.data[r], cols, len(rows[0])) for r in range(len(pivots))
-    ]
     verified = []
     for d in range(n0, n0 + probe_extra + 1):
-        if _monomial_intersection(basis_rows, d):
+        if _monomial_intersection(basis, d, den, k) is not None:
             raise DomainError(f"n0 verification failed: z^{d} L ∩ L is nonzero")
         verified.append(d)
-    counter = None
-    if n0 >= 2:
-        counter = _monomial_intersection(basis_rows, n0 - 1)
-        if counter is not None:
-            counter = counter.scale(RationalFunction(Poly.one(), den))
+    counter = _monomial_intersection(basis, n0 - 1, den, k) if n0 >= 2 else None
     return DegreeBoundReport(
-        int(delta_plus),
-        int(delta_minus),
+        delta_plus,
+        delta_minus,
         n0,
         tuple(verified),
         (n0 - 1) if counter is not None else None,
@@ -271,51 +259,30 @@ def n0_bound(generators, probe_extra: int = 3) -> DegreeBoundReport:
     )
 
 
-def _row_to_vector(entries, cols, k) -> GradedVector:
-    max_d = max(d for d, _ in cols)
-    comp_coeffs = [[Fraction(0)] * (max_d + 1) for _ in range(k)]
-    for (d, j), c in zip(cols, entries):
-        comp_coeffs[j][d] = c
-    return GradedVector([RationalFunction(Poly(cc)) for cc in comp_coeffs])
-
-
-def _monomial_intersection(basis, d: int):
+def _monomial_intersection(basis, d: int, den: Poly, k: int):
     """A nonzero element of z^d L ∩ L (as an element of L), or None.
 
-    Both spans consist of polynomial vectors; intersect their Q-spans by a
-    null-space computation on stacked coefficient matrices.
+    ``basis`` is a reduced basis of D L as coefficient dicts.  The columns of
+    the system are the basis shifted by z^d, then the basis itself; null
+    vectors mix them to zero, i.e. give intersections.  Both halves are
+    independent, so every null vector has a nonzero shifted part, and the
+    first one is returned, divided by D.
     """
-    shifted = [v.apply_poly(Poly.monomial(d)) for v in basis]
-    k = basis[0].k
-    all_vecs = shifted + list(basis)
-    rows = []
-    max_deg = 0
-    for v in all_vecs:
-        for c in v.components:
-            if not c.num.is_zero():
-                max_deg = max(max_deg, int(c.num.degree))
-    for v in all_vecs:
-        entries = []
-        for j in range(k):
-            p = v.components[j].num  # denominators are 1 here
-            for dd in range(max_deg + 1):
-                entries.append(p.coeffs[dd] if dd <= p.degree else Fraction(0))
-        rows.append(entries)
-    # columns of the transposed system are the vectors; null vectors mix
-    # shifted and unshifted generators to zero, i.e. give intersections
-    mat = RationalMatrix(rows).transpose()
-    for null_vec in mat.nullspace():
-        head = null_vec[: len(shifted)]
-        if any(c != 0 for c in head):
-            out = None
-            for c, v in zip(head, shifted):
-                if c == 0:
-                    continue
-                term = v.scale(RationalFunction(Poly([c])))
-                out = term if out is None else out + term
-            if out is not None and not out.is_zero():
-                return out
-    return None
+    shifted = [{(e + d, j): c for (e, j), c in v.items()} for v in basis]
+    vecs = shifted + basis
+    # one row per monomial that occurs: the null space ignores row order
+    monomials = sorted(set().union(*vecs))
+    null = RationalMatrix([[v.get(m, 0) for v in vecs] for m in monomials]).nullspace()
+    if not null:
+        return None
+    out = {}
+    for c, v in zip(null[0], shifted):
+        for mono, a in v.items():
+            out[mono] = out.get(mono, 0) + c * a
+    coeffs = [[0] * (max(e for e, _ in out) + 1) for _ in range(k)]
+    for (e, j), c in out.items():
+        coeffs[j][e] = c
+    return GradedVector([RationalFunction(Poly(cs), den) for cs in coeffs])
 
 
 def monomial_intersection(generators, d: int):
@@ -324,23 +291,8 @@ def monomial_intersection(generators, d: int):
     Exact: reduces to a rational null-space computation after clearing the
     common denominator (which rescales both sides identically).
     """
-    vectors = [
-        v if isinstance(v, GradedVector) else GradedVector(v) for v in generators
-    ]
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        raise DomainError("L = {0}")
-    rows, den = _poly_rows(vectors)
-    max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
-    mat, cols = _coefficient_matrix(rows, max_deg)
-    red, pivots = mat.rref()
-    basis_rows = [
-        _row_to_vector(red.data[r], cols, len(rows[0])) for r in range(len(pivots))
-    ]
-    out = _monomial_intersection(basis_rows, d)
-    if out is None:
-        return None
-    return out.scale(RationalFunction(Poly.one(), den))
+    basis, _, den, k = _reduced_basis(generators)
+    return _monomial_intersection(basis, d, den, k)
 
 
 def membership_witness(x: GradedVector, y: GradedVector):

@@ -313,13 +313,26 @@ def similarity_j(n: int) -> RationalMatrix:
     return RationalMatrix(list(zip(*cols)))
 
 
+@functools.lru_cache(maxsize=64)
+def _similarity_j_float(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``similarity_j(n)`` in complex floats and its LAPACK inverse, read-only.
+
+    The inverse is ``np.linalg.inv`` of the float matrix, not the exact
+    inverse rounded: the reports' bytes are those of the float inverse.
+    """
+    jmat = similarity_j(n).to_float()
+    jinv = np.linalg.inv(jmat)
+    jmat.flags.writeable = False
+    jinv.flags.writeable = False
+    return jmat, jinv
+
+
 def discrete_pair(n: int, j: int, u, v, check_tol: float | None = None) -> np.ndarray:
     """x_j with x_j -> u and (I+S)^j x_j -> v as j grows (heads u, v)."""
     if j < 1:
         raise InputError("step index j must be >= 1")
     sp = ShiftSpace(n)
-    jmat = similarity_j(n).to_float()
-    jinv = np.linalg.inv(jmat)
+    jmat, jinv = _similarity_j_float(n)
     uu, vv = sp.embed_head(u), sp.embed_head(v)  # length n or 2n; one coercion each
     ju = (jmat @ uu)[: n]
     jv = (jmat @ vv)[: n]

@@ -298,12 +298,49 @@ def _cleared(rows):
     return int_rows, dens
 
 
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    Pivots on the first ``ncols`` columns; later columns ride along.  Each
+    step replaces every other row, above and below the pivot ``p``, by
+    ``(p * row - row[c] * pivot_row) // last`` with ``last`` the previous
+    pivot.  The division is exact because every entry stays a minor of the
+    input (Bareiss, Math. Comp. 22, 1968), and clearing above the pivot
+    leaves every pivot equal to the last one.  So the first ``len(pivots)``
+    rows over ``last`` are the reduced echelon form, the other rows are zero
+    on the first ``ncols`` columns, and at full rank ``sign * last`` is the
+    determinant.  Returns ``(pivots, last, sign)``.
+    """
+    pivots, last, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * a - f * b) // last for a, b in zip(row, prow)]
+        pivots.append(c)
+        last = p
+    return pivots, last, sign
+
+
 class RationalMatrix:
     """Immutable dense matrix over Fraction.
 
     Products clear each row and column to integers over its lcm denominator
     and build one Fraction per entry: summing Fractions directly costs a gcd
-    per term, most of them on zeros.
+    per term, most of them on zeros.  ``det``, ``rref``, ``rank``,
+    ``nullspace``, ``solve`` and ``inv`` likewise clear rows and run the one
+    integer elimination ``_eliminate``.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -413,69 +450,35 @@ class RationalMatrix:
         return out
 
     def det(self) -> Fraction:
-        """Exact determinant: clear denominators rowwise, then integer Bareiss."""
+        """Exact determinant: ``sign * last / prod(dens)`` at full rank."""
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
-        n = self.rows
         m, dens = _cleared(self.data)
-        # Bareiss fraction-free elimination on the integer matrix.
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], math.prod(dens))
+        pivots, last, sign = _eliminate(m, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * last, math.prod(dens))
 
     def rref(self):
         """Row-reduced echelon form; returns (matrix, pivot column list)."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return RationalMatrix(m) if m else self, pivots
+        m, _ = _cleared(self.data)
+        pivots, last, _ = _eliminate(m, self.cols)
+        return RationalMatrix([[Fraction(a, last) for a in row] for row in m]), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        m, _ = _cleared(self.data)
+        return len(_eliminate(m, self.cols)[0])
 
     def nullspace(self):
         """Basis (list of Fraction lists) for the right null space."""
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        m, _ = _cleared(self.data)
+        pivots, last, _ = _eliminate(m, self.cols)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][fc]
+            for row, pc in zip(m, pivots):
+                v[pc] = Fraction(-row[fc], last)
             basis.append(v)
         return basis
 
@@ -484,31 +487,26 @@ class RationalMatrix:
         vec = [_as_fraction(x) for x in b]
         if len(vec) != self.rows:
             raise InputError("rhs length mismatch")
-        aug = RationalMatrix(
-            [list(row) + [vec[i]] for i, row in enumerate(self.data)]
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        m, _ = _cleared([row + (bi,) for row, bi in zip(self.data, vec)])
+        pivots, last, _ = _eliminate(m, self.cols)
+        if any(row[-1] for row in m[len(pivots) :]):
             return None
         x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
+        for row, pc in zip(m, pivots):
+            x[pc] = Fraction(row[-1], last)
         return x
 
     def inv(self) -> "RationalMatrix":
         if self.rows != self.cols:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        aug = RationalMatrix(
-            [
-                list(row) + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(self.data)
-            ]
-        )
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        m, dens = _cleared(self.data)
+        for i, (row, d) in enumerate(zip(m, dens)):
+            row.extend(d if j == i else 0 for j in range(n))
+        pivots, last, _ = _eliminate(m, n)
+        if len(pivots) < n:
             raise DomainError("matrix is singular")
-        return RationalMatrix([row[n:] for row in red.data])
+        return RationalMatrix([[Fraction(a, last) for a in row[n:]] for row in m])
 
     def to_float(self, dtype=complex):
         import numpy as np
