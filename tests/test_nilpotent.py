@@ -1,9 +1,12 @@
 """Approach-pair solvers and the exact determinant machinery."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.errors import DomainError, InputError, PreconditionError
 from shiftlab.nilpotent import (
@@ -227,6 +230,27 @@ class TestDiscretePair:
         u, v = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
         errs = [max(discrete_pair_errors_exact(2, j, u, v)) for j in (4, 8, 16, 32, 64, 128)]
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=1000), min_size=6, max_size=6))
+    def test_errors_exact_match_the_matrix_power_reference(self, heads):
+        # the reference builds x_j with the exact inverse of J and applies
+        # (I+S)^j as a matrix power; the errors must be the same floats
+        def reference(n, j, u, v):
+            dim = 2 * n
+            jmat = similarity_j(n)
+            ju = (jmat @ (u + [Fraction(0)] * n))[:n]
+            jv = (jmat @ (v + [Fraction(0)] * n))[:n]
+            x = jmat.inv() @ jordan_solve_exact(n, j, ju, jv)
+            tx = (backward_shift_exact(dim) + RationalMatrix.identity(dim)).pow(j) @ x
+            r1 = sum((x[i] - (u[i] if i < n else 0)) ** 2 for i in range(dim))
+            r2 = sum((tx[i] - (v[i] if i < n else 0)) ** 2 for i in range(dim))
+            return math.sqrt(float(r1)), math.sqrt(float(r2))
+
+        for n in (1, 2, 3):
+            u, v = heads[:n], heads[3 : 3 + n]
+            for j in (1, 2, 4, 64, 1024):
+                assert discrete_pair_errors_exact(n, j, u, v) == reference(n, j, u, v)
 
     def test_rejects_zero_step(self):
         with pytest.raises(InputError):

@@ -423,6 +423,21 @@ class TestSaanGenerators:
                     coeff = abs(a[pos[tuple(x - (1 if i == j else 0) for i, x in enumerate(m))], col])
                     assert 0 < coeff < 2.0 ** (-(sum(m) - 1))
 
+    def test_float_generators_are_the_exact_ones_rounded(self):
+        # each float entry is its exact coefficient rounded once, byte for byte
+        phi = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 1)]  # (2, 1) -> (2, 0) is dropped
+        for k, count, kw in (
+            (2, 15, {}),
+            (3, 20, {}),
+            (2, len(phi), {"phi": phi}),
+            (2, 10, {"alpha": lambda m: Fraction(3) ** (m * m)}),
+        ):
+            floats = saan_generators(k, count, **kw)
+            exact = saan_generators(k, count, exact=True, **kw)
+            for f, e in zip(floats, exact):
+                want = np.array([[complex(float(x)) for x in row] for row in e.data])
+                assert f.dtype == np.complex128 and f.tobytes() == want.tobytes()
+
     def test_growth_condition_enforced(self):
         with pytest.raises(PreconditionError):
             saan_generators(2, 10, alpha=lambda m: Fraction(1))

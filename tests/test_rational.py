@@ -175,6 +175,79 @@ def test_pow_matches_fraction_reference(a, power):
     assert RationalMatrix(a).pow(power).data == tuple(tuple(row) for row in expected)
 
 
+# The public surface against plain tuples of Fractions: every entry that
+# leaves the matrix is a Fraction, and equality and hashing are those of
+# the Fraction rows, however the matrix was built.
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_public_surface_matches_fraction_tuples(data):
+    rows, cols = data.draw(_dims), data.draw(_dims)
+    a, b = data.draw(_matrix(rows, cols)), data.draw(_matrix(rows, cols))
+    s = data.draw(st.one_of(_entries, st.integers(-(10**12), 10**12)))
+    ra, rb = (tuple(tuple(row) for row in x) for x in (a, b))
+    ma, mb = RationalMatrix(a), RationalMatrix(b)
+    assert ma.data == ra and _all_fractions(ma.data)
+    assert (ma.rows, ma.cols) == (rows, cols)
+    assert all(
+        ma[i, j] == a[i][j] and type(ma[i, j]) is Fraction for i in range(rows) for j in range(cols)
+    )
+    assert hash(ma) == hash(ra) and hash(RationalMatrix(ra)) == hash(ma)
+    assert (ma == mb) == (ra == rb) and ma == RationalMatrix(ra)
+    assert ma.is_zero() == all(x == 0 for row in a for x in row)
+    for got, want in (
+        (ma + mb, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+        (ma - mb, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
+        (ma * s, [[x * s for x in row] for row in a]),
+        (s * ma, [[s * x for x in row] for row in a]),
+        (ma.transpose(), [list(col) for col in zip(*a)]),
+    ):
+        assert got.data == tuple(tuple(row) for row in want) and _all_fractions(got.data)
+        assert hash(got) == hash(got.data)
+    c = data.draw(_matrix(cols, data.draw(_dims)))
+    prod = ma @ RationalMatrix(c)
+    assert prod.data == tuple(tuple(row) for row in _reference_product(a, c))
+    assert _all_fractions(prod.data) and hash(prod) == hash(prod.data)
+    v = [row[0] for row in c]
+    vec = ma @ v
+    assert vec == [row[0] for row in _reference_product(a, [[x] for x in v])] and _all_fractions([vec])
+    if rows == cols:
+        assert ma.det() == _reference_det(a) and type(ma.det()) is Fraction
+
+
+# (I + cS)^j with S the unit superdiagonal has entry C(j, k) c^k on the k-th
+# superdiagonal: a check of pow far beyond the hypothesis powers above,
+# where numerators and denominators grow to hundreds of digits.
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 64, 1024])
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-3, 7), Fraction(10**9 + 7, 2**61 - 1)])
+def test_pow_of_unipotent_matches_binomials(j, c):
+    for dim in (1, 2, 6):
+        step = RationalMatrix(
+            [[1 if q == p else c if q == p + 1 else 0 for q in range(dim)] for p in range(dim)]
+        )
+        want = tuple(
+            tuple(math.comb(j, q - p) * c ** (q - p) if q >= p else Fraction(0) for q in range(dim))
+            for p in range(dim)
+        )
+        got = step.pow(j)
+        assert got.data == want and _all_fractions(got.data)
+        assert hash(got) == hash(want)
+
+
+def test_equal_matrices_built_differently_are_equal():
+    a = RationalMatrix([[Fraction(1, 3), Fraction(-5, 6)], [0, Fraction(7, 4)]])
+    zeros = RationalMatrix.zeros(2, 2)
+    assert (a * 2) * Fraction(1, 2) == a and hash((a * 2) * Fraction(1, 2)) == hash(a)
+    assert a - a == zeros and hash(a - a) == hash(zeros) and (a - a).is_zero()
+    # the same entries over the denominators 6, 12 and 1
+    sixths = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)]]) * 6
+    twelfths = RationalMatrix([[Fraction(5, 12), Fraction(1, 6)]]) @ RationalMatrix([[Fraction(36, 5), 0], [0, 12]])
+    whole = RationalMatrix([[3, 2]])
+    assert sixths == twelfths == whole
+    assert hash(sixths) == hash(twelfths) == hash(whole) == hash(((3, 2),))
+    assert sixths.data == ((Fraction(3), Fraction(2)),)
+    assert RationalMatrix([[Fraction(2, 4)]]) @ RationalMatrix([[2]]) == RationalMatrix.identity(1)
+
+
 # solve: every returned vector is checked by a product, every None by a left
 # null vector y with y A = 0 and y . b != 0, so neither verdict rests on rref.
 @settings(max_examples=60, deadline=None)
