@@ -287,9 +287,9 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
     jmat = similarity_j(n)
     ju = (jmat @ (u + [Fraction(0)] * n))[:n]
     jv = (jmat @ (v + [Fraction(0)] * n))[:n]
-    x = jmat.inv() @ jordan_solve_exact(n, j, ju, jv)
-    ipows = (backward_shift_exact(dim) + RationalMatrix.identity(dim)).pow(j)
-    tx = ipows @ x
+    x = _similarity_j_inverse(n) @ jordan_solve_exact(n, j, ju, jv)
+    # (I+S)^j has C(j, k) on its k-th superdiagonal
+    tx = [sum(math.comb(j, k) * x[i + k] for k in range(dim - i)) for i in range(dim)]
     r1 = sum((x[i] - (u[i] if i < n else 0)) ** 2 for i in range(dim))
     r2 = sum((tx[i] - (v[i] if i < n else 0)) ** 2 for i in range(dim))
     return math.sqrt(float(r1)), math.sqrt(float(r2))
@@ -311,6 +311,11 @@ def similarity_j(n: int) -> RationalMatrix:
     for _ in range(1, dim):
         cols.append(nmat.solve(cols[-1]))
     return RationalMatrix(list(zip(*cols)))
+
+
+@functools.lru_cache(maxsize=64)
+def _similarity_j_inverse(n: int) -> RationalMatrix:
+    return similarity_j(n).inv()
 
 
 @functools.lru_cache(maxsize=64)

@@ -537,23 +537,26 @@ def saan_generators(
                 f"alpha violates the growth condition at m={m}: "
                 f"alpha_{m + 1} < 2^{m} alpha_{m}"
             )
+    # a column of degree s carries alpha_{s-1}/alpha_s, whichever j acts
+    ratios = [None] + [alphas[s - 1] / alphas[s] for s in range(1, max_deg + 1)]
     mats = []
     for j in range(k):
-        if exact:
-            a = [[Fraction(0)] * ntrunc for _ in range(ntrunc)]
-        else:
-            a = np.zeros((ntrunc, ntrunc), dtype=np.complex128)
+        entries = {}  # (row, col) -> Fraction
         for m, col in pos.items():
             if m[j] < 1:
                 continue
             target = tuple(x - (1 if idx == j else 0) for idx, x in enumerate(m))
             row = pos.get(target)
-            if row is None:
-                continue  # graded-lex never drops targets; custom phi might
-            coeff = alphas[sum(m) - 1] / alphas[sum(m)]
-            if exact:
-                a[row][col] = coeff
-            else:
-                a[row, col] = float(coeff)
-        mats.append(RationalMatrix(a) if exact else a)
+            if row is not None:  # graded-lex never drops targets; custom phi might
+                entries[row, col] = ratios[sum(m)]
+        if exact:
+            zero = Fraction(0)
+            mats.append(
+                RationalMatrix([[entries.get((r, c), zero) for c in range(ntrunc)] for r in range(ntrunc)])
+            )
+        else:
+            a = np.zeros((ntrunc, ntrunc), dtype=np.complex128)
+            for rc, coeff in entries.items():
+                a[rc] = float(coeff)
+            mats.append(a)
     return mats

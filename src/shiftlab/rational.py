@@ -285,20 +285,14 @@ class RationalFunction:
         return f"RF({self.num!r} / {self.den!r})"
 
 
-def _cleared(rows):
-    """Each row of Fractions as integers over its lcm denominator.
-
-    Returns ``(int_rows, dens)`` with ``rows[i][j] == int_rows[i][j] / dens[i]``.
-    """
-    int_rows, dens = [], []
-    for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (d // x.denominator) for x in row])
-        dens.append(d)
-    return int_rows, dens
+def _cleared(xs):
+    """Fractions as integers over their lcm denominator: ``(ints, den)``
+    with ``xs[i] == ints[i] / den``."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _eliminate(rows, ncols):
+def _eliminate(rows, ncols, forward_only=False):
     """Fraction-free Gauss-Jordan on integer rows, in place.
 
     Pivots on the first ``ncols`` columns; later columns ride along.  Each
@@ -309,7 +303,9 @@ def _eliminate(rows, ncols):
     leaves every pivot equal to the last one.  So the first ``len(pivots)``
     rows over ``last`` are the reduced echelon form, the other rows are zero
     on the first ``ncols`` columns, and at full rank ``sign * last`` is the
-    determinant.  Returns ``(pivots, last, sign)``.
+    determinant.  With ``forward_only`` only the rows below each pivot are
+    cleared (plain Bareiss): the pivots, ``last`` and ``sign`` are the same,
+    but the rows are only an echelon form.  Returns ``(pivots, last, sign)``.
     """
     pivots, last, sign = [], 1, 1
     for c in range(ncols):
@@ -324,8 +320,9 @@ def _eliminate(rows, ncols):
             sign = -sign
         prow = rows[r]
         p = prow[c]
-        for i, row in enumerate(rows):
+        for i in range(r + 1 if forward_only else 0, len(rows)):
             if i != r:
+                row = rows[i]
                 f = row[c]
                 rows[i] = [(p * a - f * b) // last for a, b in zip(row, prow)]
         pivots.append(c)
@@ -334,75 +331,111 @@ def _eliminate(rows, ncols):
 
 
 class RationalMatrix:
-    """Immutable dense matrix over Fraction.
+    """Immutable dense matrix over the rationals.
 
-    Products clear each row and column to integers over its lcm denominator
-    and build one Fraction per entry: summing Fractions directly costs a gcd
-    per term, most of them on zeros.  ``det``, ``rref``, ``rank``,
-    ``nullspace``, ``solve`` and ``inv`` likewise clear rows and run the one
-    integer elimination ``_eliminate``.
+    Stored as integer rows over one positive denominator, reduced so that
+    the gcd of the denominator and every entry is 1: the form is canonical,
+    so ``==`` compares integers.  Sums, products, ``pow``, ``transpose`` and
+    the eliminations (``det``, ``rref``, ``rank``, ``nullspace``, ``solve``,
+    ``inv``, all through the one fraction-free ``_eliminate``) work on these
+    integers and reduce each result once.  Fractions are made only where
+    entries leave the matrix: ``data`` (built on first use), ``[i, j]``,
+    ``to_float``, matrix-vector products and the vectors of ``solve`` and
+    ``nullspace``.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_num", "_den", "_data")
 
     def __init__(self, data):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in data)
+        rows = tuple([tuple([_as_fraction(x) for x in row]) for row in data])
         if not rows or not rows[0]:
             raise InputError("empty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged matrix rows")
+        # over the lcm of reduced denominators the form is already canonical
+        den = math.lcm(*[x.denominator for row in rows for x in row])
         self.rows = len(rows)
         self.cols = ncols
-        self.data = rows
+        self._num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows])
+        self._den = den
+        self._data = rows
+
+    @classmethod
+    def _from_ints(cls, num, den: int) -> "RationalMatrix":
+        """The matrix ``num / den`` from integer rows and a nonzero integer
+        ``den``, reduced to the canonical form."""
+        if not num or not num[0]:
+            raise InputError("empty matrix")
+        if den < 0:
+            num, den = [[-a for a in row] for row in num], -den
+        if den != 1:
+            g = math.gcd(den, *(a for row in num for a in row))
+            if g != 1:
+                num, den = [[a // g for a in row] for row in num], den // g
+        out = cls.__new__(cls)
+        out._num = tuple(map(tuple, num))
+        out._den = den
+        out.rows = len(out._num)
+        out.cols = len(out._num[0])
+        out._data = None
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._from_ints([[0] * cols for _ in range(rows)], 1)
+
+    @property
+    def data(self) -> tuple:
+        """The entries as a tuple of tuples of Fractions."""
+        if self._data is None:
+            d = self._den
+            self._data = tuple(tuple(Fraction(a, d) for a in row) for row in self._num)
+        return self._data
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
         return hash(self.data)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self._num))
+
+    def _combine(self, other, op):
+        """``op`` entrywise on the integers over the common denominator."""
+        self._same_shape(other)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return RationalMatrix._from_ints(
+            [[op(a * fa, b * fb) for a, b in zip(ra, rb)] for ra, rb in zip(self._num, other._num)],
+            den,
+        )
 
     def __add__(self, other):
-        self._same_shape(other)
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar):
         s = _as_fraction(scalar)
-        return RationalMatrix([[s * x for x in row] for row in self.data])
+        p = s.numerator
+        return RationalMatrix._from_ints(
+            [[p * a for a in row] for row in self._num], self._den * s.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -410,30 +443,27 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise InputError("matmul shape mismatch")
-            rows, row_dens = _cleared(self.data)
-            cols, col_dens = _cleared(zip(*other.data))
-            return RationalMatrix(
-                [
-                    [
-                        Fraction(sum(map(operator.mul, row, col)), dr * dc)
-                        for col, dc in zip(cols, col_dens)
-                    ]
-                    for row, dr in zip(rows, row_dens)
-                ]
-            )
-        # vector: sequence of Fractions
+            # row i of the product is the sum of a_ik * (row k of other); the
+            # zero a_ik, most entries of the Saan generators and of the tensor
+            # perturbation's operands, cost nothing
+            out = []
+            for row in self._num:
+                acc = [0] * other.cols
+                for a, brow in zip(row, other._num):
+                    if a:
+                        acc = [x + a * b for x, b in zip(acc, brow)]
+                out.append(acc)
+            return RationalMatrix._from_ints(out, self._den * other._den)
+        # vector: sequence of rationals
         vec = [_as_fraction(x) for x in other]
         if len(vec) != self.cols:
             raise InputError("matvec shape mismatch")
-        rows, row_dens = _cleared(self.data)
-        (col,), (dc,) = _cleared([vec])
-        return [
-            Fraction(sum(map(operator.mul, row, col)), dr * dc)
-            for row, dr in zip(rows, row_dens)
-        ]
+        col, dc = _cleared(vec)
+        den = self._den * dc
+        return [Fraction(sum(map(operator.mul, row, col)), den) for row in self._num]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)))
+        return RationalMatrix._from_ints(list(zip(*self._num)), self._den)
 
     def pow(self, n: int) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -449,29 +479,31 @@ class RationalMatrix:
             n >>= 1
         return out
 
+    def _int_rows(self):
+        """A mutable copy of the integer rows, for ``_eliminate``."""
+        return [list(row) for row in self._num]
+
     def det(self) -> Fraction:
-        """Exact determinant: ``sign * last / prod(dens)`` at full rank."""
+        """Exact determinant: ``sign * last / den**n`` at full rank."""
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")
-        m, dens = _cleared(self.data)
-        pivots, last, sign = _eliminate(m, self.cols)
+        pivots, last, sign = _eliminate(self._int_rows(), self.cols, forward_only=True)
         if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction(sign * last, math.prod(dens))
+        return Fraction(sign * last, self._den**self.rows)
 
     def rref(self):
         """Row-reduced echelon form; returns (matrix, pivot column list)."""
-        m, _ = _cleared(self.data)
+        m = self._int_rows()
         pivots, last, _ = _eliminate(m, self.cols)
-        return RationalMatrix([[Fraction(a, last) for a in row] for row in m]), pivots
+        return RationalMatrix._from_ints(m, last), pivots
 
     def rank(self) -> int:
-        m, _ = _cleared(self.data)
-        return len(_eliminate(m, self.cols)[0])
+        return len(_eliminate(self._int_rows(), self.cols, forward_only=True)[0])
 
     def nullspace(self):
         """Basis (list of Fraction lists) for the right null space."""
-        m, _ = _cleared(self.data)
+        m = self._int_rows()
         pivots, last, _ = _eliminate(m, self.cols)
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
@@ -487,7 +519,10 @@ class RationalMatrix:
         vec = [_as_fraction(x) for x in b]
         if len(vec) != self.rows:
             raise InputError("rhs length mismatch")
-        m, _ = _cleared([row + (bi,) for row, bi in zip(self.data, vec)])
+        rhs, db = _cleared(vec)
+        den = math.lcm(self._den, db)
+        fa, fb = den // self._den, den // db
+        m = [[a * fa for a in row] + [bi * fb] for row, bi in zip(self._num, rhs)]
         pivots, last, _ = _eliminate(m, self.cols)
         if any(row[-1] for row in m[len(pivots) :]):
             return None
@@ -497,22 +532,23 @@ class RationalMatrix:
         return x
 
     def inv(self) -> "RationalMatrix":
+        """``[num | den I]`` reduces to ``last [I | A^-1]``."""
         if self.rows != self.cols:
             raise InputError("inverse of a non-square matrix")
-        n = self.rows
-        m, dens = _cleared(self.data)
-        for i, (row, d) in enumerate(zip(m, dens)):
-            row.extend(d if j == i else 0 for j in range(n))
+        n, d = self.rows, self._den
+        m = [list(row) + [d if j == i else 0 for j in range(n)] for i, row in enumerate(self._num)]
         pivots, last, _ = _eliminate(m, n)
         if len(pivots) < n:
             raise DomainError("matrix is singular")
-        return RationalMatrix([[Fraction(a, last) for a in row[n:]] for row in m])
+        return RationalMatrix._from_ints([row[n:] for row in m], last)
 
     def to_float(self, dtype=complex):
         import numpy as np
 
+        # int / int is correctly rounded, as float(Fraction) is
+        d = self._den
         return np.array(
-            [[dtype(x) for x in row] for row in self.data],
+            [[dtype(a / d) for a in row] for row in self._num],
             dtype=np.complex128 if dtype is complex else np.float64,
         )
 

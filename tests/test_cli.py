@@ -153,6 +153,26 @@ class TestExitCodes:
         assert code == 0
         assert load_report(out)["verdict"] == "satisfied"
 
+    def test_jordan_inexact_solve_is_violated(self, capsys, monkeypatch):
+        # a solve off by 1e-9 in one tail entry leaves squared residuals far
+        # below 1e-10; only exact zero residuals make the verdict
+        from fractions import Fraction
+
+        from shiftlab import nilpotent
+
+        solve = nilpotent.jordan_solve_exact
+
+        def off_by_tiny(n, z, u, v):
+            x = solve(n, z, u, v)
+            return x[:-1] + [x[-1] + Fraction(1, 10**9)]
+
+        monkeypatch.setattr(nilpotent, "jordan_solve_exact", off_by_tiny)
+        code, out = run_cli(["jordan", "--n-max", "2", "--pairs", "1", "--z-max-exp", "3"], capsys)
+        report = load_report(out)
+        assert code == 2 and report["verdict"] == "violated-at-horizon"
+        assert 0 < max(row["worst_residual"] for row in report["data"]["rows"]) <= 1e-10
+        assert all(row["decay_bound_ok"] for row in report["data"]["rows"])
+
     def test_subspaces_shift(self, capsys):
         code, out = run_cli(["subspaces", "--which", "kerdagger", "--op", "shift", "--n", "3"], capsys)
         assert code == 0
