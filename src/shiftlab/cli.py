@@ -23,7 +23,7 @@ from . import dynamics as dyn
 from . import grading as gr
 from . import nilpotent as nil
 from . import operators as op
-from .errors import ShiftlabError
+from .errors import InputError, ShiftlabError
 from .rational import Poly, RationalFunction
 from .reports import (
     ExperimentReport,
@@ -101,6 +101,15 @@ def _fraction_of_one(text: str) -> float:
     return value
 
 
+def _load_json(path: str, what: str):
+    """Parse the JSON file at ``path``; invalid JSON is an InputError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _weights_from_args(args) -> op.WeightSequence:
     kind = args.weights
     if kind == "genshi-hc":
@@ -112,8 +121,7 @@ def _weights_from_args(args) -> op.WeightSequence:
     if kind == "symmetric-decay":
         return op.symmetric_decay_weights()
     if kind.startswith("file:"):
-        with open(kind[5:], encoding="utf-8") as fh:
-            return op.WeightSequence.from_dict(json.load(fh))
+        return op.WeightSequence.from_dict(_load_json(kind[5:], "weight file"))
     raise ShiftlabError(f"unknown weight family {kind!r}")
 
 
@@ -473,9 +481,15 @@ def cmd_density(args) -> ExperimentReport:
 
 def load_grid_function(path: str, ngrid: int):
     """Grid function from the documented JSON form: {"values": [...]}"""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    values = np.asarray(data["values"], dtype=float)
+    data = _load_json(path, "grid function")
+    if not isinstance(data, dict) or "values" not in data:
+        raise InputError(f'grid function {path} must be a JSON object {{"values": [...]}}')
+    try:
+        values = np.asarray(data["values"], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise InputError(f'grid function {path}: "values" must be a list of finite numbers')
     if values.shape[0] != ngrid + 1:
         raise ShiftlabError(
             f"grid function has {values.shape[0]} samples; expected ngrid+1 = {ngrid + 1}"
@@ -509,8 +523,6 @@ def cmd_volterra(args) -> ExperimentReport:
 
 
 def cmd_saan_group(args) -> ExperimentReport:
-    import math
-
     count = math.comb(args.degree + args.k, args.k)  # all |m| <= degree
     indices = op.graded_lex_indices(args.k, count)
     mats = op.saan_generators(args.k, len(indices))
@@ -619,14 +631,19 @@ def argv_from_config(path: str) -> list[str]:
     """
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise InputError("config file must hold a JSON object")
     if "command" not in cfg:
         raise ShiftlabError("config file must name a command")
+    args = cfg.get("args", {})
+    if not isinstance(args, dict):
+        raise InputError('"args" must be a JSON object of flag names to values')
     argv = []
     for key in ("out", "format"):
         if key in cfg and cfg[key] is not None:
             argv.extend([f"--{key}", str(cfg[key])])
     argv.append(str(cfg["command"]))
-    for key, value in cfg.get("args", {}).items():
+    for key, value in args.items():
         flag = f"--{key}"
         if isinstance(value, bool):
             if value:

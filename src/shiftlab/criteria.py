@@ -185,27 +185,22 @@ def ker_dagger(T, tol: float = 1e-9) -> Subspace:
     return span_union(pieces, dim, tol)
 
 
-def unimodular_chain_spaces(
-    T,
-    tol: float = 1e-9,
-    unimodular_tol: float = 1e-6,
-    cluster_radius: float | None = None,
-):
+def unimodular_chain_spaces(T, tol: float = 1e-9):
     """Per unimodular eigenvalue z: span over n of image((T-z)^n) ∩ ker((T-z)^n).
 
     Computed eigenvalues are clustered first; a defective eigenvalue of a
     d-dimensional matrix scatters over a disk of radius about eps^(1/d), so
-    the default radius adapts to the dimension instead of using a fixed
-    constant.  Cluster means are snapped to the unit circle before the chain
-    spaces are formed.  Returns a list of (z, multiplicity, Subspace).
+    the radius adapts to the dimension instead of using a fixed constant.
+    Cluster means within 1e-6 of the unit circle count as unimodular and
+    are snapped onto it before the chain spaces are formed.  Returns a list
+    of (z, multiplicity, Subspace).
     """
     t = as_matrix(T)
     dim = t.shape[0]
     vals = eigenvalues(t, tol)
-    radius = defective_cluster_radius(t) if cluster_radius is None else cluster_radius
     out = []
-    for z, members in cluster_points(vals, radius):
-        if abs(abs(z) - 1.0) > unimodular_tol:
+    for z, members in cluster_points(vals, defective_cluster_radius(t)):
+        if abs(abs(z) - 1.0) > 1e-6:
             continue
         z = z / abs(z)
         mult = len(members)
@@ -227,18 +222,10 @@ def unimodular_chain_spaces(
     return out
 
 
-def lambda_t(
-    T,
-    tol: float = 1e-9,
-    unimodular_tol: float = 1e-6,
-    cluster_radius: float | None = None,
-) -> Subspace:
+def lambda_t(T, tol: float = 1e-9) -> Subspace:
     """Span over unimodular z and n of image((T-z)^n) ∩ ker((T-z)^n)."""
     t = as_matrix(T)
-    spaces = [
-        sp
-        for _, _, sp in unimodular_chain_spaces(t, tol, unimodular_tol, cluster_radius)
-    ]
+    spaces = [sp for _, _, sp in unimodular_chain_spaces(t, tol)]
     if not spaces:
         return Subspace.zero(t.shape[0], tol)
     return span_union(spaces, t.shape[0], tol)
@@ -251,8 +238,8 @@ def commutator_residual(a, b) -> float:
     return float(np.linalg.norm(a @ b - b @ a)) / scale
 
 
-def ebs_tuple_kernel(Ts, tol: float = 1e-9, box: int | None = None) -> Subspace:
-    """Span of T_1^{n_1}...T_k^{n_k}(∩_j ker T_j^{2 n_j}) over the index box."""
+def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
+    """Span of T_1^{n_1}...T_k^{n_k}(∩_j ker T_j^{2 n_j}) over 1 <= n_j <= dim."""
     mats = [as_matrix(t) for t in Ts]
     if not mats:
         raise InputError("empty tuple")
@@ -269,9 +256,8 @@ def ebs_tuple_kernel(Ts, tol: float = 1e-9, box: int | None = None) -> Subspace:
                 )
     import itertools
 
-    n_cap = dim if box is None else box
     pieces = []
-    for n_tuple in itertools.product(range(1, n_cap + 1), repeat=len(mats)):
+    for n_tuple in itertools.product(range(1, dim + 1), repeat=len(mats)):
         common = Subspace.full(dim, tol)
         for m, nj in zip(mats, n_tuple):
             kernel, _ = kernel_and_image(np.linalg.matrix_power(m, 2 * nj), tol)
@@ -575,8 +561,6 @@ def symmetry_obstruction(
     trials: int = 100,
     horizon: int = 50,
     seed: int = 0,
-    window: int | None = None,
-    check_range: int | None = None,
 ) -> SymmetryReport:
     """Orbit-orthogonality obstruction for modulus-symmetric weights.
 
@@ -584,13 +568,14 @@ def symmetry_obstruction(
     nonnegative real weights) the windowed shift T0 satisfies
     U T0 U^{-1} = T0' exactly for the index flip U e_n = e_{-1-n}, and every
     (S0 + S0')-orbit of x + y is orthogonal to y + (-x) for S0 = p(T0).
+    The symmetry is checked for 1 <= n <= half + 5, and T0 lives on the
+    window -M .. M-1 with M = max(half + 2, 12).
     """
-    check = check_range if check_range is not None else w.half + 5
-    for nn in range(1, check + 1):
+    for nn in range(1, w.half + 6):
         if abs(abs(w.value(nn)) - abs(w.value(-nn))) > 1e-12:
             return SymmetryReport("inapplicable", nn, False, float("nan"), 0, horizon)
 
-    m = window if window is not None else max(w.half + 2, 12)
+    m = max(w.half + 2, 12)
     idx = list(range(-m, m))  # window -M .. M-1, preserved by n -> -1-n
     dim = len(idx)
     t0 = np.zeros((dim, dim))
@@ -645,13 +630,11 @@ def b_symmetry_check(
     x,
     y,
     horizon: int = 50,
-    tol: float = 1e-9,
-    trials: int = 20,
     seed: int = 0,
 ) -> BSymmetryReport:
-    """Check b(Tu, v) = b(u, Tv) on a random battery; if it holds, verify the
-    annihilating functional Phi(u, v) = b(x, v) - b(u, y) kills the orbit of
-    (x, y) under T + T."""
+    """Check b(Tu, v) = b(u, Tv) on a battery of 20 random pairs, to 1e-9;
+    if it holds, verify the annihilating functional Phi(u, v) = b(x, v) -
+    b(u, y) kills the orbit of (x, y) under T + T."""
     t = as_matrix(T.matrix if isinstance(T, TruncatedOperator) else T)
     bm = as_matrix(b)
     if not np.any(bm):
@@ -662,7 +645,7 @@ def b_symmetry_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
-    for _ in range(trials):
+    for _ in range(20):
         u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         lhs = (t @ u) @ (bm @ v)
@@ -672,7 +655,7 @@ def b_symmetry_check(
         if res > worst:
             worst = res
             witness = (u, v)
-    if worst > tol:
+    if worst > 1e-9:
         return BSymmetryReport(False, witness, worst, None, horizon)
     ann = 0.0
     tx, ty = x.copy(), y.copy()

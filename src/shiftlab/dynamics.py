@@ -82,8 +82,8 @@ def orbit(T, x, steps: int, scalings=None) -> OrbitTrace:
     )
 
 
-def exp_group(As, z, tol: float = 1e-8) -> np.ndarray:
-    """e^{z_1 A_1 + ... + z_k A_k} for a pairwise commuting tuple."""
+def exp_group(As, z) -> np.ndarray:
+    """e^{z_1 A_1 + ... + z_k A_k} for a pairwise commuting tuple (to 1e-8)."""
     from scipy.linalg import expm  # lazy: most reports never need scipy
 
     mats = [_matrix_of(a) for a in As]
@@ -93,7 +93,7 @@ def exp_group(As, z, tol: float = 1e-8) -> np.ndarray:
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             r = commutator_residual(mats[i], mats[j])
-            if r > tol:
+            if r > 1e-8:
                 raise PreconditionError(
                     f"generators {i} and {j} do not commute (residual {r:.3e}); "
                     "the group law fails for non-commuting tuples"
@@ -174,9 +174,9 @@ class CoverageReport:
         }
 
 
-def default_scale_grid(count: int = 12, base: float = 2.0):
-    """Symmetric log grid of scalars, both signs."""
-    mags = [base ** (k - count // 2) for k in range(count)]
+def default_scale_grid():
+    """Symmetric log grid of scalars, both signs: +-2^k for -6 <= k <= 5."""
+    mags = [2.0 ** (k - 6) for k in range(12)]
     return [m for mag in mags for m in (mag, -mag)]
 
 
@@ -277,7 +277,6 @@ def mixing_window(
     horizon: int,
     probe_budget: int = 32,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> HitReport:
     """Per n: did some probe x in U land with T^n x in V?
 
@@ -291,12 +290,10 @@ def mixing_window(
     u_c = as_vector(ball_u.center, dim)
     v_c = as_vector(ball_v.center, dim)
 
-    pieces = unimodular_chain_spaces(t, tol)
+    pieces = unimodular_chain_spaces(t)
     use_pairs = False
     if pieces:
-        lam = Subspace.from_vectors(
-            [row for _, _, sp in pieces for row in sp.basis], dim, tol
-        )
+        lam = Subspace.from_vectors([row for _, _, sp in pieces for row in sp.basis], dim)
         use_pairs = lam.contains(u_c, 1e-7) and lam.contains(v_c, 1e-7)
 
     hits = []
@@ -306,7 +303,7 @@ def mixing_window(
         hit = False
         if use_pairs:
             try:
-                x = transitivity_pair(t, u_c, v_c, n, tol=tol, pieces=pieces).x
+                x = transitivity_pair(t, u_c, v_c, n, pieces=pieces).x
                 hit = (
                     float(np.linalg.norm(x - u_c)) <= ball_u.radius
                     and float(np.linalg.norm(power @ x - v_c)) <= ball_v.radius
@@ -331,11 +328,12 @@ def mixing_window(
                     break
         hits.append(hit)
 
+    # the first window is the run of hits that ends at the horizon
     first = None
-    for start in range(1, horizon + 1):
-        if all(hits[start - 1 :]):
-            first = start
+    for start in range(horizon, 0, -1):
+        if not hits[start - 1]:
             break
+        first = start
     return HitReport(tuple(hits), first, horizon, seed)
 
 
@@ -347,7 +345,7 @@ class TransitivityPair:
     step: int
 
 
-def transitivity_pair(T, u, v, k: int, tol: float = 1e-9, pieces=None) -> TransitivityPair:
+def transitivity_pair(T, u, v, k: int, pieces=None) -> TransitivityPair:
     """x_k with x_k -> u and T^k x_k -> v for u, v in the unimodular chain span.
 
     Assembled by linearity from the twisted approach pairs of the basis
@@ -359,7 +357,7 @@ def transitivity_pair(T, u, v, k: int, tol: float = 1e-9, pieces=None) -> Transi
     u = as_vector(u, dim)
     v = as_vector(v, dim)
     if pieces is None:
-        pieces = unimodular_chain_spaces(t, tol)
+        pieces = unimodular_chain_spaces(t)
     basis_rows = []
     zs = []
     for z, _mult, sp in pieces:
@@ -371,21 +369,22 @@ def transitivity_pair(T, u, v, k: int, tol: float = 1e-9, pieces=None) -> Transi
             return TransitivityPair(np.zeros(dim, dtype=np.complex128), 0.0, 0.0, k)
         raise DomainError("the unimodular chain span is trivial")
     bmat = np.array(basis_rows).T  # columns are basis vectors
+    coeffs = []
     for name, w in (("u", u), ("v", v)):
         coeff, *_ = np.linalg.lstsq(bmat, w, rcond=None)
         dist = float(np.linalg.norm(bmat @ coeff - w))
-        if dist > max(tol, 1e-7) * max(1.0, float(np.linalg.norm(w))):
+        if dist > 1e-7 * max(1.0, float(np.linalg.norm(w))):
             raise DomainError(
                 f"{name} lies outside the unimodular chain span (distance {dist:.3e})"
             )
-    cu, *_ = np.linalg.lstsq(bmat, u, rcond=None)
-    cv, *_ = np.linalg.lstsq(bmat, v, rcond=None)
+        coeffs.append(coeff)
+    cu, cv = coeffs
 
     x = np.zeros(dim, dtype=np.complex128)
     for i, (brow, z) in enumerate(zip(basis_rows, zs)):
         a = (t / z) - np.eye(dim, dtype=np.complex128)
         if cv[i] != 0 or cu[i] != 0:
-            u_k, v_k = unimodular_approach(a, z, brow, k, tol)
+            u_k, v_k = unimodular_approach(a, z, brow, k)
             x = x + cu[i] * v_k + cv[i] * u_k
     power = np.linalg.matrix_power(t, k)
     return TransitivityPair(
@@ -396,14 +395,14 @@ def transitivity_pair(T, u, v, k: int, tol: float = 1e-9, pieces=None) -> Transi
     )
 
 
-def kernel_ladder(T, tol: float = 1e-9, cap: int | None = None):
+def kernel_ladder(T, tol: float = 1e-9):
     """[ker T, ker T^2, ...] until the dimension stabilizes."""
     t = _matrix_of(T)
     dim = t.shape[0]
     out = []
     power = np.eye(dim, dtype=np.complex128)
     last = -1
-    for _n in range(1, (cap or dim) + 1):
+    for _n in range(1, dim + 1):
         power = power @ t
         kernel, _ = kernel_and_image(power, tol)
         out.append(kernel)
@@ -434,26 +433,24 @@ def supercyclic_probe(
     net: NetSpec,
     horizon: int,
     seed: int = 0,
-    tol: float = 1e-9,
-    seed_set_size: int = 8,
-    scale_points: int = 24,
-    probe_count: int = 4,
 ) -> SupercyclicProbe:
     """Projective-orbit coverage for operators with dense generalized kernel.
 
     Scalings follow the doubling rule lambda_k = 2^k max(1, ||u_k^x||) over a
-    finite seed set, with u_k^x the minimum-norm preimage of x under T^k.
-    Inapplicable when the kernel ladder never fills the space.
+    seed set of 8 Gaussian vectors, with u_k^x the minimum-norm preimage of
+    x under T^k.  Four random orbits are scaled by +-s lambda_k for 24
+    log-spaced s in [1e-3, 1].  Inapplicable when the kernel ladder never
+    fills the space.
     """
     t = _matrix_of(T)
     dim = t.shape[0]
-    ladder = kernel_ladder(t, tol)
+    ladder = kernel_ladder(t)
     dims = tuple(sp.dim for sp in ladder)
     if not dims or dims[-1] < dim:
         return SupercyclicProbe("inapplicable", None, dims, ())
 
     rng = np.random.default_rng(seed)
-    seeds = rng.normal(size=(seed_set_size, dim))
+    seeds = rng.normal(size=(8, dim))
     horizon = min(horizon, dim)
     lambdas = []
     power = np.eye(dim, dtype=np.complex128)
@@ -465,10 +462,10 @@ def supercyclic_probe(
             worst = max(worst, float(np.linalg.norm(u_k)))
         lambdas.append((2.0**k) * worst)
 
-    smags = np.logspace(-3, 0, scale_points)
+    smags = np.logspace(-3, 0, 24)
     factors = np.concatenate([smags, -smags])
     hit = np.zeros(net.cells * net.cells, dtype=bool)
-    for _p in range(probe_count):
+    for _p in range(4):
         cur = rng.normal(size=dim).astype(np.complex128)
         for k in range(1, horizon + 1):
             cur = t @ cur

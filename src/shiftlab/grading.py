@@ -229,14 +229,14 @@ def _reduced_basis(generators):
     return basis, [cols[pc][0] for pc in pivots], den, k
 
 
-def n0_bound(generators, probe_extra: int = 3) -> DegreeBoundReport:
+def n0_bound(generators) -> DegreeBoundReport:
     """Delta+, Delta- and n0 = Delta+ - Delta- + 1 for the span of the input.
 
     Delta- collapses to finitely many leading-coefficient cancellations via
     a degree filtration: row-reduce the coefficient matrix ordered by degree
     descending; every achievable delta is the degree of some pivot row.
     The verification checks z^d L ∩ L = {0} exactly for
-    n0 <= d <= n0 + probe_extra and probes d = n0 - 1 for a counterexample.
+    n0 <= d <= n0 + 3 and probes d = n0 - 1 for a counterexample.
     """
     basis, deltas, den, k = _reduced_basis(generators)
     delta_plus = max(deltas) - den.degree
@@ -244,7 +244,7 @@ def n0_bound(generators, probe_extra: int = 3) -> DegreeBoundReport:
     n0 = delta_plus - delta_minus + 1
 
     verified = []
-    for d in range(n0, n0 + probe_extra + 1):
+    for d in range(n0, n0 + 4):
         if _monomial_intersection(basis, d, den, k) is not None:
             raise DomainError(f"n0 verification failed: z^{d} L ∩ L is nonzero")
         verified.append(d)
@@ -330,11 +330,12 @@ def f_t_x_ratio(x: GradedVector, y: GradedVector) -> RationalFunction | None:
     return RationalFunction(q, p)
 
 
-def random_rational_function(rng, max_deg: int = 4, max_coef: int = 9) -> RationalFunction:
-    num = Poly([int(rng.integers(-max_coef, max_coef + 1)) for _ in range(max_deg + 1)])
+def random_rational_function(rng, max_deg: int = 4) -> RationalFunction:
+    """num/den with integer coefficients drawn uniformly from -9..9."""
+    num = Poly([int(rng.integers(-9, 10)) for _ in range(max_deg + 1)])
     den = Poly()
     while den.is_zero():
-        den = Poly([int(rng.integers(-max_coef, max_coef + 1)) for _ in range(max_deg + 1)])
+        den = Poly([int(rng.integers(-9, 10)) for _ in range(max_deg + 1)])
     if num.is_zero():
         num = Poly.one()
     return RationalFunction(num, den)

@@ -157,10 +157,11 @@ def span_union(spaces, ambient=None, tol: float = 1e-9) -> Subspace:
     return Subspace.from_vectors(rows, ambient, tol) if rows else Subspace.zero(ambient, tol)
 
 
-def exp_nilpotent(A, z, tol: float = 1e-9) -> np.ndarray:
+def exp_nilpotent(A, z) -> np.ndarray:
     """Finite exponential sum sum_{j<d} z^j A^j / j! for nilpotent A.
 
-    Raises DomainError when ``A**d`` is not numerically zero.
+    Raises DomainError when ``A**d`` is not numerically zero: its norm
+    exceeds 1e-9 max(1, ||A||^d).
     """
     m = as_matrix(A)
     if m.shape[0] != m.shape[1]:
@@ -177,7 +178,7 @@ def exp_nilpotent(A, z, tol: float = 1e-9) -> np.ndarray:
     residual = float(np.linalg.norm(power @ m))
     norm_a = float(np.linalg.norm(m))
     scale = max(1.0, norm_a**d) if norm_a > 0 else 1.0
-    if residual > tol * scale:
+    if residual > 1e-9 * scale:
         raise DomainError(
             f"matrix is not nilpotent: ||A^{d}|| = {residual:.3e} exceeds tolerance"
         )
@@ -224,15 +225,16 @@ def cluster_points(points, radius: float):
     return clusters
 
 
-def defective_cluster_radius(A, floor: float = 1e-7) -> float:
+def defective_cluster_radius(A) -> float:
     """Clustering radius for computed eigenvalues.
 
     Backward-stable eigensolvers scatter a defective eigenvalue of index k
     over a disk of radius about (eps * ||A||)^(1/k); using k = dim covers the
-    worst case.  The floor keeps well-separated semisimple spectra intact.
+    worst case.  The floor of 1e-7 keeps well-separated semisimple spectra
+    intact.
     """
     m = as_matrix(A)
     d = m.shape[0]
     scale = max(1.0, float(np.linalg.norm(m)))
     backward = np.finfo(float).eps * scale * d
-    return max(floor, 2.5 * backward ** (1.0 / d))
+    return max(1e-7, 2.5 * backward ** (1.0 / d))

@@ -332,7 +332,7 @@ def _similarity_j_float(n: int) -> tuple[np.ndarray, np.ndarray]:
     return jmat, jinv
 
 
-def discrete_pair(n: int, j: int, u, v, check_tol: float | None = None) -> np.ndarray:
+def discrete_pair(n: int, j: int, u, v) -> np.ndarray:
     """x_j with x_j -> u and (I+S)^j x_j -> v as j grows (heads u, v)."""
     if j < 1:
         raise InputError("step index j must be >= 1")
@@ -341,8 +341,7 @@ def discrete_pair(n: int, j: int, u, v, check_tol: float | None = None) -> np.nd
     uu, vv = sp.embed_head(u), sp.embed_head(v)  # length n or 2n; one coercion each
     ju = (jmat @ uu)[: n]
     jv = (jmat @ vv)[: n]
-    x = jordan_solve(n, j, ju, jv, check_tol=check_tol)
-    return jinv @ x
+    return jinv @ jordan_solve(n, j, ju, jv)
 
 
 def discrete_pair_residuals(n: int, j: int, u, v, x=None) -> tuple[float, float]:
@@ -409,9 +408,9 @@ class TensorShiftTuple:
         return idx
 
 
-def _classify_unbounded(zs, m: int, k: int, threshold: float = 10.0) -> set[int]:
-    """Coordinates judged to grow without bound, by comparing |z_m| against
-    the sequence start with the stated threshold ratio."""
+def _classify_unbounded(zs, m: int, k: int) -> set[int]:
+    """Coordinates judged to grow without bound: |z_m| at least 10 times
+    |z_0|, or nonzero where z_0 vanishes."""
     z_now = np.asarray(zs(m), dtype=np.complex128)
     z_ref = np.asarray(zs(0), dtype=np.complex128)
     out = set()
@@ -421,35 +420,23 @@ def _classify_unbounded(zs, m: int, k: int, threshold: float = 10.0) -> set[int]
         if ref < 1e-12:
             if cur > 1e-12:
                 out.add(j)
-        elif cur >= threshold * ref:
+        elif cur >= 10.0 * ref:
             out.add(j)
     return out
 
 
-def tensor_approach(
-    tt: TensorShiftTuple,
-    zs,
-    u,
-    v,
-    m: int,
-    unbounded: set[int] | None = None,
-) -> np.ndarray:
+def tensor_approach(tt: TensorShiftTuple, zs, u, v, m: int) -> np.ndarray:
     """x_m with x_m -> u and e^{<z_m, T>} x_m -> v along the sequence zs.
 
-    ``zs`` is a callable m -> point of K^k (a list/array also works).  The
-    blockwise construction needs to know which coordinates of z_m escape to
-    infinity; pass ``unbounded`` explicitly or rely on the 10x growth
-    heuristic against the start of the sequence.  Blocks with bounded
-    coordinate are corrected exactly by e^{-z_j S_j}.
+    ``zs`` is a callable m -> point of K^k.  The blockwise construction
+    needs to know which coordinates of z_m escape to infinity; it judges
+    them by 10x growth against the start of the sequence.  Blocks with
+    bounded coordinate are corrected exactly by e^{-z_j S_j}.
     """
-    if not callable(zs):
-        seq = list(zs)
-        zs = lambda i: seq[i]  # noqa: E731
     z_m = np.asarray(zs(m), dtype=np.complex128).reshape(-1)
     if z_m.shape[0] != tt.k:
         raise InputError(f"z_m must have {tt.k} coordinates")
-    if unbounded is None:
-        unbounded = _classify_unbounded(zs, m, tt.k)
+    unbounded = _classify_unbounded(zs, m, tt.k)
     if not unbounded:
         raise PreconditionError(
             "stalled sequence: no coordinate of z_m grows without bound"
@@ -474,8 +461,8 @@ def tensor_approach(
             e_q = np.zeros(nj, dtype=np.complex128)
             e_q[q] = 1.0
             if j in unbounded:
-                a_fac[j, q] = jordan_solve(nj, zj, np.zeros(nj), e_q, check_tol=None)
-                b_fac[j, q] = jordan_solve(nj, zj, e_q, np.zeros(nj), check_tol=None)
+                a_fac[j, q] = jordan_solve(nj, zj, np.zeros(nj), e_q)
+                b_fac[j, q] = jordan_solve(nj, zj, e_q, np.zeros(nj))
             else:
                 full = np.zeros(2 * nj, dtype=np.complex128)
                 full[q] = 1.0
@@ -501,14 +488,10 @@ def tensor_approach(
     return x
 
 
-def tensor_approach_residuals(tt: TensorShiftTuple, zs, u, v, m: int, x=None, **kw):
+def tensor_approach_residuals(tt: TensorShiftTuple, zs, u, v, m: int):
     from scipy.linalg import expm
 
-    if not callable(zs):
-        seq = list(zs)
-        zs = lambda i: seq[i]  # noqa: E731
-    if x is None:
-        x = tensor_approach(tt, zs, u, v, m, **kw)
+    x = tensor_approach(tt, zs, u, v, m)
     z_m = np.asarray(zs(m), dtype=np.complex128).reshape(-1)
     gen = sum(z_m[j] * tt.operator(j) for j in range(tt.k))
     ex = expm(gen)
@@ -517,7 +500,7 @@ def tensor_approach_residuals(tt: TensorShiftTuple, zs, u, v, m: int, x=None, **
     return float(np.linalg.norm(x - u)), float(np.linalg.norm(ex @ x - v))
 
 
-def unimodular_approach(A, z, x, k: int, tol: float = 1e-9):
+def unimodular_approach(A, z, x, k: int):
     """Twisted approach pair (u_k, v_k) for x in A^m(X) ∩ ker A^m, |z| = 1.
 
     Satisfies, as k grows: u_k -> 0, z^k (I+A)^k u_k -> x, v_k -> x,
@@ -541,7 +524,7 @@ def unimodular_approach(A, z, x, k: int, tol: float = 1e-9):
     power = xv.copy()
     for i in range(1, dim + 1):
         power = a @ power
-        if float(np.linalg.norm(power)) <= tol * nx:
+        if float(np.linalg.norm(power)) <= 1e-9 * nx:
             n = i
             break
     if n is None:
@@ -549,14 +532,14 @@ def unimodular_approach(A, z, x, k: int, tol: float = 1e-9):
 
     an = np.linalg.matrix_power(a, n)
     w, *_ = np.linalg.lstsq(an, xv, rcond=None)
-    if float(np.linalg.norm(an @ w - xv)) > max(tol, 1e-8) * nx:
+    if float(np.linalg.norm(an @ w - xv)) > 1e-8 * nx:
         raise DomainError(f"x does not lie in A^{n}(X): the chain seed solve failed")
 
     chain = []
     for j in range(1, 2 * n + 1):
         chain.append(np.linalg.matrix_power(a, 2 * n - j) @ w)
     jmat = np.array(chain).T  # columns h_1..h_2n
-    if np.linalg.matrix_rank(jmat, tol=max(tol, 1e-12) * max(1.0, nx)) < 2 * n:
+    if np.linalg.matrix_rank(jmat, tol=1e-9 * max(1.0, nx)) < 2 * n:
         raise NumericError("Jordan chain basis is numerically degenerate")
 
     e_n = np.zeros(n, dtype=np.complex128)
@@ -566,14 +549,12 @@ def unimodular_approach(A, z, x, k: int, tol: float = 1e-9):
     return jmat @ f_k, jmat @ g_k
 
 
-def unimodular_residuals(A, z, x, k: int, pair=None, tol: float = 1e-9):
+def unimodular_residuals(A, z, x, k: int):
     """The four residuals of the twisted limits at step k."""
     a = as_matrix(A)
     z = complex(z)
     xv = as_vector(x, a.shape[0])
-    if pair is None:
-        pair = unimodular_approach(A, z, x, k, tol)
-    u_k, v_k = pair
+    u_k, v_k = unimodular_approach(A, z, x, k)
     t = np.linalg.matrix_power(np.eye(a.shape[0], dtype=np.complex128) + a, k)
     zk = z**k
     return (

@@ -58,9 +58,6 @@ class WeightSequence:
             return self.window[-1] * self.ratio ** (n - half)
         return self.window[0] * self.ratio ** (-n - half)
 
-    def values(self, a: int, b: int) -> np.ndarray:
-        return np.array([self.value(n) for n in range(a, b + 1)], dtype=np.complex128)
-
     def log_abs(self, n: int, extended: bool = False):
         """log |w_n| straight from the tail rule (no underflow); None if 0.
 
@@ -145,18 +142,26 @@ class WeightSequence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightSequence":
+        """Inverse of ``to_dict``; a malformed dict is an InputError."""
+
         def _c(v):
             if isinstance(v, (list, tuple)):
                 return complex(v[0], v[1])
             return complex(v)
 
+        if not isinstance(d, dict) or "window" not in d:
+            raise InputError('a weight sequence needs a "window" list')
         kind = d.get("tail", "constant")
-        kwargs = {}
-        if kind == "constant":
-            kwargs = {"c_plus": _c(d.get("c_plus", 0)), "c_minus": _c(d.get("c_minus", 0))}
-        elif kind == "geometric":
-            kwargs = {"ratio": _c(d.get("ratio", 0))}
-        return cls(tuple(_c(w) for w in d["window"]), kind, **kwargs)
+        try:
+            kwargs = {}
+            if kind == "constant":
+                kwargs = {"c_plus": _c(d.get("c_plus", 0)), "c_minus": _c(d.get("c_minus", 0))}
+            elif kind == "geometric":
+                kwargs = {"ratio": _c(d.get("ratio", 0))}
+            window = tuple(_c(w) for w in d["window"])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InputError(f"malformed weight sequence: {exc}") from None
+        return cls(window, kind, **kwargs)
 
 
 def genshi_hypercyclic_weights(c: float = 2.0, m0: int = 3) -> WeightSequence:

@@ -42,11 +42,9 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Poly":
-        c = _as_fraction(coeff)
-        if c == 0:
-            return cls()
-        return cls([0] * degree + [c])
+    def monomial(cls, degree: int) -> "Poly":
+        """z^degree."""
+        return cls([0] * degree + [1])
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -160,11 +158,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading())
 
     def __call__(self, x):
         out = 0
@@ -542,15 +535,13 @@ class RationalMatrix:
             raise DomainError("matrix is singular")
         return RationalMatrix._from_ints([row[n:] for row in m], last)
 
-    def to_float(self, dtype=complex):
+    def to_float(self):
+        """The entries as a complex128 array."""
         import numpy as np
 
         # int / int is correctly rounded, as float(Fraction) is
         d = self._den
-        return np.array(
-            [[dtype(a / d) for a in row] for row in self._num],
-            dtype=np.complex128 if dtype is complex else np.float64,
-        )
+        return np.array([[a / d for a in row] for row in self._num], dtype=np.complex128)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -1,12 +1,17 @@
 """End-to-end runner tests: exit codes, schema, golden stability."""
 
+import contextlib
+import io
 import json
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import emit_goldens, main
 from shiftlab.reports import SCHEMA_VERSION
@@ -329,6 +334,102 @@ class TestFileInterfaces:
             ["volterra", "--ngrid", "256", "--f-file", str(path)], capsys
         )
         assert code == 1
+
+
+class TestMalformedInput:
+    """A malformed config or input file is an input error (exit 1, one
+    ``error:`` line), never a traceback, also when main is called in process."""
+
+    @pytest.mark.parametrize(
+        "text", ["5", '["command"]', '{"command": "salas", "args": [1, 2]}']
+    )
+    def test_config_that_is_not_an_object(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad config: ")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("salas --weights file:{}", "{not json"),
+            ("salas --weights file:{}", '{"tail": "constant"}'),
+            ("volterra --ngrid 16 --f-file {}", '{"window": [1, 1, 1]}'),
+            ("volterra --ngrid 16 --f-file {}", '{"values": "abc"}'),
+            ("volterra --ngrid 16 --f-file {}", json.dumps({"values": [float("nan")] * 17})),
+        ],
+    )
+    def test_malformed_input_file(self, command, text, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([part.format(path) for part in command.split()])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+_CONFIG_FLAGS = {
+    "salas": st.fixed_dictionaries(
+        {"n-max": st.integers(8, 256)},
+        optional={
+            "weights": st.sampled_from(["genshi-hc", "genshi-sc", "const", "symmetric-decay"]),
+            "variant": st.sampled_from(["hypercyclic", "supercyclic"]),
+            "m-max": st.integers(1, 3),
+            "c": st.floats(0.5, 4.0),
+            "m0": st.integers(1, 4),
+            "full-traces": st.booleans(),
+        },
+    ),
+    "detan": st.fixed_dictionaries(
+        {}, optional={"max-n": st.integers(1, 4), "max-k": st.integers(1, 4)}
+    ),
+    "regions": st.fixed_dictionaries(
+        {"samples": st.integers(10**4, 2 * 10**4)},
+        optional={
+            "builtin": st.sampled_from(["U", "V"]),
+            "transform": st.sampled_from(["shift1", "exp", "identity"]),
+            "seed": st.integers(0, 1000),
+        },
+    ),
+    "mixing": st.fixed_dictionaries(
+        {"horizon": st.integers(1, 12)},
+        optional={
+            "n": st.integers(1, 3),
+            "radius": st.floats(0.05, 2.0),
+            "seed": st.integers(0, 1000),
+        },
+    ),
+}
+
+
+def _stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+def test_config_gives_the_bytes_of_its_flags(command):
+    @settings(max_examples=10, deadline=None)
+    @given(_CONFIG_FLAGS[command], st.sampled_from(["json", "csv", "jsonl"]))
+    def check(flags, fmt):
+        argv = [command, "--format", fmt]
+        for key, value in flags.items():
+            if value is True:
+                argv.append(f"--{key}")
+            elif value is not False:
+                argv += [f"--{key}", str(value)]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"command": command, "format": fmt, "args": flags}))
+            assert _stdout_of(["--config", str(cfg)]) == _stdout_of(argv)
+
+    check()
 
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"

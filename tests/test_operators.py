@@ -1,14 +1,18 @@
 """Weight sequences, truncated operators and generator families."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_identity_pairing, exact_unit
 from shiftlab.errors import InputError, PreconditionError
 from shiftlab.operators import (
+    TAIL_KINDS,
     TensorElement,
     WeightSequence,
     _log_int,
@@ -65,6 +69,25 @@ class TestWeightSequence:
         w = genshi_supercyclic_weights(c=3.0, m0=2)
         again = WeightSequence.from_dict(w.to_dict())
         for n in range(-8, 9):
+            assert again.value(n) == w.value(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_every_tail(self, data):
+        """Through the file form, every value comes back the same, inside and
+        beyond the window, for each tail kind."""
+        scalar = st.builds(complex, st.floats(-100, 100), st.floats(-100, 100))
+        half = data.draw(st.integers(1, 5))
+        window = data.draw(st.lists(scalar, min_size=2 * half + 1, max_size=2 * half + 1))
+        kind = data.draw(st.sampled_from(TAIL_KINDS))
+        tail = {
+            "constant": {"c_plus": data.draw(scalar), "c_minus": data.draw(scalar)},
+            "geometric": {"ratio": data.draw(scalar)},
+            "zero": {},
+        }[kind]
+        w = WeightSequence(window, kind, **tail)
+        again = WeightSequence.from_dict(json.loads(json.dumps(w.to_dict())))
+        for n in range(-half - 12, half + 13):
             assert again.value(n) == w.value(n)
 
     def test_window_must_be_odd(self):
