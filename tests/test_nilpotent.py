@@ -179,6 +179,126 @@ class TestJordanSolve:
             jordan_solve(2, 2.0, [1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0])
 
 
+# today's Fraction formulas, kept here as references for the exact solve:
+# tail = A_{n,z}^{-1} (R v - H u), solved by a plain Gauss-Jordan on Fractions
+
+
+def _reference_solve_linear(rows, rhs):
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    size = len(m)
+    for c in range(size):
+        p = next(i for i in range(c, size) if m[i][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        m[c] = [a / m[c][c] for a in m[c]]
+        for i in range(size):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [row[-1] for row in m]
+
+
+def _reference_jordan_solve_exact(n, z, u, v):
+    z = Fraction(z)
+    if z == 0:
+        raise DomainError("the approach-pair system is singular at z = 0")
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    if len(u) != n or len(v) != n:
+        raise InputError(f"head vectors must have length {n}")
+    cross = [
+        sum(
+            z ** (k + j - n - 1) * u[k - 1] / math.factorial(k + j - n - 1)
+            for k in range(n - j + 1, n + 1)
+        )
+        for j in range(1, n + 1)
+    ]
+    w = [a - b for a, b in zip(reversed(v), cross)]
+    anz = [
+        [z ** (j + k - 1) / math.factorial(j + k - 1) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    return u + _reference_solve_linear(anz, w)
+
+
+def _reference_jordan_residuals_exact(n, z, u, v, x):
+    z = Fraction(z)
+    u = [Fraction(a) for a in u]
+    v = [Fraction(a) for a in v]
+    x = [Fraction(a) for a in x]
+    ex = [
+        sum(z ** (j - i) / math.factorial(j - i) * x[j] for j in range(i, 2 * n))
+        for i in range(2 * n)
+    ]
+    r1 = sum((x[i] - u[i]) ** 2 for i in range(n))
+    r2 = sum((ex[i] - v[i]) ** 2 for i in range(n))
+    return r1, r2
+
+
+_SOLVE_ZS = [s * Fraction(2) ** e for s in (1, -1) for e in range(-2, 11)] + [
+    Fraction(-3, 7),
+    Fraction(10**9, 7),
+]
+# a head entry as a Fraction, an int or a string
+_head_entry = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=2**20),
+    st.integers(min_value=-1000, max_value=1000),
+    st.fractions(min_value=-10, max_value=10, max_denominator=1000).map(str),
+)
+
+
+@st.composite
+def _solve_case(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    z = draw(st.one_of(st.sampled_from(_SOLVE_ZS), st.sampled_from(_SOLVE_ZS).map(str)))
+    u = draw(st.lists(_head_entry, min_size=n, max_size=n))
+    v = draw(st.lists(_head_entry, min_size=n, max_size=n))
+    return n, z, u, v
+
+
+class TestJordanSolveExactMatchesFractionReference:
+    @settings(max_examples=120, deadline=None)
+    @given(_solve_case())
+    def test_solution_and_residuals(self, case):
+        n, z, u, v = case
+        x = jordan_solve_exact(n, z, u, v)
+        assert x == _reference_jordan_solve_exact(n, z, u, v)
+        assert all(type(a) is Fraction for a in x)
+        r = jordan_residuals_exact(n, z, u, v, x)
+        assert r == (0, 0) and all(type(a) is Fraction for a in r)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_solve_case(), st.integers(min_value=0), _head_entry, _head_entry)
+    def test_residuals_of_a_perturbed_solution(self, case, where, head_off, tail_off):
+        n, z, u, v = case
+        x = list(jordan_solve_exact(n, z, u, v))
+        x[where % n] += Fraction(head_off)
+        x[n + where % n] -= Fraction(tail_off)
+        got = jordan_residuals_exact(n, z, u, v, x)
+        assert got == _reference_jordan_residuals_exact(n, z, u, v, x)
+        assert all(type(a) is Fraction for a in got)
+        # the residuals also take their vectors as ints and strings
+        as_str = [str(a) for a in x]
+        assert jordan_residuals_exact(n, str(z), u, v, as_str) == got
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_errors_match(self, n):
+        good = [Fraction(1, 3)] * n
+        for bad in ([], [1] * (n - 1), [1] * (n + 1)):
+            for u, v in ((bad, good), (good, bad)):
+                for fn in (jordan_solve_exact, _reference_jordan_solve_exact):
+                    with pytest.raises(InputError):
+                        fn(n, 4, u, v)
+        for zero in (0, Fraction(0), "0", "-0/5"):
+            for u in (good, good[:-1]):
+                for fn in (jordan_solve_exact, _reference_jordan_solve_exact):
+                    with pytest.raises(DomainError):
+                        fn(n, zero, u, good)
+        x = jordan_solve_exact(n, 4, good, good)
+        for short_or_long in (x[:-1], x + [0]):
+            with pytest.raises(InputError):
+                jordan_residuals_exact(n, 4, good, good, short_or_long)
+
+
 class TestSimilarity:
     def test_identity_at_2n2(self):
         assert similarity_j(1) == RationalMatrix.identity(2)

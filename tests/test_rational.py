@@ -450,3 +450,72 @@ def test_eliminations_match_fraction_references(case):
                 m.inv()
         else:
             assert m.inv().data == tuple(tuple(row) for row in ref_inv)
+
+
+# field laws of Poly and RationalFunction, over small rational coefficients
+_coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_polys = st.lists(_coeff, max_size=5).map(Poly)
+_nonzero_polys = _polys.filter(lambda p: not p.is_zero())
+_rational_functions = st.builds(RationalFunction, _polys, _nonzero_polys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _polys)
+def test_poly_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    assert all(type(x) is Fraction for x in (a * b + c).coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_poly_divmod_reconstructs(a, b):
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert a // b == q and a % b == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _polys)
+def test_poly_gcd_divides_both_and_is_monic(a, b, c):
+    # a common factor c makes a nontrivial gcd likely
+    a, b = a * c, b * c
+    g = a.gcd(b)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.leading() == 1
+    assert (a % g).is_zero() and (b % g).is_zero()
+    if not c.is_zero():
+        assert (g % c).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys)
+def test_rational_function_is_reduced_with_monic_denominator(num, den):
+    rf = RationalFunction(num, den)
+    assert rf.den.leading() == 1
+    assert rf.num.gcd(rf.den) == Poly.one()
+    assert rf.num * den == num * rf.den
+    if num.is_zero():
+        assert rf.num.is_zero() and rf.den == Poly.one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_functions, _rational_functions, _rational_functions)
+def test_rational_function_field_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a
+    if not a.is_zero():
+        assert (b / a) * a == b
+    for rf in (a + b, a * b, a - c):
+        assert rf.den.leading() == 1 and rf.num.gcd(rf.den) == Poly.one()
