@@ -331,7 +331,8 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     bmat = RationalMatrix(xi.pairing)
     # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]
     targets = RationalMatrix([x1, x2]) @ bmat
-    f0 = RationalMatrix(smat.data + targets.data).nullspace()
+    everything = slice(None)
+    f0 = RationalMatrix._block([[smat], [targets]], everything, everything).nullspace()
     u0 = t.nullspace()
     if len(f0) < 2 * n or len(u0) < 2 * n:
         raise DimensionError(
@@ -344,13 +345,13 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     u0m = RationalMatrix(u0)
     g = u0m @ (bmat @ RationalMatrix(f0).transpose())
     eye = RationalMatrix.identity(g.rows)
-    red, pivots = RationalMatrix([a + b for a, b in zip(g.data, eye.data)]).rref()
+    red, pivots = RationalMatrix._block([[g, eye]], everything, everything).rref()
     if len(pivots) < 2 * n or pivots[2 * n - 1] >= g.cols:
         raise DimensionError(
             f"biorthogonal system of size {2 * n} is infeasible: rank of the "
             "pairing between ker T and L is too small"
         )
-    p = RationalMatrix([row[g.cols :] for row in red.data[: 2 * n]])
+    p = RationalMatrix._block([[red]], slice(2 * n), slice(g.cols, None))
     u_vecs = [np.asarray(row, dtype=object) for row in (p @ u0m).data]
     f_vecs = [np.asarray(f0[c], dtype=object) for c in pivots[: 2 * n]]
     eta = _eta_pairs(x1, x2, u_vecs, f_vecs, n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, NumericError, PreconditionError
 from .linalg import Subspace, as_matrix, as_vector, exp_nilpotent
-from .rational import RationalMatrix
+from .rational import RationalMatrix, _as_fraction, _cleared
 
 
 def backward_shift(dim: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def _head_cross_terms(n: int, z, u) -> list:
     """w_j = v_{n-j+1} - sum_{k=n-j+1}^n z^(k+j-n-1) u_k/(k+j-n-1)!; the sum part.
 
     Generic over the scalars: complex z with a complex array u, or Fraction
-    z with Fraction u.
+    z with rational u (Fractions or ints).
     """
     return [
         sum(
@@ -236,40 +236,51 @@ def jordan_residuals(n: int, z, u, v, x) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=256)
-def _anz_inverse_exact(n: int, z: Fraction) -> RationalMatrix:
-    return build_anz_exact(n, z).inv()
+def _approach_map(n: int, z: Fraction) -> RationalMatrix:
+    """The n x 2n matrix A_{n,z}^{-1} [-H | R] with tail = map @ (u + v).
+
+    ``_head_cross_terms(n, z, u)`` is H u for a fixed n x n matrix H, so
+    the tail A_{n,z}^{-1} (R v - H u) of the exact solve, with R reversing
+    a vector, is linear in (u, v).  Column k of H is the cross terms of e_k.
+    """
+    h_cols = [_head_cross_terms(n, z, [int(i == k) for i in range(n)]) for k in range(n)]
+    rhs = [[-col[j] for col in h_cols] + [int(k == n - 1 - j) for k in range(n)] for j in range(n)]
+    return build_anz_exact(n, z).inv() @ RationalMatrix(rhs)
 
 
 def jordan_solve_exact(n: int, z, u, v) -> list[Fraction]:
     """Exact-rational mirror of jordan_solve for rational z, u, v."""
-    z = Fraction(z)
+    z = _as_fraction(z)
     if z == 0:
         raise DomainError("the approach-pair system is singular at z = 0")
-    u = [Fraction(x) for x in u]
-    v = [Fraction(x) for x in v]
+    u = [_as_fraction(x) for x in u]
+    v = [_as_fraction(x) for x in v]
     if len(u) != n or len(v) != n:
         raise InputError(f"head vectors must have length {n}")
-    w = [a - b for a, b in zip(reversed(v), _head_cross_terms(n, z, u))]
-    tail = _anz_inverse_exact(n, z) @ w
-    return u + tail
+    return u + _approach_map(n, z) @ (u + v)
 
 
 def jordan_residuals_exact(n: int, z, u, v, x) -> tuple[Fraction, Fraction]:
     """Exact residual norms (squared) of the two head conditions.
 
-    Evaluates head(x) - u and head(e^{zS} x) - v in rational arithmetic;
-    useful because the floating evaluation of the second condition loses
-    about |z|^(n-1) eps of absolute accuracy to cancellation.
+    Evaluates head(x) - u and head(e^{zS} x) - v on integers over common
+    denominators; useful because the floating evaluation of the second
+    condition loses about |z|^(n-1) eps of absolute accuracy to
+    cancellation.
     """
-    z = Fraction(z)
-    u = [Fraction(a) for a in u]
-    v = [Fraction(a) for a in v]
-    x = [Fraction(a) for a in x]
-    ez = exp_shift_exact(2 * n, z)
-    ex = ez @ x
-    r1 = sum((x[i] - u[i]) ** 2 for i in range(n))
-    r2 = sum((ex[i] - v[i]) ** 2 for i in range(n))
-    return r1, r2
+    xs, dx = _cleared([_as_fraction(a) for a in x])
+    ex, de = exp_shift_exact(2 * n, _as_fraction(z))._matvec(xs, dx)
+    return _squared_distance(xs[:n], dx, u, n), _squared_distance(ex[:n], de, v, n)
+
+
+def _squared_distance(ints, den: int, head, n: int) -> Fraction:
+    """sum_i (ints[i]/den - head[i])^2 over the first n entries of head."""
+    hs, dh = _cleared([_as_fraction(a) for a in head[:n]])
+    if len(hs) != n:
+        raise InputError(f"head vectors must have length at least {n}")
+    d = math.lcm(den, dh)
+    fa, fb = d // den, d // dh
+    return Fraction(sum((a * fa - b * fb) ** 2 for a, b in zip(ints, hs)), d * d)
 
 
 def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
@@ -282,8 +293,8 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
     if j < 1:
         raise InputError("step index j must be >= 1")
     dim = 2 * n
-    u = [Fraction(a) for a in u]
-    v = [Fraction(a) for a in v]
+    u = [_as_fraction(a) for a in u]
+    v = [_as_fraction(a) for a in v]
     jmat = similarity_j(n)
     ju = (jmat @ (u + [Fraction(0)] * n))[:n]
     jv = (jmat @ (v + [Fraction(0)] * n))[:n]

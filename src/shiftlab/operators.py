@@ -6,6 +6,7 @@ never wrapped, so nilpotent/triangular structure survives truncation.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -41,6 +42,8 @@ class WeightSequence:
         if self.tail_kind not in TAIL_KINDS:
             raise InputError(f"unknown tail rule {self.tail_kind!r}")
         object.__setattr__(self, "window", tuple(complex(w) for w in self.window))
+        if not all(map(cmath.isfinite, (*self.window, self.c_plus, self.c_minus, self.ratio))):
+            raise InputError("weights must be finite: NaN or inf in the window or tail")
 
     @property
     def half(self) -> int:

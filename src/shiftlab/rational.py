@@ -333,8 +333,8 @@ class RationalMatrix:
     ``inv``, all through the one fraction-free ``_eliminate``) work on these
     integers and reduce each result once.  Fractions are made only where
     entries leave the matrix: ``data`` (built on first use), ``[i, j]``,
-    ``to_float``, matrix-vector products and the vectors of ``solve`` and
-    ``nullspace``.
+    ``to_float``, matrix-vector ``@`` (its integer kernel ``_matvec`` makes
+    none) and the vectors of ``solve`` and ``nullspace``.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_data")
@@ -373,6 +373,18 @@ class RationalMatrix:
         out.cols = len(out._num[0])
         out._data = None
         return out
+
+    @classmethod
+    def _block(cls, grid, rows: slice, cols: slice) -> "RationalMatrix":
+        """The block matrix of ``grid``, a list of block rows of matrices,
+        cut to ``rows`` x ``cols``; stacked on the integer rows over the
+        common denominator."""
+        den = math.lcm(*(m._den for line in grid for m in line))
+        num = []
+        for line in grid:
+            scaled = [[[a * (den // m._den) for a in row] for row in m._num] for m in line]
+            num.extend(sum(parts, []) for parts in zip(*scaled))
+        return cls._from_ints([row[cols] for row in num[rows]], den)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -448,12 +460,15 @@ class RationalMatrix:
                 out.append(acc)
             return RationalMatrix._from_ints(out, self._den * other._den)
         # vector: sequence of rationals
-        vec = [_as_fraction(x) for x in other]
-        if len(vec) != self.cols:
+        ints, den = self._matvec(*_cleared([_as_fraction(x) for x in other]))
+        return [Fraction(a, den) for a in ints]
+
+    def _matvec(self, col, dc: int):
+        """The product with the vector ``col / dc`` on integers: ``(ints,
+        den)`` with entry i equal to ``ints[i] / den``, not reduced."""
+        if len(col) != self.cols:
             raise InputError("matvec shape mismatch")
-        col, dc = _cleared(vec)
-        den = self._den * dc
-        return [Fraction(sum(map(operator.mul, row, col)), den) for row in self._num]
+        return [sum(map(operator.mul, row, col)) for row in self._num], self._den * dc
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._from_ints(list(zip(*self._num)), self._den)

@@ -372,6 +372,42 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ")
 
 
+class TestNonFiniteWeights:
+    """A NaN or an infinity in a weight file is an input error, not a verdict."""
+
+    @staticmethod
+    def _run(command, weights, tmp_path, capsys):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(weights))
+        code = main([part.format(path) for part in command.split()])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    _NAN_WINDOW = {"window": [1, float("nan"), 1], "tail": "constant", "c_plus": 2, "c_minus": 0.5}
+
+    def test_salas_rejects_nan_window(self, tmp_path, capsys):
+        self._run("salas --weights file:{} --n-max 64", self._NAN_WINDOW, tmp_path, capsys)
+
+    def test_symmetry_rejects_nan_window(self, tmp_path, capsys):
+        self._run("symmetry --weights file:{}", self._NAN_WINDOW, tmp_path, capsys)
+
+    @pytest.mark.parametrize("inf", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"window": [1, "INF", 1], "tail": "zero"},
+            {"window": [1, 1, 1], "tail": "constant", "c_plus": "INF", "c_minus": 0.5},
+            {"window": [1, 1, 1], "tail": "constant", "c_plus": 2, "c_minus": "INF"},
+            {"window": [1, 1, 1], "tail": "geometric", "ratio": [0.5, "INF"]},
+        ],
+    )
+    def test_infinite_weights_rejected(self, inf, weights, tmp_path, capsys):
+        text = json.dumps(weights).replace('"INF"', json.dumps(inf))
+        for command in ("salas --weights file:{} --n-max 64", "symmetry --weights file:{}"):
+            self._run(command, json.loads(text), tmp_path, capsys)
+
 _CONFIG_FLAGS = {
     "salas": st.fixed_dictionaries(
         {"n-max": st.integers(8, 256)},
