@@ -110,19 +110,23 @@ def _load_json(path: str, what: str):
             raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
+# --weights family -> its WeightSequence from the parsed flags; a value
+# "file:PATH" names a JSON weight file instead
+WEIGHT_FAMILIES = {
+    "genshi-hc": lambda args: op.genshi_hypercyclic_weights(args.c, args.m0),
+    "genshi-sc": lambda args: op.genshi_supercyclic_weights(args.c, args.m0),
+    "const": lambda args: op.constant_weights(args.value),
+    "symmetric-decay": lambda args: op.symmetric_decay_weights(),
+}
+
+
 def _weights_from_args(args) -> op.WeightSequence:
     kind = args.weights
-    if kind == "genshi-hc":
-        return op.genshi_hypercyclic_weights(args.c, args.m0)
-    if kind == "genshi-sc":
-        return op.genshi_supercyclic_weights(args.c, args.m0)
-    if kind == "const":
-        return op.constant_weights(args.value)
-    if kind == "symmetric-decay":
-        return op.symmetric_decay_weights()
     if kind.startswith("file:"):
         return op.WeightSequence.from_dict(_load_json(kind[5:], "weight file"))
-    raise ShiftlabError(f"unknown weight family {kind!r}")
+    if kind not in WEIGHT_FAMILIES:
+        raise ShiftlabError(f"unknown weight family {kind!r}")
+    return WEIGHT_FAMILIES[kind](args)
 
 
 def cmd_detan(args) -> ExperimentReport:
@@ -256,16 +260,14 @@ def cmd_salas(args) -> ExperimentReport:
     )
 
 
-def _subspace_operator(args):
-    n = args.n
-    if args.op == "shift":
-        return nil.backward_shift(2 * n)
-    if args.op == "unipotent":
-        return np.eye(2 * n) + nil.backward_shift(2 * n)
-    if args.op == "diag":
-        rng = np.random.default_rng(args.seed)
-        return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
-    raise ShiftlabError(f"unknown operator preset {args.op!r}")
+# subspaces --op preset -> its operator, from --n and --seed
+SUBSPACE_OPERATORS = {
+    "shift": lambda n, seed: nil.backward_shift(2 * n),
+    "unipotent": lambda n, seed: np.eye(2 * n) + nil.backward_shift(2 * n),
+    "diag": lambda n, seed: np.diag(
+        np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, n))
+    ),
+}
 
 
 def cmd_subspaces(args) -> ExperimentReport:
@@ -275,7 +277,7 @@ def cmd_subspaces(args) -> ExperimentReport:
         data = {"dim": space.dim, "ambient": space.ambient}
         verdict = "nontrivial" if space.dim else "trivial"
     else:
-        t = _subspace_operator(args)
+        t = SUBSPACE_OPERATORS[args.op](args.n, args.seed)
         space = (
             cr.ker_dagger(t, args.tol)
             if args.which == "kerdagger"
@@ -684,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the weight family shared by salas and symmetry
     weight_flags = argparse.ArgumentParser(add_help=False)
     weights = weight_flags.add_argument(
-        "--weights", help="genshi-hc | genshi-sc | const | symmetric-decay | file:PATH"
+        "--weights", help=" | ".join([*WEIGHT_FAMILIES, "file:PATH"])
     )
     weight_flags.add_argument("--c", type=_finite_float, default=2.0)
     weight_flags.add_argument("--m0", type=_positive_int, default=3)
@@ -731,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("subspaces", help="ker-dagger / unimodular-chain / EBS spans")
     p.add_argument("--which", choices=("kerdagger", "lambda", "ebsk"), default="kerdagger")
-    p.add_argument("--op", choices=("shift", "unipotent", "diag"), default="shift")
+    p.add_argument("--op", choices=tuple(SUBSPACE_OPERATORS), default="shift")
     p.add_argument("--n", type=_positive_int, default=3)
     p.add_argument("--dims", type=_positive_ints, default="1,1", help="tensor block dims for ebsk")
     p.add_argument("--tol", type=_positive_float, default=1e-9)

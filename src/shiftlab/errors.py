@@ -23,7 +23,3 @@ class DimensionError(ShiftlabError, ValueError):
 
 class NumericError(ShiftlabError, RuntimeError):
     """A floating-point computation did not reach the requested accuracy."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

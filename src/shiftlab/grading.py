@@ -118,45 +118,22 @@ def t_independent(vectors):
     vectors = [v if isinstance(v, GradedVector) else GradedVector(v) for v in vectors]
     rows, _ = _poly_rows(vectors)
     max_deg = max((p.degree for row in rows for p in row if not p.is_zero()), default=0)
-    # Over the function field, dependence of m vectors shows up as a
-    # polynomial syzygy; search by bounding the coefficient degree.  The
-    # rank over Q(z) equals the rank of the polynomial matrix, so a
-    # dependence exists iff rank < m; Cramer-style minors bound the witness
-    # degree by m * max_deg.
     m = len(vectors)
-    rank = _function_field_rank(rows)
-    if rank == m:
+    # An m x m minor that is nonzero at one point is nonzero over the
+    # function field, so full rank at z = 2/101 certifies independence and
+    # spares the search below, which is costly exactly when it finds
+    # nothing.  2/101 is a root of an integer polynomial only if 101
+    # divides its leading coefficient; small integers are roots far more
+    # often.
+    z = Fraction(2, 101)
+    if RationalMatrix([[p(z) for p in row] for row in rows]).rank() == m:
         return True, None
-    bound = m * int(max_deg) + 1
-    witness = _polynomial_syzygy(rows, bound)
-    if witness is None:  # pragma: no cover - the bound above suffices
-        raise DomainError("failed to certify dependence")
-    return False, witness
-
-
-def _function_field_rank(rows) -> int:
-    """Rank over Q(z) by Gaussian elimination on rational functions."""
-    mat = [[RationalFunction(p) for p in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    used = [False] * nrows
-    for c in range(ncols):
-        piv = None
-        for r in range(nrows):
-            if not used[r] and not mat[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        rank += 1
-        inv = RationalFunction.one() / mat[piv][c]
-        mat[piv] = [inv * x for x in mat[piv]]
-        for r in range(nrows):
-            if r != piv and not mat[r][c].is_zero():
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[piv])]
-    return rank
+    # A dependence over the function field clears to a polynomial syzygy,
+    # and Cramer-style minors give one of coefficient degree at most
+    # m * max_deg; so the bounded search finds a syzygy exactly when the
+    # m vectors are dependent.
+    witness = _polynomial_syzygy(rows, m * int(max_deg) + 1)
+    return witness is None, witness
 
 
 def _polynomial_syzygy(rows, degree_bound: int):

@@ -61,36 +61,13 @@ class WeightSequence:
             return self.window[-1] * self.ratio ** (n - half)
         return self.window[0] * self.ratio ** (-n - half)
 
-    def log_abs(self, n: int, extended: bool = False):
-        """log |w_n| straight from the tail rule (no underflow); None if 0.
-
-        Geometric tails reach far below the double-precision floor at large
-        |n|, so log products must never round-trip through ``value``.  With
-        ``extended`` the value comes back as an 80-bit numpy longdouble for
-        certificate-grade accumulation.
-        """
-        log = (lambda x: np.log(np.longdouble(x))) if extended else math.log
-        half = self.half
-        if -half <= n <= half:
-            v = abs(self.window[n + half])
-            return log(v) if v > 0 else None
-        if self.tail_kind == "zero":
-            return None
-        if self.tail_kind == "constant":
-            v = abs(self.c_plus) if n > half else abs(self.c_minus)
-            return log(v) if v > 0 else None
-        edge = abs(self.window[-1] if n > half else self.window[0])
-        r = abs(self.ratio)
-        if edge == 0 or r == 0:
-            return None
-        return log(edge) + (abs(n) - half) * log(r)
-
     def log_abs_range(self, lo: int, hi: int):
         """log |w_n| for n = lo..hi as one longdouble array; None if any is 0.
 
-        Element for element these are the operations of
-        ``log_abs(n, extended=True)``: the log of the longdouble of |w_n|,
-        and for a geometric tail log|edge| + (|n| - half) log|ratio|.
+        Each entry is the log of the longdouble of |w_n| straight from the
+        tail rule, and for a geometric tail log|edge| + (|n| - half) log|ratio|:
+        geometric tails reach far below the double-precision floor at large
+        |n|, so log products must never round-trip through ``value``.
         """
         half = self.half
         ns = np.arange(lo, hi + 1)
@@ -169,6 +146,8 @@ class WeightSequence:
 
 def genshi_hypercyclic_weights(c: float = 2.0, m0: int = 3) -> WeightSequence:
     """w_k = c for k > m0, c^{-1} for k < -m0, 1 inside: Salas-hypercyclic."""
+    if c == 0:
+        raise InputError("genshi-hc weights need c != 0: the left tail is 1/c")
     window = [1.0] * (2 * m0 + 1)
     return WeightSequence(window, "constant", c_plus=c, c_minus=1.0 / c)
 
@@ -359,11 +338,6 @@ def h_evals(n_max: int, ngrid: int) -> list:
         if n < n_max:
             prev, acc = acc, -(numden * (2 * n) + num2) * acc - (n * (n - 1)) * num2den2 * prev
     return out
-
-
-def h_eval(n: int, ngrid: int) -> np.ndarray:
-    """h^(n) sampled on the uniform grid i/ngrid (see ``h_evals``)."""
-    return h_evals(n, ngrid)[n]
 
 
 def _log_int(n: int) -> float:

@@ -1,4 +1,5 @@
-"""Shared builders for the exact tensor-perturbation tests."""
+"""Shared builders for the exact tensor-perturbation tests, and a scalar
+reference for the vectorized weight logs."""
 
 from fractions import Fraction
 
@@ -6,6 +7,26 @@ import numpy as np
 import pytest
 
 from shiftlab.operators import TensorElement
+
+
+def log_abs(w, n: int):
+    """log |w_n| of a WeightSequence as a longdouble, straight from the tail
+    rule (no underflow); None if w_n = 0.  One index at a time: the reference
+    for ``WeightSequence.log_abs_range``."""
+    half = w.half
+    if -half <= n <= half:
+        v = abs(w.window[n + half])
+        return np.log(np.longdouble(v)) if v > 0 else None
+    if w.tail_kind == "zero":
+        return None
+    if w.tail_kind == "constant":
+        v = abs(w.c_plus) if n > half else abs(w.c_minus)
+        return np.log(np.longdouble(v)) if v > 0 else None
+    edge = abs(w.window[-1] if n > half else w.window[0])
+    r = abs(w.ratio)
+    if edge == 0 or r == 0:
+        return None
+    return np.log(np.longdouble(edge)) + (abs(n) - half) * np.log(np.longdouble(r))
 
 
 def exact_unit(i: int, dim: int, c=Fraction(1)) -> np.ndarray:

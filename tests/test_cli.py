@@ -55,6 +55,22 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv", ["salas --weights genshi-hc --c 0 --n-max 16", "symmetry --weights genshi-hc --c 0"]
+    )
+    def test_genshi_hc_zero_c_is_input_error(self, argv, capsys):
+        # the left tail of genshi-hc is 1/c
+        code = main(shlex.split(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_genshi_sc_zero_c_is_a_verdict(self, capsys):
+        code, out = run_cli(["salas", "--weights", "genshi-sc", "--c", "0", "--n-max", "16"], capsys)
+        assert code == 2
+        assert load_report(out)["verdict"] == "violated-at-horizon"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "jordan --n-max 0",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_identity_pairing, exact_unit
+from conftest import exact_identity_pairing, exact_unit, log_abs
 from shiftlab.errors import InputError, PreconditionError
 from shiftlab.operators import (
     TAIL_KINDS,
@@ -25,7 +25,6 @@ from shiftlab.operators import (
     graded_lex_indices,
     grid_inner,
     h_derivative,
-    h_eval,
     h_evals,
     integral_ladder,
     integral_op,
@@ -105,7 +104,7 @@ class TestWeightSequence:
     )
     @pytest.mark.parametrize("lo, hi", [(-1, 1), (-30, 41), (5, 9), (-9, -5), (4, 3)])
     def test_log_abs_range_matches_log_abs(self, w, lo, hi):
-        scalars = [w.log_abs(n, extended=True) for n in range(lo, hi + 1)]
+        scalars = [log_abs(w, n) for n in range(lo, hi + 1)]
         logs = w.log_abs_range(lo, hi)
         if any(t is None for t in scalars):
             assert logs is None
@@ -222,7 +221,7 @@ class TestHDerivative:
         ngrid = 64
         for n in (0, 1, 4):
             q = h_derivative(n)
-            hs = h_eval(n, ngrid)
+            hs = h_evals(n, ngrid)[n]
             for i in (1, 17, 50, 63):
                 t = 1.0 / (i / ngrid - 1.0)
                 direct = math.exp(t) * float(q(Fraction(ngrid, i - ngrid)))
@@ -232,7 +231,7 @@ class TestHDerivative:
     @pytest.mark.parametrize("ngrid", [16, 100])
     def test_eval_bytes_match_full_horner(self, ngrid):
         for n in range(41):
-            assert h_eval(n, ngrid).tobytes() == reference_h_eval(n, ngrid).tobytes(), n
+            assert h_evals(n, ngrid)[n].tobytes() == reference_h_eval(n, ngrid).tobytes(), n
 
     @pytest.fixture(scope="class")
     def volterra_grid_evals(self):
@@ -241,13 +240,13 @@ class TestHDerivative:
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 40])
     def test_eval_bytes_match_full_horner_at_volterra_grid(self, n, volterra_grid_evals):
         want = reference_h_eval(n, 2048).tobytes()
-        assert h_eval(n, 2048).tobytes() == want
+        assert h_evals(n, 2048)[n].tobytes() == want
         assert volterra_grid_evals[n].tobytes() == want
 
     def test_evals_are_one_array_per_order(self):
         rows = h_evals(3, 16)
         assert len(rows) == 4 and all(r.shape == (17,) for r in rows)
-        assert [r.tobytes() for r in rows] == [h_eval(n, 16).tobytes() for n in range(4)]
+        assert [r.tobytes() for r in rows] == [h_evals(n, 16)[n].tobytes() for n in range(4)]
         with pytest.raises(InputError):
             h_evals(-1, 16)
 
