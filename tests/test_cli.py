@@ -486,13 +486,15 @@ def test_config_gives_the_bytes_of_its_flags(command):
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
-# stdout of trace-bearing runs and of the float probes' JSON reports, locked
-# beside the emit-goldens suites.  density runs at horizon 100 to stay fast;
-# 24 cells leave 24 of 576 cells unhit, so a change in the binning shows.
+# stdout of trace-bearing runs and of the float probes' and grading's JSON
+# reports, locked beside the emit-goldens suites.  density runs at horizon 100
+# to stay fast; 24 cells leave 24 of 576 cells unhit, so a change in the
+# binning shows.
 TRACE_GOLDENS = {
     "volterra_trace.csv": "--format csv volterra --ngrid 256 --n-max 5",
     "kerim_trace.jsonl": "--format jsonl kerim --n 2 --k-max-exp 6",
     "tensor_trace.csv": "--format csv tensor --dims 2,1",
+    "tensor_bounded_trace.csv": "--format csv tensor --dims 2,1 --mode bounded",
     "mixing_trace.csv": "--format csv mixing",
     "mixing_trace.jsonl": "--format jsonl mixing",
     "jordan_trace.csv": "--format csv jordan --n-max 2 --pairs 1",
@@ -500,6 +502,7 @@ TRACE_GOLDENS = {
     "density.json": "density --horizon 100 --cells 24",
     "salas_full.json": "salas --full-traces --n-max 64 --m-max 2",
     "symmetry.json": "symmetry --seed 2",
+    "grading.json": "grading --preset random --degree 2 --seed 3",
 }
 
 
