@@ -188,18 +188,21 @@ def cmd_jordan(args) -> ExperimentReport:
     )
 
 
+# tensor --mode -> the point z(m) of step m, from --dims: every block at m,
+# or the first block at m and the others held at 1
+TENSOR_MODES = {
+    "diag": lambda dims, m: tuple(float(m) for _ in dims),
+    "bounded": lambda dims, m: tuple(float(m) if j == 0 else 1.0 for j in range(len(dims))),
+}
+
+
 def cmd_tensor(args) -> ExperimentReport:
     dims = tuple(args.dims)
     tt = nil.TensorShiftTuple(dims)
     u = np.zeros(tt.dim)
     u[0] = 1.0
     v = u.copy()
-    if args.mode == "diag":
-        zs = lambda m: tuple(float(m) for _ in dims)  # noqa: E731
-    else:
-        zs = lambda m: tuple(  # noqa: E731
-            float(m) if j == 0 else 1.0 for j in range(len(dims))
-        )
+    zs = functools.partial(TENSOR_MODES[args.mode], dims)
     rows = []
     for m in args.steps:
         r1, r2 = nil.tensor_approach_residuals(tt, zs, u, v, m)
@@ -390,23 +393,26 @@ def cmd_symmetry(args) -> ExperimentReport:
     )
 
 
+def _random_grading_family(degree: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [gr.random_graded_vector(rng, 2, degree) for _ in range(3)]
+
+
+# grading --preset -> its generators, from --degree and --seed
+GRADING_PRESETS = {
+    "powers": lambda degree, seed: [
+        gr.GradedVector([RationalFunction(Poly.monomial(d))]) for d in range(degree + 1)
+    ],
+    "split": lambda degree, seed: [
+        gr.GradedVector([RationalFunction.one(), RationalFunction.zero()]),
+        gr.GradedVector([RationalFunction.zero(), RationalFunction(Poly.monomial(degree))]),
+    ],
+    "random": _random_grading_family,
+}
+
+
 def cmd_grading(args) -> ExperimentReport:
-    one = RationalFunction.one()
-    if args.preset == "powers":
-        gens = [
-            gr.GradedVector([RationalFunction(Poly.monomial(d))])
-            for d in range(args.degree + 1)
-        ]
-    elif args.preset == "split":
-        zero = RationalFunction.zero()
-        gens = [
-            gr.GradedVector([one, zero]),
-            gr.GradedVector([zero, RationalFunction(Poly.monomial(args.degree))]),
-        ]
-    else:
-        rng = np.random.default_rng(args.seed)
-        gens = [gr.random_graded_vector(rng, 2, args.degree) for _ in range(3)]
-    rep = gr.n0_bound(gens)
+    rep = gr.n0_bound(GRADING_PRESETS[args.preset](args.degree, args.seed))
     return ExperimentReport(
         "grading",
         {"preset": args.preset, "degree": args.degree},
@@ -711,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub_parser("tensor", help="tensor-tuple approach residual trace")
     p.add_argument("--dims", type=_positive_ints, default="1,1")
-    p.add_argument("--mode", choices=("diag", "bounded"), default="diag")
+    p.add_argument("--mode", choices=tuple(TENSOR_MODES), default="diag")
     p.add_argument("--steps", type=_positive_ints, default="4,16,64,256")
     p.set_defaults(fn=cmd_tensor)
 
@@ -767,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     weights.default = argparse.SUPPRESS
 
     p = sub_parser("grading", help="degree bounds n0 in the rational-function model")
-    p.add_argument("--preset", choices=("powers", "split", "random"), default="powers")
+    p.add_argument("--preset", choices=tuple(GRADING_PRESETS), default="powers")
     p.add_argument("--degree", type=_nonneg_int, default=2)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.set_defaults(fn=cmd_grading)
@@ -834,10 +840,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         report = args.fn(args)
-    except ShiftlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ShiftlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

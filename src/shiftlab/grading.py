@@ -2,8 +2,8 @@
 
 The ambient model is R^k with R the field of univariate rational functions
 over Q, and the operator is componentwise multiplication by the argument.
-Everything reduces to exact Gaussian elimination over Q after clearing a
-common polynomial denominator.
+Everything reduces to exact fraction-free elimination, over Q or over Q[z],
+after clearing a common polynomial denominator.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError
-from .rational import Poly, RationalFunction, RationalMatrix
+from .rational import Poly, RationalFunction, RationalMatrix, _eliminate
 
 
 def deg(r) -> float | int:
@@ -117,56 +117,29 @@ def t_independent(vectors):
     """
     vectors = [v if isinstance(v, GradedVector) else GradedVector(v) for v in vectors]
     rows, _ = _poly_rows(vectors)
-    max_deg = max((p.degree for row in rows for p in row if not p.is_zero()), default=0)
     m = len(vectors)
     # An m x m minor that is nonzero at one point is nonzero over the
-    # function field, so full rank at z = 2/101 certifies independence and
-    # spares the search below, which is costly exactly when it finds
-    # nothing.  2/101 is a root of an integer polynomial only if 101
-    # divides its leading coefficient; small integers are roots far more
-    # often.
+    # function field, so full rank at z = 2/101 certifies independence
+    # without eliminating over Q[z].  2/101 is a root of an integer
+    # polynomial only if 101 divides its leading coefficient; small integers
+    # are roots far more often.
     z = Fraction(2, 101)
     if RationalMatrix([[p(z) for p in row] for row in rows]).rank() == m:
         return True, None
-    # A dependence over the function field clears to a polynomial syzygy,
-    # and Cramer-style minors give one of coefficient degree at most
-    # m * max_deg; so the bounded search finds a syzygy exactly when the
-    # m vectors are dependent.
-    witness = _polynomial_syzygy(rows, m * int(max_deg) + 1)
-    return witness is None, witness
-
-
-def _polynomial_syzygy(rows, degree_bound: int):
-    """Polynomials (q_1..q_m), not all zero, with sum q_i row_i = 0."""
-    m = len(rows)
-    k = len(rows[0])
-    max_deg = max(
-        (int(p.degree) for row in rows for p in row if not p.is_zero()), default=0
-    )
-    total_deg = max_deg + degree_bound
-    # unknowns: coefficients c_{i,d} of q_i, d < degree_bound
-    cols = []
-    for i in range(m):
-        for d in range(degree_bound):
-            cols.append((i, d))
-    data = []
-    for j in range(k):
-        for out_d in range(total_deg + 1):
-            row = []
-            for i, d in cols:
-                p = rows[i][j]
-                c = p.coeffs[out_d - d] if 0 <= out_d - d <= p.degree else Fraction(0)
-                row.append(c)
-            data.append(row)
-    null = RationalMatrix(data).nullspace()
-    if not null:
-        return None
-    sol = null[0]
-    witness = []
-    for i in range(m):
-        coeffs = [sol[i * degree_bound + d] for d in range(degree_bound)]
-        witness.append(Poly(coeffs))
-    return witness
+    # Eliminate over Q[z], one row per component and one column per vector:
+    # the family is independent iff every column pivots.  Otherwise each
+    # reduced row carries ``last`` on its pivot, which gives the kernel
+    # vector of the first free column.
+    system = [list(comp) for comp in zip(*rows)]
+    pivots, last, _ = _eliminate(system, m)
+    if len(pivots) == m:
+        return True, None
+    fc = next(c for c in range(m) if c not in pivots)
+    witness = [Poly.zero()] * m
+    witness[fc] = Poly._coerce(last)
+    for pc, row in zip(pivots, system):
+        witness[pc] = -row[fc]
+    return False, witness
 
 
 @dataclass(frozen=True)
@@ -293,8 +266,6 @@ def membership_witness(x: GradedVector, y: GradedVector):
             ratio = r
         elif r != ratio:
             return None
-    if ratio is None:  # unreachable: x nonzero has a nonzero component
-        raise DomainError("no defining component")
     return ratio.den, ratio.num
 
 

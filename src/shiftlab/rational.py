@@ -286,12 +286,13 @@ def _cleared(xs):
 
 
 def _eliminate(rows, ncols, forward_only=False):
-    """Fraction-free Gauss-Jordan on integer rows, in place.
+    """Fraction-free Gauss-Jordan on rows over ints or over ``Poly``, in place.
 
     Pivots on the first ``ncols`` columns; later columns ride along.  Each
     step replaces every other row, above and below the pivot ``p``, by
     ``(p * row - row[c] * pivot_row) // last`` with ``last`` the previous
-    pivot.  The division is exact because every entry stays a minor of the
+    pivot (``1`` before the first).  The division is exact in any integral
+    domain, Z and Q[z] alike, because every entry stays a minor of the
     input (Bareiss, Math. Comp. 22, 1968), and clearing above the pivot
     leaves every pivot equal to the last one.  So the first ``len(pivots)``
     rows over ``last`` are the reduced echelon form, the other rows are zero

@@ -1,5 +1,6 @@
 """Degree grading, independence over the multiplication operator, n0 bounds."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,29 @@ class TestTIndependent:
         ok, witness = t_independent([x, y])
         assert not ok
         combo = x.apply_poly(witness[0]) + y.apply_poly(witness[1])
+        assert combo.is_zero()
+
+    def test_independent_family_vanishing_at_the_probe_point(self, rng):
+        # the factor 101z - 2 zeroes the first vector at z = 2/101, so the
+        # point probe loses rank and the elimination over Q[z] decides; the
+        # time budget rules out a search over bounded-degree syzygies, which
+        # needs about 20 s on this family
+        a, b, c = (random_graded_vector(rng, 3, 2) for _ in range(3))
+        start = time.perf_counter()
+        ok, witness = t_independent([a.scale(RationalFunction(Poly([-2, 101]))), b, c])
+        elapsed = time.perf_counter() - start
+        assert ok and witness is None
+        assert elapsed < 5.0, f"{elapsed:.2f}s"
+
+    def test_dependent_three_vector_witness(self, rng):
+        a, b = random_graded_vector(rng, 3, 2), random_graded_vector(rng, 3, 2)
+        family = [a, b, a.scale(Z) + b.scale(rf([1, 0, 2]))]
+        ok, witness = t_independent(family)
+        assert not ok
+        assert any(not p.is_zero() for p in witness)
+        combo = GradedVector([ZERO, ZERO, ZERO])
+        for x, q in zip(family, witness):
+            combo = combo + x.apply_poly(q)
         assert combo.is_zero()
 
 
