@@ -1,5 +1,6 @@
 """Degree grading, independence over the multiplication operator, n0 bounds."""
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -347,3 +348,220 @@ def test_monomial_intersection_matches_reference(name):
         if expected is not None:
             expected = expected.scale(RationalFunction(Poly.one(), den))
         assert monomial_intersection(gens, d) == expected
+
+
+# Literals generated with the Fraction-tuple Poly: each rational function is
+# (numerator, denominator) coefficients as strings, constant term first.
+# _reference_basis above builds on Poly itself, so these pins are what
+# catches a change in Poly's arithmetic.  Witnesses of the random families
+# are long; they are pinned by the sha256 of the same literal's repr.
+def _poly_literal(p):
+    return tuple(str(c) for c in p.coeffs)
+
+
+def _vector_literal(v):
+    return None if v is None else tuple((_poly_literal(c.num), _poly_literal(c.den)) for c in v.components)
+
+
+_PINNED_INTERSECTIONS = {('denominators', 0): ((('2', '0', '-1'), ('0', '1', '1')),),
+ ('denominators', 1): None,
+ ('denominators', 2): None,
+ ('powers-0', 0): ((('-1',), ('1',)),),
+ ('powers-0', 1): None,
+ ('powers-1', 0): ((('0', '-1'), ('1',)),),
+ ('powers-1', 1): ((('0', '-1'), ('1',)),),
+ ('powers-1', 2): None,
+ ('powers-2', 0): ((('0', '0', '-1'), ('1',)),),
+ ('powers-2', 1): ((('0', '0', '-1'), ('1',)),),
+ ('powers-2', 2): ((('0', '0', '-1'), ('1',)),),
+ ('powers-2', 3): None,
+ ('powers-3', 0): ((('0', '0', '0', '-1'), ('1',)),),
+ ('powers-3', 1): ((('0', '0', '0', '-1'), ('1',)),),
+ ('powers-3', 2): ((('0', '0', '0', '-1'), ('1',)),),
+ ('powers-3', 3): ((('0', '0', '0', '-1'), ('1',)),),
+ ('powers-3', 4): None,
+ ('powers-4', 0): ((('0', '0', '0', '0', '-1'), ('1',)),),
+ ('powers-4', 1): ((('0', '0', '0', '0', '-1'), ('1',)),),
+ ('powers-4', 2): ((('0', '0', '0', '0', '-1'), ('1',)),),
+ ('powers-4', 3): ((('0', '0', '0', '0', '-1'), ('1',)),),
+ ('powers-4', 4): ((('0', '0', '0', '0', '-1'), ('1',)),),
+ ('powers-4', 5): None,
+ ('random-0', 0): ((('47891576/597627', '85775951/1792881', '-158431735/3585762',
+                     '-483135943/7171524', '-453391297/14343048', '-191/24', '-1'),
+                    ('-4', '-43/9', '-22/3', '31/12', '47/6', '169/36', '1')),
+                   (('270454415/4781016', '179647061/9562032', '-1149844259/9562032',
+                     '-466219447/9562032', '15907231/796836', '19547243/265612'),
+                    ('-7/2', '1', '89/24', '1/6', '79/12', '-215/24', '1'))),
+ ('random-0', 1): None,
+ ('random-0', 2): None,
+ ('random-1', 0): ((('-55421/6660', '-178489/19980', '-785749/59940', '-945247/59940',
+                     '146003/9990', '597761/29970', '54091/1620', '278293/19980', '157/18',
+                     '-1'),
+                    ('56/5', '374/45', '-188/45', '-311/15', '-18', '-271/45', '166/15',
+                     '424/45', '20/3', '1')),
+                   (('1085/74', '-28985/1332', '74621/7992', '-261739/7992', '2556995/23976',
+                     '-45445/5994', '1403881/23976', '-305225/11988', '20279/11988'),
+                    ('0', '0', '-98/9', '217/9', '-169/6', '379/18', '-295/18', '100/9',
+                     '157/18', '1'))),
+ ('random-1', 1): None,
+ ('random-1', 2): None,
+ ('random-2', 0): ((('-9176038/4642183', '-22334446/4642183', '1003615/102026',
+                     '71913209/13926549', '1478605/663169', '191/42', '-1'),
+                    ('4', '73/6', '-19/12', '-121/12', '37/12', '-103/12', '1')),
+                   (('1483171/32495281', '2393627/32495281', '-87805790/32495281',
+                     '-83985409/13926549', '-142247229/32495281', '-116800562/97485843'),
+                    ('-3/14', '11/42', '191/42', '425/42', '403/42', '191/42', '1'))),
+ ('random-2', 1): None,
+ ('random-2', 2): None,
+ ('random-3', 0): ((('45625/81144', '1954/10143', '154327/60858', '-91369/21168',
+                     '-76049/243432', '-4335083/243432', '54925/5292', '-389029/162288',
+                     '107/36', '-1'),
+                    ('-9/28', '-3/4', '117/56', '37/14', '53/14', '-81/7', '-267/56', '41/28',
+                     '1')),
+                   (('-190667/39123', '480745/234738', '10129603/938952', '7397281/625968',
+                     '-2094437/625968', '-14982727/938952', '-3261109/234738', '-232621/39123',
+                     '-245369/208656'),
+                    ('-4/9', '16/27', '79/54', '19/36', '-407/108', '-13/4', '23/108',
+                     '439/108', '107/36', '1'))),
+ ('random-3', 1): None,
+ ('random-3', 2): None,
+ ('random-4', 0): ((('-81125/83349', '-1006753/166698', '-7430645/1000188', '5366141/2000376',
+                     '4124809/666792', '194627/142884'),
+                    ('0', '-80/189', '-194/189', '-41/81', '88/63', '146/63', '1')),
+                   (('1624369/56448', '-805369/14112', '1221221/28224', '-67029/1568',
+                     '900637/56448', '146/63', '-1'),
+                    ('9/8', '-13/4', '7/4', '-7/4', '9/8', '1'))),
+ ('random-4', 1): None,
+ ('random-4', 2): None,
+ ('random-5', 0): ((('-50619/227200', '132717/795200', '2779993/4771200', '-1034273/681600',
+                     '-946789/1192800', '6800519/2862720', '-97271/85200', '-4612661/3578400',
+                     '601/252', '-1'),
+                    ('-9/80', '-9/160', '21/80', '3/160', '-9/20', '-29/32', '79/40', '7/80',
+                     '-15/8', '1')),
+                   (('744437/3757320', '-34237223/45087840', '3857993/45087840',
+                     '-4442863/11271960', '71540213/45087840', '196583/107352', '549253/178920',
+                     '7559851/9017568', '2145313/2504880'),
+                    ('1/28', '-17/84', '10/63', '173/504', '-17/504', '-89/56', '73/126',
+                     '1201/504', '601/252', '1'))),
+ ('random-5', 1): None,
+ ('random-5', 2): None,
+ ('random-6', 0): ((('-5099/1548', '38459/4644', '-72823/4644', '9770/387', '2582/1161', '-1/3',
+                     '-1'),
+                    ('-9/4', '31/4', '-59/12', '-1/6', '-3', '-8/3', '1')),
+                   (('-341/602', '9197/774', '-63247/5418', '903853/48762', '-14753/2709',
+                     '-13781/3483'),
+                    ('-81/14', '81/14', '-4/7', '163/42', '23/42', '-1/3', '1'))),
+ ('random-6', 1): None,
+ ('random-6', 2): None,
+ ('random-7', 0): ((('827332/567135', '-964559/567135', '-1121338/567135', '1247681/126030',
+                     '-17625043/1134270', '-8156287/567135', '1795679/378090',
+                     '-10192093/567135', '25/9', '-1'),
+                    ('2/15', '29/45', '43/90', '-29/18', '-23/180', '22/15', '-541/180',
+                     '-19/36', '-47/60', '1')),
+                   (('-4641728/340281', '1077544/37809', '-7704758/340281', '1949464/340281',
+                     '6752101/340281', '3338713/340281', '-6418013/113427', '88994/12603',
+                     '3713306/113427'),
+                    ('0', '0', '-56/27', '19/27', '65/18', '4/27', '-73/18', '-1/6', '25/9',
+                     '1'))),
+ ('random-7', 1): None,
+ ('random-7', 2): None,
+ ('random-shifted-8', 0): ((('-116773/88200', '-32443/22050', '353861/88200', '31/10', '-1'),
+                            ('-6/7', '-17/7', '16/7', '1')),
+                           (('-110563/25200', '26821/42000', '-90541/25200', '229261/42000',
+                             '-72/35', '9/10'),
+                            ('-7/2', '47/5', '-44/5', '31/10', '1'))),
+ ('random-shifted-8', 1): ((('0', '-70/201', '35/134', '175/402'), ('-3', '2', '1')),
+                           (('0', '-105/268', '-175/268', '-105/268'), ('-7/2', '9/2', '1'))),
+ ('random-shifted-8', 2): None,
+ ('random-shifted-9', 0): ((('34192/30861', '21002/30861', '36007/20574', '113/27', '0', '-1'),
+                            ('16/9', '10/9', '-115/18', '-5/2', '1')),
+                           (('-195/1016', '-9491/18288', '-27865/54864', '-305/3429', '-5/24',
+                             '-1/12'),
+                            ('0', '-1/2', '-1/2', '0', '1'))),
+ ('random-shifted-9', 1): ((('0', '-8/11', '56/11', '72/11'), ('-2', '-7/2', '1')),
+                           (('0', '6/11', '10/11', '6/11'), ('1/2', '1', '1'))),
+ ('random-shifted-9', 2): None,
+ ('shared-leading', 0): ((('0', '0', '-1'), ('1',)),),
+ ('shared-leading', 1): None,
+ ('shared-leading', 2): ((('0', '0', '-1'), ('1',)),),
+ ('shared-leading', 3): None,
+ ('split-0', 0): ((('-1',), ('1',)), ((), ('1',))),
+ ('split-0', 1): None,
+ ('split-1', 0): (((), ('1',)), (('0', '-1'), ('1',))),
+ ('split-1', 1): None,
+ ('split-1', 2): None,
+ ('split-2', 0): (((), ('1',)), (('0', '0', '-1'), ('1',))),
+ ('split-2', 1): None,
+ ('split-2', 2): None,
+ ('split-2', 3): None,
+ ('split-3', 0): (((), ('1',)), (('0', '0', '0', '-1'), ('1',))),
+ ('split-3', 1): None,
+ ('split-3', 2): None,
+ ('split-3', 3): None,
+ ('split-3', 4): None,
+ ('split-4', 0): (((), ('1',)), (('0', '0', '0', '0', '-1'), ('1',))),
+ ('split-4', 1): None,
+ ('split-4', 2): None,
+ ('split-4', 3): None,
+ ('split-4', 4): None,
+ ('split-4', 5): None}
+
+_PINNED_WITNESSES = {'denominators': (('0', '-2', '-1'), ('1', '1')),
+ 'powers-0': None,
+ 'powers-1': (('0', '-1'), ('1',)),
+ 'powers-2': (('0', '-1'), ('1',), ()),
+ 'powers-3': (('0', '-1'), ('1',), (), ()),
+ 'powers-4': (('0', '-1'), ('1',), (), (), ()),
+ 'random-shifted-8': (('0', '-79/70', '82811/14700', '78973/7350', '-384311/7350',
+                       '294493/14700', '-154703/2100', '3659861/7350', '-4922663/7350',
+                       '34067/2100', '58399/105', '-2164639/7350', '-890161/7350',
+                       '542999/7350', '7166/245', '18/7'),
+                      ('79/70', '-82811/14700', '-78973/7350', '384311/7350', '-294493/14700',
+                       '154703/2100', '-3659861/7350', '4922663/7350', '-34067/2100',
+                       '-58399/105', '2164639/7350', '890161/7350', '-542999/7350', '-7166/245',
+                       '-18/7'),
+                      ()),
+ 'random-shifted-9': (('0', '0', '-4/27', '104/81', '9121/1296', '28573/5184', '-246877/10368',
+                       '-592991/10368', '-221377/10368', '127583/1728', '1164325/10368',
+                       '557101/10368', '-2211/128', '-265283/5184', '-75589/1296', '-24091/864',
+                       '235/288', '127/48'),
+                      ('0', '4/27', '-104/81', '-9121/1296', '-28573/5184', '246877/10368',
+                       '592991/10368', '221377/10368', '-127583/1728', '-1164325/10368',
+                       '-557101/10368', '2211/128', '265283/5184', '75589/1296', '24091/864',
+                       '-235/288', '-127/48'),
+                      ()),
+ 'shared-leading': (('-1', '0', '-1'), ('0', '0', '1')),
+ 'split-0': None,
+ 'split-1': None,
+ 'split-2': None,
+ 'split-3': None,
+ 'split-4': None}
+
+_PINNED_WITNESS_DIGESTS = {'random-0': '695f4fb47339919d0619ed4a7cb6d473cb2064756272ee3834f99f7c379f7305',
+ 'random-1': 'e2b781f44db66a82857f0b22dde913b6ac11f59fcfdbdc7581dbfb806c3ee03b',
+ 'random-2': '6abb5cade07037a8691e31147c80ea9c7d550909d0ae348b43b759953e094754',
+ 'random-3': '72835a45576adf37c4027746ef8737940ad43b43916d6d5bcc3f87d9650b3792',
+ 'random-4': '8993517a7168abc7bf551b1acb56328954e2d04034cf8f6dd14c3966e3c35ace',
+ 'random-5': 'e2767768d5081e50f3032ca0066a625ec0cdcb51a4a0e104df9580afbac645b0',
+ 'random-6': '937f31a30ba55bc36f352376a45820db7448ffde201bddcba92ac82f607abcd0',
+ 'random-7': 'e37774f9221f6090935a69798cb343935df34d4c20708843a4a5ed0bde272567'}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_monomial_intersection_pinned(name):
+    gens = [g for g in _PRESETS[name] if not g.is_zero()]
+    degrees = sorted(d for n, d in _PINNED_INTERSECTIONS if n == name)
+    assert degrees == list(range(n0_bound(gens).n0 + 1))
+    for d in degrees:
+        assert _vector_literal(monomial_intersection(gens, d)) == _PINNED_INTERSECTIONS[name, d]
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_t_independent_witness_pinned(name):
+    ok, witness = t_independent(_PRESETS[name])
+    assert ok == (witness is None)
+    literal = None if witness is None else tuple(_poly_literal(p) for p in witness)
+    if name in _PINNED_WITNESSES:
+        assert literal == _PINNED_WITNESSES[name]
+    else:
+        assert hashlib.sha256(repr(literal).encode()).hexdigest() == _PINNED_WITNESS_DIGESTS[name]

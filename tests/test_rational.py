@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.errors import DomainError, InputError
@@ -519,3 +519,140 @@ def test_rational_function_field_laws(a, b, c):
         assert (b / a) * a == b
     for rf in (a + b, a * b, a - c):
         assert rf.den.leading() == 1 and rf.num.gcd(rf.den) == Poly.one()
+
+
+# A pure-Fraction reference for Poly: the coefficient-tuple algorithms on
+# tuples of Fractions (ascending degree, no trailing zeros), written without
+# Poly so that a change of Poly's storage is checked against them.
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _ref_trim(out)
+
+
+def _ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_divmod(a, b):
+    dq = len(a) - len(b)
+    if dq < 0:
+        return (), a
+    rem, quot = list(a), [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _ref_derivative(a):
+    return _ref_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def _ref_call(a, x):
+    out = 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def _ref_rational_function(num, den):
+    """(num, den) reduced by the monic gcd, the denominator made monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+_ref_coeffs = st.lists(_entries, max_size=5).map(_ref_trim)
+_scalars = st.one_of(_entries, st.integers(-(10**12), 10**12))
+
+
+def _fraction_tuple(p):
+    return type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ref_coeffs, _ref_coeffs, _scalars, st.integers(0, 4))
+@example((), (), 0, 0)  # zero polynomials
+@example((Fraction(3),), (Fraction(-2, 7),), Fraction(5, 3), 3)  # constants
+@example((Fraction(1), Fraction(-5, 3)), (Fraction(2), Fraction(0), Fraction(-7, 4)), -2, 2)
+@example((Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(1), Fraction(9, 10)), 1, 1)
+def test_poly_operations_match_fraction_reference(a, b, s, n):
+    pa, pb = Poly(a), Poly(b)
+    assert pa.coeffs == a and _fraction_tuple(pa)
+    sc = _ref_trim([s])
+    for got, want in (
+        (pa + pb, _ref_add(a, b)),
+        (pa - pb, _ref_add(a, _ref_neg(b))),
+        (-pa, _ref_neg(a)),
+        (pa * pb, _ref_mul(a, b)),
+        (pa + s, _ref_add(a, sc)),
+        (s + pa, _ref_add(sc, a)),
+        (s - pa, _ref_add(sc, _ref_neg(a))),
+        (pa * s, _ref_mul(a, sc)),
+        (s * pa, _ref_mul(sc, a)),
+        (pa**n, _ref_pow(a, n)),
+        (pa.derivative(), _ref_derivative(a)),
+        (pa.gcd(pb), _ref_gcd(a, b)),
+        (pb.gcd(pa), _ref_gcd(b, a)),
+    ):
+        assert got.coeffs == want and _fraction_tuple(got)
+    if b:
+        q, r = pa.divmod(pb)
+        assert (q.coeffs, r.coeffs) == _ref_divmod(a, b)
+        assert _fraction_tuple(q) and _fraction_tuple(r)
+        assert (pa // pb).coeffs == q.coeffs and (pa % pb).coeffs == r.coeffs
+        rf = RationalFunction(pa, pb)
+        assert (rf.num.coeffs, rf.den.coeffs) == _ref_rational_function(a, b)
+        assert _fraction_tuple(rf.num) and _fraction_tuple(rf.den)
+    else:
+        with pytest.raises(DomainError):
+            pa.divmod(pb)
+    for x in (s, Fraction(s) / 7, 0, -1):
+        got, want = pa(x), _ref_call(a, x)
+        assert got == want and type(got) is type(want)
+    if a:
+        assert pa.leading() == a[-1] and type(pa.leading()) is Fraction
+        assert pa.degree == len(a) - 1
+    else:
+        assert pa.degree == NEG_INF and pa.is_zero()
+    assert (pa == pb) == (a == b)
+    if len(a) <= 1:
+        assert pa == (a[0] if a else 0)
