@@ -8,6 +8,7 @@ after clearing a common polynomial denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,9 +157,11 @@ def _reduced_basis(generators):
     """Reduced echelon basis of L = span(generators) after clearing denominators.
 
     Returns ``(basis, deltas, den, k)``: one ``{(degree, component):
-    coefficient}`` dict per basis vector of D L, the degree of each vector's
-    leading (pivot) monomial, the common denominator D and the component
-    count k.  Columns are the monomials z^d e_j ordered by degree descending.
+    coefficient}`` dict of integers per basis vector of D L, the degree of
+    each vector's leading (pivot) monomial, the common denominator D and the
+    component count k.  Columns are the monomials z^d e_j ordered by degree
+    descending.  The integers are the reduced echelon form over its one
+    denominator, which D absorbs, so the basis is that of D L exactly.
     """
     vectors = [
         v if isinstance(v, GradedVector) else GradedVector(v) for v in generators
@@ -170,13 +173,17 @@ def _reduced_basis(generators):
     k = len(rows[0])
     max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
     cols = [(d, j) for d in range(max_deg, -1, -1) for j in range(k)]
-    red, pivots = RationalMatrix(
-        [[row[j].coeffs[d] if d <= row[j].degree else 0 for d, j in cols] for row in rows]
-    ).rref()
+    common = math.lcm(*(p._den for row in rows for p in row))
+    ints = []
+    for row in rows:
+        nums = [p._num + (0,) * (max_deg + 1 - len(p._num)) for p in row]
+        scale = [common // p._den for p in row]
+        ints.append([nums[j][d] * scale[j] for d, j in cols])
+    red, pivots = RationalMatrix._from_ints(ints, common).rref()
     basis = [
-        {mono: c for mono, c in zip(cols, row) if c} for row in red.data[: len(pivots)]
+        {mono: a for mono, a in zip(cols, row) if a} for row in red._num[: len(pivots)]
     ]
-    return basis, [cols[pc][0] for pc in pivots], den, k
+    return basis, [cols[pc][0] for pc in pivots], den * red._den, k
 
 
 def n0_bound(generators) -> DegreeBoundReport:
@@ -222,7 +229,7 @@ def _monomial_intersection(basis, d: int, den: Poly, k: int):
     vecs = shifted + basis
     # one row per monomial that occurs: the null space ignores row order
     monomials = sorted(set().union(*vecs))
-    null = RationalMatrix([[v.get(m, 0) for v in vecs] for m in monomials]).nullspace()
+    null = RationalMatrix._from_ints([[v.get(m, 0) for v in vecs] for m in monomials], 1).nullspace()
     if not null:
         return None
     out = {}
@@ -267,15 +274,6 @@ def membership_witness(x: GradedVector, y: GradedVector):
         elif r != ratio:
             return None
     return ratio.den, ratio.num
-
-
-def f_t_x_ratio(x: GradedVector, y: GradedVector) -> RationalFunction | None:
-    """The linear ratio map y -> r_{x,y}, or None if y is outside F(M, x)."""
-    w = membership_witness(x, y)
-    if w is None:
-        return None
-    p, q = w
-    return RationalFunction(q, p)
 
 
 def random_rational_function(rng, max_deg: int = 4) -> RationalFunction:

@@ -2,8 +2,11 @@
 rational matrices over arbitrary-precision rationals.
 
 Everything here is immutable and pure; no floating point enters any
-computation.  Polynomials are coefficient tuples in ascending degree order
-with no trailing zeros, so ``()`` is the zero polynomial.
+computation.  Polynomials and matrices alike are stored as Python integers
+over one positive denominator, reduced so that the form is canonical;
+Fractions appear only where coefficients or entries leave them.  A
+polynomial's integer coefficients run in ascending degree order with no
+trailing zeros, so ``()`` is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -30,82 +33,186 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"cannot coerce {x!r} to an exact rational")
 
 
-class Poly:
-    """Univariate polynomial with Fraction coefficients."""
+def _int_mul(a, b):
+    """The product of two integer coefficient sequences."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
-    __slots__ = ("coeffs",)
+
+def _divide(a, b):
+    """Long division of the integer coefficients ``a`` by ``b``: ``(quot,
+    rem)`` with ``a = quot * b + rem`` and ``rem`` free of trailing zeros.
+
+    Each quotient coefficient is ``a[top] // b[-1]``, which the caller makes
+    exact: by scaling ``a`` by ``b[-1] ** (deg a - deg b + 1)`` first
+    (pseudo-division), or because ``b`` divides ``a`` over Z.
+    """
+    lc, nb = b[-1], len(b)
+    rem = list(a)
+    quot = [0] * (len(rem) - nb + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + nb - 1] // lc
+        if c:
+            quot[k] = c
+            rem[k : k + nb] = [r - c * y for r, y in zip(rem[k : k + nb], b)]
+    n = nb - 1
+    while n and not rem[n - 1]:
+        n -= 1
+    return quot, rem[:n]
+
+
+def _pseudo_divide(a, b):
+    """``(quot, rem, scale)`` over Z with ``scale * a = quot * b + rem`` and
+    ``scale = b[-1] ** (deg a - deg b + 1)``; ``deg a >= deg b``."""
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    return (*_divide([x * scale for x in a], b), scale)
+
+
+def _primitive(a):
+    """The integer coefficients ``a`` divided by their gcd."""
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else list(a)
+
+
+def _primitive_gcd(a, b):
+    """A gcd over Z of the primitive integer polynomials ``a`` and ``b``,
+    itself primitive and defined up to sign: the primitive remainder
+    sequence (Brown, J. ACM 18, 1971).  ``[1]`` once a nonzero constant
+    appears; ``[]`` only when both are zero."""
+    while b:
+        if len(b) == 1:
+            return [1]
+        if len(a) >= len(b):
+            a = _primitive(_pseudo_divide(a, b)[1])
+        a, b = b, a
+    return a
+
+
+class Poly:
+    """Univariate polynomial with rational coefficients.
+
+    Stored as integer coefficients ``_num`` in ascending degree order with
+    no trailing zeros, over one positive integer denominator ``_den``,
+    reduced so that the gcd of ``_den`` and every coefficient is 1.  The
+    form is canonical, so ``==`` compares integers.  Arithmetic, division
+    (one pseudo-division over Z), gcd (the primitive remainder sequence,
+    made monic at the end) and evaluation at int and Fraction points run on
+    these integers and reduce each result once.  ``coeffs``, the tuple of
+    Fraction coefficients, is built on first use.
+    """
+
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of reduced denominators the form is already canonical
+        den = math.lcm(*[c.denominator for c in cs])
+        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
+        self._coeffs = tuple(cs)
+
+    @classmethod
+    def _from_ints(cls, num, den: int) -> "Poly":
+        """The polynomial ``num / den`` from integer coefficients, trailing
+        zeros allowed, and a nonzero integer ``den``, in canonical form."""
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        num = num[:n]
+        if not num:
+            den = 1
+        elif den != 1:
+            if den < 0:
+                num, den = [-a for a in num], -den
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [a // g for a in num], den // g
+        out = cls.__new__(cls)
+        out._num = tuple(num)
+        out._den = den
+        out._coeffs = None
+        return out
 
     @classmethod
     def monomial(cls, degree: int) -> "Poly":
         """z^degree."""
-        return cls([0] * degree + [1])
+        return cls._from_ints([0] * degree + [1], 1)
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._from_ints((), 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls([1])
+        return cls._from_ints((1,), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Fractions, constant term first."""
+        if self._coeffs is None:
+            d = self._den
+            self._coeffs = tuple([Fraction(a, d) for a in self._num])
+        return self._coeffs
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
+            other = self._coerce(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its value, since it compares equal to it
+        if len(self._num) <= 1:
+            return hash(Fraction(self._num[0], self._den)) if self._num else hash(0)
+        return hash((self._num, self._den))
+
+    def _add(self, other, sign: int) -> "Poly":
+        """``self + sign * other`` over the common denominator."""
+        other = self._coerce(other)
+        a, b = self._num, other._num
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        out = [x * fa for x in a] + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += y * fb
+        return Poly._from_ints(out, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._add(other, 1)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_ints([-a for a in self._num], self._den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._add(other, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly._from_ints(_int_mul(self._num, other._num), self._den * other._den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -116,31 +223,29 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        out, base = Poly.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        out, base, k = [1], self._num, n
+        while k:
+            if k & 1:
+                out = _int_mul(out, base)
+            base = _int_mul(base, base) if k > 1 else base
+            k >>= 1
+        return Poly._from_ints(out, self._den**n)
 
     def divmod(self, other: "Poly"):
         other = self._coerce(other)
-        if other.is_zero():
+        b = other._num
+        if not b:
             raise DomainError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem)
+        if len(self._num) < len(b):
+            return Poly.zero(), self
+        # scale * self._num = quot * b + rem over Z, so self = other * quot *
+        # other._den / (scale * self._den) + rem / (scale * self._den)
+        quot, rem, scale = _pseudo_divide(self._num, b)
+        den = scale * self._den
+        return (
+            Poly._from_ints([q * other._den for q in quot], den),
+            Poly._from_ints(rem, den),
+        )
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -149,30 +254,39 @@ class Poly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, self._coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (1 / a.leading())
+        """The monic gcd over Q; zero only when both are zero."""
+        g = _primitive_gcd(_primitive(self._num), _primitive(self._coerce(other)._num))
+        return Poly._from_ints(g, g[-1]) if g else Poly.zero()
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._from_ints([i * a for i, a in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
+        num = self._num
+        if not num:
+            return 0
+        if isinstance(x, (int, Fraction)):
+            # sum a_i p^i q^(n - i) over den * q^n, for x = p / q
+            p, q = x.numerator, x.denominator
+            acc, qk = 0, 1
+            for a in reversed(num):
+                acc = acc * p + a * qk
+                qk *= q
+            return Fraction(acc, self._den * (qk // q))
         out = 0
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
 
     @staticmethod
-    def _coerce(other):
+    def _coerce(other) -> "Poly":
         if isinstance(other, Poly):
             return other
-        return Poly([other])
+        f = _as_fraction(other)
+        return Poly._from_ints((f.numerator,), f.denominator)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._num:
             return "Poly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -198,17 +312,22 @@ class RationalFunction:
         if den.is_zero():
             raise DomainError("zero denominator")
         if num.is_zero():
-            self.num, self.den = Poly(), Poly.one()
+            self.num, self.den = Poly.zero(), Poly.one()
             return
-        g = num.gcd(den)
-        num, den = num // g, den // g
-        lead = den.leading()
-        self.num = num * (1 / lead)
-        self.den = den * (1 / lead)
+        # num / den = (cn * pn / num._den) / (cd * pd / den._den) with pn, pd
+        # primitive; their primitive gcd divides both exactly over Z
+        cn, cd = math.gcd(*num._num), math.gcd(*den._num)
+        pn, pd = [a // cn for a in num._num], [a // cd for a in den._num]
+        g = _primitive_gcd(pn, pd)
+        if len(g) > 1:
+            pn, pd = _divide(pn, g)[0], _divide(pd, g)[0]
+        lead = pd[-1]
+        self.num = Poly._from_ints([a * cn * den._den for a in pn], num._den * cd * lead)
+        self.den = Poly._from_ints(pd, lead)
 
     @classmethod
     def zero(cls):
-        return cls(Poly())
+        return cls(Poly.zero())
 
     @classmethod
     def one(cls):
@@ -227,11 +346,15 @@ class RationalFunction:
         return not self.num.is_zero()
 
     def __eq__(self, other):
+        if not isinstance(other, (RationalFunction, Poly, int, Fraction)):
+            return NotImplemented
         other = self._coerce(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial (den = 1) hashes as the Poly, and so as the scalar
+        # value when constant, since it compares equal to both
+        return hash(self.num) if self.den.degree == 0 else hash((self.num, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -268,9 +391,7 @@ class RationalFunction:
     def _coerce(other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        return RationalFunction(Poly([other]))
+        return RationalFunction(other)
 
     def __repr__(self):
         if self.den == Poly.one():

@@ -12,7 +12,6 @@ from shiftlab.grading import (
     GradedVector,
     deg,
     DegreeBoundReport,
-    f_t_x_ratio,
     membership_witness,
     monomial_intersection,
     n0_bound,
@@ -192,8 +191,8 @@ class TestMembership:
         x = GradedVector([ONE, Z])
         shift = RationalFunction(Poly([1, 1]))
         y = x.scale(shift)
-        r = f_t_x_ratio(x, y)
-        assert r == shift
+        p, q = membership_witness(x, y)
+        assert RationalFunction(q, p) == shift
 
     def test_inconsistent_ratios(self):
         assert membership_witness(GradedVector([ONE, ZERO]), GradedVector([ZERO, ONE])) is None
@@ -217,7 +216,8 @@ class TestMembership:
         combo = GradedVector(
             [s * a + t * b for a, b in zip(y.components, u.components)]
         )
-        assert f_t_x_ratio(x, combo) == s * r1 + t * r2
+        p, q = membership_witness(x, combo)
+        assert RationalFunction(q, p) == s * r1 + t * r2
 
 
 class TestDeltaGrading:

@@ -656,3 +656,37 @@ def test_poly_operations_match_fraction_reference(a, b, s, n):
     assert (pa == pb) == (a == b)
     if len(a) <= 1:
         assert pa == (a[0] if a else 0)
+
+
+def test_constant_poly_and_rational_function_hash_as_their_value():
+    for value in (0, 2, -7, Fraction(3, 4), Fraction(-5, 2)):
+        p, rf = Poly([value]), RationalFunction(Poly([value]))
+        assert p == value and rf == value and rf == p
+        assert hash(p) == hash(value) == hash(rf)
+        assert len({p, rf, value}) == 1
+    assert hash(Poly()) == hash(0) == hash(RationalFunction.zero())
+    assert len({Poly([2]), 2, Fraction(2)}) == 1
+    z = Poly([1, 1])
+    assert RationalFunction(z) == z and hash(RationalFunction(z)) == hash(z)
+    assert len({z, RationalFunction(z), RationalFunction(z * 3, Poly([3]))}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _nonzero_polys, _polys, _nonzero_polys)
+def test_equal_poly_and_rational_function_hash_equal(a, b, c, d):
+    for x, y in ((a, c), (a * b, c * b), (a, a * (b // b))):
+        assert (x == y) <= (hash(x) == hash(y))
+    r, s = RationalFunction(a, b), RationalFunction(a * d, b * d)
+    assert r == s and hash(r) == hash(s)
+    if r.den == Poly.one():
+        assert r == r.num and hash(r) == hash(r.num)
+
+
+def test_rational_function_equality_with_foreign_operands_is_false():
+    rf = RationalFunction(Poly([1, 1]))
+    for other in (None, 1.5, "x", [1, 1], (1, 1), object()):
+        assert (rf == other) is False
+        assert (rf != other) is True
+        assert (other == rf) is False
+    assert rf == Poly([1, 1]) and RationalFunction(Poly([2])) == 2
+    assert RationalFunction(Poly([1]), Poly([2])) == Fraction(1, 2)
