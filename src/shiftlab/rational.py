@@ -114,9 +114,8 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         # over the lcm of reduced denominators the form is already canonical
-        den = math.lcm(*[c.denominator for c in cs])
-        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
-        self._den = den
+        num, self._den = _cleared(cs)
+        self._num = tuple(num)
         self._coeffs = tuple(cs)
 
     @classmethod
