@@ -8,7 +8,6 @@ after clearing a common polynomial denominator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,17 +172,10 @@ def _reduced_basis(generators):
     k = len(rows[0])
     max_deg = max(int(p.degree) for row in rows for p in row if not p.is_zero())
     cols = [(d, j) for d in range(max_deg, -1, -1) for j in range(k)]
-    common = math.lcm(*(p._den for row in rows for p in row))
-    ints = []
-    for row in rows:
-        nums = [p._num + (0,) * (max_deg + 1 - len(p._num)) for p in row]
-        scale = [common // p._den for p in row]
-        ints.append([nums[j][d] * scale[j] for d, j in cols])
-    red, pivots = RationalMatrix._from_ints(ints, common).rref()
-    basis = [
-        {mono: a for mono, a in zip(cols, row) if a} for row in red._num[: len(pivots)]
-    ]
-    return basis, [cols[pc][0] for pc in pivots], den * red._den, k
+    red, pivots = RationalMatrix._from_poly_rows(rows, cols).rref()
+    ints, red_den = red.cleared()
+    basis = [{mono: a for mono, a in zip(cols, row) if a} for row in ints[: len(pivots)]]
+    return basis, [cols[pc][0] for pc in pivots], den * red_den, k
 
 
 def n0_bound(generators) -> DegreeBoundReport:

@@ -33,6 +33,17 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"cannot coerce {x!r} to an exact rational")
 
 
+def _divisor(ints, den: int) -> int:
+    """The integer, signed like the nonzero ``den``, that divides ``den``
+    and every one of ``ints`` exactly and leaves ``ints / den`` in lowest
+    terms over a positive denominator (``den`` itself when ``ints`` are all
+    zero)."""
+    if den == 1:
+        return 1
+    g = math.gcd(den, *ints)
+    return -g if den < 0 else g
+
+
 def _int_mul(a, b):
     """The product of two integer coefficient sequences."""
     if not a or not b:
@@ -101,10 +112,10 @@ class Poly:
     no trailing zeros, over one positive integer denominator ``_den``,
     reduced so that the gcd of ``_den`` and every coefficient is 1.  The
     form is canonical, so ``==`` compares integers.  Arithmetic, division
-    (one pseudo-division over Z), gcd (the primitive remainder sequence,
-    made monic at the end) and evaluation at int and Fraction points run on
-    these integers and reduce each result once.  ``coeffs``, the tuple of
-    Fraction coefficients, is built on first use.
+    (one pseudo-division over Z) and gcd (the primitive remainder sequence,
+    made monic at the end) run on these integers and reduce each result
+    once.  ``coeffs``, the tuple of Fraction coefficients, is built on first
+    use; evaluation runs Horner's rule on it.
     """
 
     __slots__ = ("_num", "_den", "_coeffs")
@@ -126,14 +137,9 @@ class Poly:
         while n and not num[n - 1]:
             n -= 1
         num = num[:n]
-        if not num:
-            den = 1
-        elif den != 1:
-            if den < 0:
-                num, den = [-a for a in num], -den
-            g = math.gcd(den, *num)
-            if g != 1:
-                num, den = [a // g for a in num], den // g
+        g = _divisor(num, den)
+        if g != 1:
+            num, den = [a // g for a in num], den // g
         out = cls.__new__(cls)
         out._num = tuple(num)
         out._den = den
@@ -261,17 +267,6 @@ class Poly:
         return Poly._from_ints([i * a for i, a in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
-        num = self._num
-        if not num:
-            return 0
-        if isinstance(x, (int, Fraction)):
-            # sum a_i p^i q^(n - i) over den * q^n, for x = p / q
-            p, q = x.numerator, x.denominator
-            acc, qk = 0, 1
-            for a in reversed(num):
-                acc = acc * p + a * qk
-                qk *= q
-            return Fraction(acc, self._den * (qk // q))
         out = 0
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -455,7 +450,8 @@ class RationalMatrix:
     integers and reduce each result once.  Fractions are made only where
     entries leave the matrix: ``data`` (built on first use), ``[i, j]``,
     ``to_float``, matrix-vector ``@`` (its integer kernel ``_matvec`` makes
-    none) and the vectors of ``solve`` and ``nullspace``.
+    none) and the vectors of ``solve`` and ``nullspace``; ``cleared`` hands
+    out the integer rows themselves.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_data")
@@ -481,12 +477,9 @@ class RationalMatrix:
         ``den``, reduced to the canonical form."""
         if not num or not num[0]:
             raise InputError("empty matrix")
-        if den < 0:
-            num, den = [[-a for a in row] for row in num], -den
-        if den != 1:
-            g = math.gcd(den, *(a for row in num for a in row))
-            if g != 1:
-                num, den = [[a // g for a in row] for row in num], den // g
+        g = _divisor((a for row in num for a in row), den)
+        if g != 1:
+            num, den = [[a // g for a in row] for row in num], den // g
         out = cls.__new__(cls)
         out._num = tuple(map(tuple, num))
         out._den = den
@@ -494,6 +487,18 @@ class RationalMatrix:
         out.cols = len(out._num[0])
         out._data = None
         return out
+
+    @classmethod
+    def _from_poly_rows(cls, polys, cols) -> "RationalMatrix":
+        """The coefficient matrix of rows of ``Poly``: entry ``(i, c)`` is the
+        z^d coefficient of ``polys[i][j]`` for ``cols[c] = (d, j)``; built on
+        the polynomials' integers over their common denominator."""
+        den = math.lcm(*(p._den for row in polys for p in row))
+        num = []
+        for row in polys:
+            scaled = [[a * (den // p._den) for a in p._num] for p in row]
+            num.append([scaled[j][d] if d < len(scaled[j]) else 0 for d, j in cols])
+        return cls._from_ints(num, den)
 
     @classmethod
     def _block(cls, grid, rows: slice, cols: slice) -> "RationalMatrix":
@@ -522,6 +527,11 @@ class RationalMatrix:
             d = self._den
             self._data = tuple(tuple(Fraction(a, d) for a in row) for row in self._num)
         return self._data
+
+    def cleared(self):
+        """``(rows, den)``: the entries as a tuple of integer rows over one
+        positive denominator, with gcd(den, every entry) = 1."""
+        return self._num, self._den
 
     def __getitem__(self, ij):
         i, j = ij

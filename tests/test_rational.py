@@ -194,6 +194,10 @@ def test_public_surface_matches_fraction_tuples(data):
     assert hash(ma) == hash(ra) and hash(RationalMatrix(ra)) == hash(ma)
     assert (ma == mb) == (ra == rb) and ma == RationalMatrix(ra)
     assert ma.is_zero() == all(x == 0 for row in a for x in row)
+    num, den = ma.cleared()
+    assert den > 0 and math.gcd(den, *(x for row in num for x in row)) == 1
+    assert all(type(x) is int for row in num for x in row)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in num) == ra
     for got, want in (
         (ma + mb, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]),
         (ma - mb, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]),
@@ -245,6 +249,8 @@ def test_equal_matrices_built_differently_are_equal():
     assert sixths == twelfths == whole
     assert hash(sixths) == hash(twelfths) == hash(whole) == hash(((3, 2),))
     assert sixths.data == ((Fraction(3), Fraction(2)),)
+    assert sixths.cleared() == twelfths.cleared() == (((3, 2),), 1)
+    assert a.cleared() == (((4, -10), (0, 21)), 12)
     assert RationalMatrix([[Fraction(2, 4)]]) @ RationalMatrix([[2]]) == RationalMatrix.identity(1)
 
 
