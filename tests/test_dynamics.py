@@ -8,6 +8,7 @@ import pytest
 from shiftlab.dynamics import (
     Ball,
     CoverageReport,
+    HitReport,
     NetSpec,
     bump_function,
     default_scale_grid,
@@ -21,7 +22,9 @@ from shiftlab.dynamics import (
     u3_density,
     volterra_dist,
 )
+from shiftlab.criteria import unimodular_chain_spaces
 from shiftlab.errors import DomainError, InputError, PreconditionError
+from shiftlab.linalg import Subspace
 from shiftlab.nilpotent import backward_shift
 from shiftlab.operators import (
     bilateral_shift,
@@ -78,6 +81,53 @@ def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40
                 cur = t @ cur
     total = net.cells * net.cells
     return CoverageReport(len(hit) / total, len(hit), total, horizon, seed)
+
+
+def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed):
+    """The per-step loop mixing_window is checked against: one full
+    transitivity_pair per step n, its residual norms recomputed from x."""
+    dim = t.shape[0]
+    u_c, v_c = ball_u.center, ball_v.center
+    pieces = unimodular_chain_spaces(t)
+    use_pairs = False
+    if pieces:
+        lam = Subspace.from_vectors([row for _, _, sp in pieces for row in sp.basis], dim)
+        use_pairs = lam.contains(u_c, 1e-7) and lam.contains(v_c, 1e-7)
+    hits = []
+    power = np.eye(dim, dtype=np.complex128)
+    for n in range(1, horizon + 1):
+        power = power @ t
+        hit = False
+        if use_pairs:
+            try:
+                x = transitivity_pair(t, u_c, v_c, n).x
+                hit = (
+                    float(np.linalg.norm(x - u_c)) <= ball_u.radius
+                    and float(np.linalg.norm(power @ x - v_c)) <= ball_v.radius
+                )
+            except (DomainError, PreconditionError):
+                hit = False
+        if not hit and float(np.linalg.norm(power @ u_c - v_c)) <= ball_v.radius:
+            hit = True
+        if not hit:
+            rng = np.random.default_rng((seed, n))
+            for _ in range(probe_budget):
+                eta = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                eta /= float(np.linalg.norm(eta))
+                for frac in (1.0, 0.5, 0.25):
+                    x = u_c + ball_u.radius * frac * eta
+                    if float(np.linalg.norm(power @ x - v_c)) <= ball_v.radius:
+                        hit = True
+                        break
+                if hit:
+                    break
+        hits.append(hit)
+    first = None
+    for start in range(horizon, 0, -1):
+        if not hits[start - 1]:
+            break
+        first = start
+    return HitReport(tuple(hits), first, horizon, seed)
 
 
 class TestOrbit:
@@ -267,6 +317,40 @@ class TestMixingWindow:
         )
         assert rep1.first_window_start == rep2.first_window_start
 
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [0.05, 0.25, 1.0])
+    def test_matches_per_step_reference(self, n, radius):
+        # the cmd_mixing operator and centers: T = I + S on K^(2n), e_0 -> e_1
+        t = np.eye(2 * n) + backward_shift(2 * n)
+        u_c, v_c = unit(0, 2 * n), unit(min(1, 2 * n - 1), 2 * n)
+        for seed in range(4):
+            for budget in (0, 32):
+                args = (t, Ball(u_c, radius), Ball(v_c, radius), 40, budget, seed)
+                assert mixing_window(*args) == reference_mixing_window(*args)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_centers_outside_the_chain_span_match_reference(self, seed):
+        # e_3 is no chain-span vector of I + S on K^4: random and center
+        # probes only
+        t = np.eye(4) + backward_shift(4)
+        for u_c, v_c in ((unit(3, 4), unit(0, 4)), (unit(0, 4), unit(3, 4))):
+            args = (t, Ball(u_c, 0.5), Ball(v_c, 0.5), 30, 32, seed)
+            assert mixing_window(*args) == reference_mixing_window(*args)
+
+    def test_chain_seed_domain_error_matches_reference(self):
+        # an eigenvalue 1e-7 off the unit circle is snapped onto it, so both
+        # centers lie in the chain span, but (T/z - I)^n e_0 never reaches
+        # e_0's seed: every step's pair raises DomainError
+        t = (1 + 1e-7) * np.eye(4) + backward_shift(4)
+        (z, _, sp), = unimodular_chain_spaces(t)
+        u_c, v_c = sp.basis[0], sp.basis[-1]
+        with pytest.raises(DomainError):
+            transitivity_pair(t, u_c, v_c, 8)
+        for radius in (0.05, 0.5, 2.0):
+            for budget in (0, 32):
+                args = (t, Ball(u_c, radius), Ball(v_c, radius), 30, budget, 2)
+                assert mixing_window(*args) == reference_mixing_window(*args)
 
 class TestTransitivityPair:
     def test_zero_pair(self):
