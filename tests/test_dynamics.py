@@ -376,6 +376,25 @@ class TestTransitivityPair:
         x_split = transitivity_pair(t, u1, v, k).x + transitivity_pair(t, u2, np.zeros(4), k).x
         assert np.linalg.norm(x_sum - x_split) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    def test_residuals_are_the_distances_of_x(self, k):
+        t = np.eye(6) + backward_shift(6)
+        u, v = unit(0, 6) + 0.5j * unit(1, 6), unit(1, 6) - unit(2, 6)
+        pair = transitivity_pair(t, u, v, k)
+        assert pair.step == k
+        assert pair.residual_u == float(np.linalg.norm(pair.x - u))
+        assert pair.residual_v == float(np.linalg.norm(np.linalg.matrix_power(t, k) @ pair.x - v))
+
+    def test_trivial_span(self):
+        # 2I has no unimodular eigenvalue: only u = v = 0 has a pair
+        t = 2.0 * np.eye(3)
+        pair = transitivity_pair(t, np.zeros(3), np.zeros(3), 8)
+        assert not pair.x.any() and pair.x.shape == (3,)
+        assert (pair.residual_u, pair.residual_v, pair.step) == (0.0, 0.0, 8)
+        for u, v in ((unit(0, 3), np.zeros(3)), (np.zeros(3), unit(2, 3))):
+            with pytest.raises(DomainError, match="trivial"):
+                transitivity_pair(t, u, v, 8)
+
     def test_outside_span_rejected_with_distance(self):
         t = np.eye(4) + backward_shift(4)
         with pytest.raises(DomainError) as err:
