@@ -70,6 +70,14 @@ class TestExitCodes:
         assert code == 2
         assert load_report(out)["verdict"] == "violated-at-horizon"
 
+    @pytest.mark.parametrize("z", ["nan", "nanj", "2", "infj"])
+    def test_kerim_non_unimodular_z_is_input_error(self, z, capsys):
+        code = main(["kerim", "--z", z])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

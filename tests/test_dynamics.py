@@ -347,7 +347,9 @@ class TestMixingWindow:
         u_c, v_c = sp.basis[0], sp.basis[-1]
         with pytest.raises(DomainError):
             transitivity_pair(t, u_c, v_c, 8)
-        for radius in (0.05, 0.5, 2.0):
+        # at radius 1.2 only a pair probe x = 0 would hit: |0 - e_0| = |0 - e_1|
+        # = 1, while the center probe misses by |e_0 - e_1| = 1.41
+        for radius in (0.05, 0.5, 1.2):
             for budget in (0, 32):
                 args = (t, Ball(u_c, radius), Ball(v_c, radius), 30, budget, 2)
                 assert mixing_window(*args) == reference_mixing_window(*args)
