@@ -225,10 +225,9 @@ def cmd_kerim(args) -> ExperimentReport:
     a = nil.backward_shift(2 * args.n)
     x = np.zeros(2 * args.n)
     x[args.n - 1] = 1.0  # top of the length-n chain
+    ks = [2**e for e in range(2, args.k_max_exp + 1)]
     rows, trace = [], []
-    for e in range(2, args.k_max_exp + 1):
-        k = 2**e
-        res = nil.unimodular_residuals(a, z, x, k)
+    for k, res in zip(ks, nil.unimodular_residuals(a, z, x, ks)):
         rows.append({"k": k, "residuals": list(res)})
         trace.append({"k": k, **{f"residual_{i}": r for i, r in enumerate(res)}})
     last = max(rows[-1]["residuals"])

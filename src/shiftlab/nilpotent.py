@@ -150,9 +150,11 @@ def jordan_solve(n: int, z, u, v) -> np.ndarray:
     z = complex(z)
     if z == 0:
         raise DomainError("the approach-pair system is singular at z = 0")
-    u = _head_part(u, n)
-    v = _head_part(v, n)
+    return _jordan_heads(n, z, _head_part(u, n), _head_part(v, n))
 
+
+def _jordan_heads(n: int, z: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``jordan_solve`` on complex length-n heads u, v and z != 0, unchecked."""
     w = v[::-1].copy()  # w_j references v_{n-j+1}
     w -= _head_cross_terms(n, z, u)
     dinv = np.array([z ** (-k) for k in range(n)], dtype=np.complex128)
@@ -272,11 +274,16 @@ def discrete_pair(n: int, j: int, u, v) -> np.ndarray:
     """x_j with x_j -> u and (I+S)^j x_j -> v as j grows (heads u, v)."""
     if j < 1:
         raise InputError("step index j must be >= 1")
+    return _discrete_heads(n, j, _head_part(u, n), _head_part(v, n))
+
+
+def _discrete_heads(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``discrete_pair`` on complex length-n heads u, v and j >= 1, unchecked."""
     jmat, jinv = _similarity_j_float(n)
     pad = np.zeros(n, dtype=np.complex128)
-    ju = (jmat @ np.concatenate([_head_part(u, n), pad]))[:n]
-    jv = (jmat @ np.concatenate([_head_part(v, n), pad]))[:n]
-    return jinv @ jordan_solve(n, j, ju, jv)
+    ju = (jmat @ np.concatenate([u, pad]))[:n]
+    jv = (jmat @ np.concatenate([v, pad]))[:n]
+    return jinv @ _jordan_heads(n, complex(j), ju, jv)
 
 
 @dataclass(frozen=True)
@@ -430,17 +437,32 @@ def unimodular_approach(A, z, x, k: int):
     z^k (I+A)^k v_k -> 0.  Built on the Jordan chain h_j = A^(2n-j) w where
     A^n w = x and n is the smallest integer killing x.
     """
+    a, z, xv = _unimodular_input(A, z, x)
+    return _unimodular_pair(*_unimodular_chain(a, xv), z, k)
+
+
+def _unimodular_input(A, z, x):
+    """(a, z, x) as a finite square complex matrix, a complex z with |z| = 1
+    and a finite complex vector of a's size."""
     a = as_matrix(A)
-    dim = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise InputError("square matrix required")
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-9:
+    if not abs(abs(z) - 1.0) <= 1e-9:  # NaN fails too
         raise InputError(f"|z| must be 1, got {abs(z)}")
-    xv = as_vector(x, dim)
+    return a, z, as_vector(x, a.shape[0])
+
+
+def _unimodular_chain(a: np.ndarray, xv: np.ndarray):
+    """The step-independent half of the twisted pair: (n, J).
+
+    n is the smallest integer with A^n x = 0 and J the dim x 2n matrix with
+    columns h_1..h_2n.  x = 0 has the zero chain (1, 0), whose pair is zero.
+    """
+    dim = a.shape[0]
     nx = float(np.linalg.norm(xv))
     if nx == 0.0:
-        return np.zeros(dim, dtype=np.complex128), np.zeros(dim, dtype=np.complex128)
+        return 1, np.zeros((dim, 2), dtype=np.complex128)
 
     # smallest n with A^n x = 0
     n = None
@@ -464,25 +486,39 @@ def unimodular_approach(A, z, x, k: int):
     jmat = np.array(chain).T  # columns h_1..h_2n
     if np.linalg.matrix_rank(jmat, tol=1e-9 * max(1.0, nx)) < 2 * n:
         raise NumericError("Jordan chain basis is numerically degenerate")
+    return n, jmat
 
+
+def _unimodular_pair(n: int, jmat: np.ndarray, z: complex, k: int):
+    """(u_k, v_k) on the chain (n, J) of ``_unimodular_chain``: J f_k and
+    J g_k for the discrete pairs f_k -> (0, z^-k e_n) and g_k -> (e_n, 0)."""
+    if k < 1:
+        raise InputError("step index k must be >= 1")
     e_n = np.zeros(n, dtype=np.complex128)
     e_n[n - 1] = 1.0
-    f_k = discrete_pair(n, k, np.zeros(n), (z ** (-k)) * e_n)
-    g_k = discrete_pair(n, k, e_n, np.zeros(n))
+    zero = np.zeros(n, dtype=np.complex128)
+    f_k = _discrete_heads(n, k, zero, (z ** (-k)) * e_n)
+    g_k = _discrete_heads(n, k, e_n, zero)
     return jmat @ f_k, jmat @ g_k
 
 
-def unimodular_residuals(A, z, x, k: int):
-    """The four residuals of the twisted limits at step k."""
-    a = as_matrix(A)
-    z = complex(z)
-    xv = as_vector(x, a.shape[0])
-    u_k, v_k = unimodular_approach(A, z, x, k)
-    t = np.linalg.matrix_power(np.eye(a.shape[0], dtype=np.complex128) + a, k)
-    zk = z**k
-    return (
-        float(np.linalg.norm(u_k)),
-        float(np.linalg.norm(zk * (t @ u_k) - xv)),
-        float(np.linalg.norm(v_k - xv)),
-        float(np.linalg.norm(zk * (t @ v_k))),
-    )
+def unimodular_residuals(A, z, x, steps):
+    """The four residuals of the twisted limits at each step k of ``steps``.
+
+    The Jordan chain does not depend on k; it is built once for the sweep.
+    """
+    a, z, xv = _unimodular_input(A, z, x)
+    n, jmat = _unimodular_chain(a, xv)
+    one_plus_a = np.eye(a.shape[0], dtype=np.complex128) + a
+    out = []
+    for k in steps:
+        u_k, v_k = _unimodular_pair(n, jmat, z, k)
+        t = np.linalg.matrix_power(one_plus_a, k)
+        zk = z**k
+        out.append((
+            float(np.linalg.norm(u_k)),
+            float(np.linalg.norm(zk * (t @ u_k) - xv)),
+            float(np.linalg.norm(v_k - xv)),
+            float(np.linalg.norm(zk * (t @ v_k))),
+        ))
+    return out

@@ -1,11 +1,15 @@
 """Orbits, exponential groups and the empirical diagnostics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.dynamics import (
+    _cnorm,
     Ball,
     CoverageReport,
     HitReport,
@@ -353,6 +357,27 @@ class TestMixingWindow:
             for budget in (0, 32):
                 args = (t, Ball(u_c, radius), Ball(v_c, radius), 30, budget, 2)
                 assert mixing_window(*args) == reference_mixing_window(*args)
+
+# real and imaginary parts: every finite float (signed zeros and subnormals
+# included), the smallest subnormal, and magnitudes whose squares sit near
+# the top of the float range
+_norm_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e154, -1.3407807929942596e154]),
+    st.floats(min_value=1e153, max_value=1e155),
+    st.floats(min_value=-1e155, max_value=-1e153),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_norm_parts, _norm_parts), max_size=12))
+def test_cnorm_is_numpy_norm_bit_for_bit(parts):
+    v = np.empty(len(parts), dtype=np.complex128)
+    v.real = [re for re, _ in parts]
+    v.imag = [im for _, im in parts]
+    with np.errstate(over="ignore"):  # squares past the float range: inf on both sides
+        got, want = _cnorm(v), float(np.linalg.norm(v))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 class TestTransitivityPair:
     def test_zero_pair(self):

@@ -445,17 +445,22 @@ class TestUnimodularApproach:
         s = backward_shift(4)
         u_k, v_k = unimodular_approach(s, 1.0, np.zeros(4), 16)
         assert not u_k.any() and not v_k.any()
+        assert unimodular_residuals(s, 1.0, np.zeros(4), (4, 16)) == [(0.0, 0.0, 0.0, 0.0)] * 2
+
+    def test_step_below_one_rejected(self):
+        with pytest.raises(InputError):
+            unimodular_approach(backward_shift(2), 1.0, np.array([1.0, 0.0]), 0)
+        with pytest.raises(InputError):
+            unimodular_residuals(backward_shift(2), 1.0, np.array([1.0, 0.0]), (4, 0))
 
     def test_four_limits_decay(self):
         s = backward_shift(6)
         x = np.zeros(6)
         x[1] = 1.0  # e2 lies in S^2(X) ∩ ker S^2
-        prev = None
-        for k in (16, 64, 256, 1024):
-            res = unimodular_residuals(s, 1.0, x, k)
-            if prev is not None:
-                assert max(res) < max(prev)
-            prev = res
+        sweep = unimodular_residuals(s, 1.0, x, (16, 64, 256, 1024))
+        assert len(sweep) == 4
+        for prev, res in zip(sweep, sweep[1:]):
+            assert max(res) < max(prev)
 
     def test_membership_precondition(self):
         with pytest.raises(DomainError):
@@ -464,3 +469,10 @@ class TestUnimodularApproach:
     def test_nonunimodular_z_rejected(self):
         with pytest.raises(InputError):
             unimodular_approach(backward_shift(2), 2.0, np.array([1.0, 0.0]), 8)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(1.0, float("nan")), complex("inf")])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(InputError):
+            unimodular_approach(backward_shift(2), z, np.array([1.0, 0.0]), 8)
+        with pytest.raises(InputError):
+            unimodular_residuals(backward_shift(2), z, np.array([1.0, 0.0]), (4, 8))
