@@ -413,6 +413,44 @@ def test_region_predicates_match_scalar_reference(groups):
         assert [bool(pred(z)) for z in zs] == expected  # scalars still work
 
 
+def reference_symmetry_obstruction(w, p_coeffs, trials, horizon, seed):
+    """The per-trial loop symmetry_obstruction is checked against: one
+    matrix-vector product and three dots per (trial, step), max by Python's
+    ``max``.  Returns max_residual; only for weights that pass the |w_n| =
+    |w_-n| check and whose orbits stay finite."""
+    m = max(w.half + 2, 12)
+    idx = list(range(-m, m))
+    dim = len(idx)
+    t0 = np.zeros((dim, dim))
+    for col, nidx in enumerate(idx):
+        if nidx - 1 >= idx[0]:
+            t0[col - 1, col] = abs(w.value(nidx))
+
+    def poly(mat):
+        out = np.zeros_like(mat)
+        power = np.eye(dim, dtype=mat.dtype)
+        for c in p_coeffs:
+            out = out + float(c) * power
+            power = power @ mat
+        return out
+
+    s0, s0t = poly(t0), poly(t0.T)
+    rng = np.random.default_rng(seed)
+    max_res = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-1.0, 1.0, dim)
+        y = rng.uniform(-1.0, 1.0, dim)
+        x_norm, y_norm = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
+        a, b = x, y
+        for _n in range(1, horizon + 1):
+            a = s0 @ a
+            b = s0t @ b
+            scale = max(1.0, math.sqrt(a.dot(a)) * y_norm, math.sqrt(b.dot(b)) * x_norm)
+            res = abs(float(a @ y) - float(b @ x)) / scale
+            max_res = max(max_res, res)
+    return max_res
+
+
 class TestSymmetryObstruction:
     def test_symmetric_decay_with_one_plus_t(self):
         rep = symmetry_obstruction(symmetric_decay_weights(), [1.0, 1.0], trials=100, horizon=50, seed=0)
@@ -425,6 +463,16 @@ class TestSymmetryObstruction:
         assert rep.verdict == "holds"
         assert rep.similarity_exact  # the U-similarity oracle holds exactly
         assert rep.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("p_coeffs", [[0.0, 1.0], [1.0, 1.0]], ids=["t", "1+t"])
+    def test_matches_per_trial_reference(self, seed, p_coeffs):
+        w = symmetric_decay_weights()
+        for trials, horizon in ((100, 50), (1, 50), (100, 1)):
+            rep = symmetry_obstruction(w, p_coeffs, trials=trials, horizon=horizon, seed=seed)
+            want = reference_symmetry_obstruction(w, p_coeffs, trials, horizon, seed)
+            assert rep.verdict == "holds"
+            assert rep.max_residual.hex() == want.hex()
 
     def test_asymmetric_weight_inapplicable(self):
         w = WeightSequence([1.0, 1.0, 2.0], "constant", c_plus=1.0, c_minus=1.0)

@@ -87,9 +87,12 @@ def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40
     return CoverageReport(len(hit) / total, len(hit), total, horizon, seed)
 
 
-def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed):
+def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed, decided=None):
     """The per-step loop mixing_window is checked against: one full
-    transitivity_pair per step n, its residual norms recomputed from x."""
+    transitivity_pair per step n, its residual norms recomputed from x.
+
+    ``decided``, if given, collects (n, probe index, frac) for every step
+    that only a random probe hits."""
     dim = t.shape[0]
     u_c, v_c = ball_u.center, ball_v.center
     pieces = unimodular_chain_spaces(t)
@@ -115,13 +118,15 @@ def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed):
             hit = True
         if not hit:
             rng = np.random.default_rng((seed, n))
-            for _ in range(probe_budget):
+            for probe in range(probe_budget):
                 eta = rng.normal(size=dim) + 1j * rng.normal(size=dim)
                 eta /= float(np.linalg.norm(eta))
                 for frac in (1.0, 0.5, 0.25):
                     x = u_c + ball_u.radius * frac * eta
                     if float(np.linalg.norm(power @ x - v_c)) <= ball_v.radius:
                         hit = True
+                        if decided is not None:
+                            decided.append((n, probe, frac))
                         break
                 if hit:
                     break
@@ -341,6 +346,44 @@ class TestMixingWindow:
         for u_c, v_c in ((unit(3, 4), unit(0, 4)), (unit(0, 4), unit(3, 4))):
             args = (t, Ball(u_c, 0.5), Ball(v_c, 0.5), 30, 32, seed)
             assert mixing_window(*args) == reference_mixing_window(*args)
+
+    # (T, u center, v center, u radius, v radius) where the center probe
+    # misses and many steps hit only through a random probe: at frac 0.5
+    # (the frac-1 probe sphere around u misses the v ball), at 0.25 (a
+    # contraction towards a v ball inside the frac-0.5 sphere) and at 1.0
+    # (a damped rotation)
+    _PROBE_CASES = {
+        "identity": (np.eye(2), unit(0, 2), 0.5 * unit(0, 2), 1.0, 0.3),
+        "scalar-contraction": (np.array([[0.98]]), np.array([1.0]), np.array([0.5]), 1.0, 0.3),
+        "damped-rotation": (
+            0.99 * np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]]),
+            unit(0, 2),
+            0.5 * unit(1, 2),
+            1.0,
+            0.3,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_PROBE_CASES))
+    def test_random_probe_hits_match_reference(self, case):
+        t, u_c, v_c, r_u, r_v = self._PROBE_CASES[case]
+        decided = []
+        for seed in range(4):
+            for budget in (1, 32):
+                args = (t, Ball(u_c, r_u), Ball(v_c, r_v), 30, budget, seed)
+                assert mixing_window(*args) == reference_mixing_window(*args, decided)
+        # the comparison above must not pass vacuously: random probes decide
+        # many steps, and not only at the first probe
+        assert len(decided) >= 10
+        assert any(probe > 0 for _, probe, _ in decided)
+
+    def test_random_probe_hits_cover_every_frac(self):
+        fracs = set()
+        for t, u_c, v_c, r_u, r_v in self._PROBE_CASES.values():
+            decided = []
+            reference_mixing_window(t, Ball(u_c, r_u), Ball(v_c, r_v), 30, 32, 0, decided)
+            fracs |= {frac for _, _, frac in decided}
+        assert fracs == {1.0, 0.5, 0.25}
 
     def test_chain_seed_domain_error_matches_reference(self):
         # an eigenvalue 1e-7 off the unit circle is snapped onto it, so both

@@ -177,3 +177,30 @@ def test_det_exact_agrees_with_float_promotion():
         exact = float(m.det())
         promoted = np.linalg.det(m.to_float())
         assert abs(exact - promoted.real) <= 1e-9 * max(1.0, abs(exact))
+
+
+# symmetry_obstruction, mixing_window and u3_density batch their vectors
+# through stacked matmul and keep every float's bits only because numpy makes
+# the same BLAS call per stacked element as for one vector: gemv for
+# (d, d) @ (B, d, 1) and dot for (B, 1, d) @ (B, d, 1), with the vector
+# strides unchanged.  A numpy that dispatches otherwise fails here by name.
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("dim", [6, 21, 24])
+def test_stacked_matmul_matches_per_vector_calls_bit_for_bit(dtype, dim):
+    rng = np.random.default_rng(dim)
+
+    def draw(*shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if dtype is np.complex128 else out
+
+    mat, xs, ys = draw(dim, dim), draw(9, dim), draw(9, dim)
+    stacked = (mat @ xs[:, :, None])[:, :, 0]
+    assert stacked.tobytes() == np.array([mat @ x for x in xs]).tobytes()
+    stacked = (xs[:, None, :] @ ys[:, :, None])[:, 0, 0]
+    assert stacked.tobytes() == np.array([x @ y for x, y in zip(xs, ys)]).tobytes()
+    assert stacked.tobytes() == np.array([x.dot(y) for x, y in zip(xs, ys)]).tobytes()
+    if dtype is np.complex128:
+        # the strided real and imaginary views that dynamics._cnorm dots
+        for part in (xs.real, xs.imag):
+            stacked = (part[:, None, :] @ part[:, :, None])[:, 0, 0]
+            assert stacked.tobytes() == np.array([p.dot(p) for p in part]).tobytes()
