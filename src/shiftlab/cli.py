@@ -61,7 +61,18 @@ def _int_at_least(low: int):
 
 _nonneg_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
-_two_or_more = _int_at_least(2)
+
+
+def _k_max_exp(text: str) -> int:
+    """argparse type for kerim --k-max-exp: an integer e with 2 <= e <= 1023.
+
+    The sweep runs k = 2^2 .. 2^e and the twisted pair takes z ** (-k),
+    which needs k as a float; 2^1024 is past the float range.
+    """
+    value = _int_at_least(2)(text)
+    if value > 1023:
+        raise argparse.ArgumentTypeError(f"expected an integer <= 1023, got {text!r}")
+    return value
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -723,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("kerim", help="unimodular twisted approach residuals")
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--z", type=complex, default="1", help="unimodular complex (python literal)")
-    p.add_argument("--k-max-exp", type=_two_or_more, default=10)
+    p.add_argument("--k-max-exp", type=_k_max_exp, default=10)
     p.set_defaults(fn=cmd_kerim)
 
     p = sub_parser("salas", weight_flags, help="weight-product criteria with certificates")

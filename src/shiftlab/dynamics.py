@@ -27,6 +27,9 @@ from .operators import (
 )
 
 OVERFLOW_LIMIT = 1e250
+# orbit steps u3_density iterates before it bins their points: bounds the
+# points held at once (steps x bases x scales) whatever the horizon
+_DENSITY_CHUNK = 64
 
 
 def _matrix_of(T) -> np.ndarray:
@@ -215,31 +218,33 @@ def u3_density(
     reach = max(map(abs, scales), default=0.0)
     scales = np.asarray(scales)
     hit = np.zeros(net.cells * net.cells, dtype=bool)
-    # t @ cur may overflow; the finiteness check at the top of the next step
-    # then ends that orbit, so numpy's warnings carry nothing.  The errstate
-    # wraps the whole loop because entering it per step would triple a
-    # step's matrix-vector cost.
+    us = np.real(bases[:, net.x_coord])
+    iu = net._axis(us)
+    # a base whose u lies off the net puts no point (u, v) on it
+    on = (0 <= iu) & (iu < net.cells)
+    us, cur = us[on], bases[on].astype(np.complex128)[:, :, None]
+    # Every base's orbit at once, _DENSITY_CHUNK steps at a time: stacked
+    # matmul makes the same matrix-vector BLAS call per base as a per-base
+    # orbit, so every iterate keeps its bits.  t @ cur may overflow; an orbit
+    # ends at its first step whose scaled coordinate is non-finite, so
+    # numpy's warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in bases:
-            u = float(np.real(x[net.x_coord]))
-            if not 0 <= net._axis(u) < net.cells:
-                continue  # no point (u, v) of this base lies on the net
-            # one matrix-vector product per step, as a per-base orbit, so
-            # every iterate keeps its bits; the binning is batched per base
-            cur = x.astype(np.complex128)
-            ys = []
-            for n in range(horizon + 1):
-                # an overflowed orbit stays non-finite and can hit no further
-                # cell, and a non-finite coordinate cannot be binned
-                y = reach * complex(cur[net.y_coord])
-                if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-                    break
-                ys.append(cur[net.y_coord])
-                if n < horizon:
+        for start in range(0, horizon + 1, _DENSITY_CHUNK):
+            ys = np.empty((min(_DENSITY_CHUNK, horizon + 1 - start), len(us)), dtype=np.complex128)
+            for k in range(len(ys)):
+                ys[k] = cur[:, net.y_coord, 0]
+                if start + k < horizon:
                     cur = t @ cur
-            # the same complex multiply as a * cur[y_coord], per (n, a)
-            cells = net.cell_of(u, np.real(np.multiply.outer(np.asarray(ys), scales)))
+            # an overflowed orbit stays non-finite and can hit no further
+            # cell, and a non-finite coordinate cannot be binned
+            live = np.logical_and.accumulate(np.isfinite(reach * ys), axis=0)
+            # the same complex multiply as a * cur[y_coord], per (n, base, a)
+            vs = np.real(np.multiply.outer(ys[live], scales))
+            cells = net.cell_of(us[np.nonzero(live)[1], None], vs)
             hit[cells[cells >= 0]] = True
+            us, cur = us[live[-1]], cur[live[-1]]
+            if not len(us):
+                break
     hits = int(np.sum(hit))
     total = net.cells * net.cells
     return CoverageReport(hits / total, hits, total, horizon, seed)
@@ -302,6 +307,8 @@ def mixing_window(
             except (DomainError, PreconditionError):
                 pass  # the plan does not depend on n: no step has a pair
 
+    # the random probes' radii, each the float product radius * frac
+    reaches = np.array([ball_u.radius * frac for frac in (1.0, 0.5, 0.25)])
     hits = []
     power = np.eye(dim, dtype=np.complex128)
     for n in range(1, horizon + 1):
@@ -314,18 +321,16 @@ def mixing_window(
             hit = True  # the center probe is radius-independent
         if not hit:
             # per-step rng: probe directions depend only on (seed, n); dyadic
-            # fractions keep probe clouds close to nested when radii double
-            rng = np.random.default_rng((seed, n))
-            for _ in range(probe_budget):
-                eta = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                eta /= _cnorm(eta)
-                for frac in (1.0, 0.5, 0.25):
-                    x = u_c + ball_u.radius * frac * eta
-                    if _cnorm(power @ x - v_c) <= ball_v.radius:
-                        hit = True
-                        break
-                if hit:
-                    break
+            # fractions keep probe clouds close to nested when radii double.
+            # Every probe at once: one draw is the same stream as a real then
+            # an imaginary part per probe, and stacked matmul makes the same
+            # BLAS call per probe as one probe at a time, so every norm keeps
+            # its bits and a hit by any probe is the per-probe loop's hit
+            parts = np.random.default_rng((seed, n)).normal(size=(probe_budget, 2, dim))
+            eta = parts[:, 0] + 1j * parts[:, 1]
+            eta /= _cnorms(eta)[:, None]
+            xs = u_c + reaches[:, None, None] * eta  # (frac, probe, dim)
+            hit = bool(np.any(_cnorms((power @ xs[..., None])[..., 0] - v_c) <= ball_v.radius))
         hits.append(hit)
 
     # the first window is the run of hits that ends at the horizon
@@ -419,6 +424,15 @@ def _cnorm(v: np.ndarray) -> float:
     bit: numpy's own complex-vector formula without its dispatch."""
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _cnorms(vs: np.ndarray) -> np.ndarray:
+    """``_cnorm`` of each vector along the last axis of a stack, bit for bit:
+    stacked matmul dots each vector's strided real and imaginary views with
+    the BLAS call ``re.dot(re)`` makes."""
+    re, im = vs.real, vs.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
 
 
 def kernel_ladder(T, tol: float = 1e-9):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import emit_goldens, main
+from shiftlab.cli import build_parser, emit_goldens, main
 from shiftlab.reports import SCHEMA_VERSION
 
 
@@ -87,6 +87,8 @@ class TestExitCodes:
             "density --horizon -5",
             "salas --c nan",
             "kerim --k-max-exp 1",
+            "kerim --k-max-exp 1024",
+            "kerim --n 1 --k-max-exp 1100",
             "kerim --z abc",
             "tensor --steps ''",
             "density --box nan",
@@ -106,6 +108,10 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert "error: argument" in captured.err
+
+    def test_kerim_k_max_exp_takes_the_last_float_power(self):
+        # 2^1023 is the largest power of two a float holds
+        assert build_parser().parse_args(["kerim", "--k-max-exp", "1023"]).k_max_exp == 1023
 
     def test_regions_witness(self, capsys):
         code, out = run_cli(
@@ -132,6 +138,18 @@ class TestExitCodes:
         )
         assert code == 0
         assert load_report(out)["verdict"] == "holds"
+
+    def test_symmetry_overflowing_orbit_is_indeterminate(self, capsys):
+        # |w_n| = 1e10 drives the orbit norms past the float range within
+        # the horizon: no residual is measured there, so no "holds"; numpy's
+        # overflow warnings would be errors under this suite's filter
+        code, out = run_cli(["symmetry", "--weights", "const", "--value", "1e10"], capsys)
+        assert code == 2
+        data = load_report(out)["data"]
+        assert data["verdict"] == "indeterminate"
+        assert sorted(data) == [
+            "first_violation", "horizon", "max_residual", "similarity_exact", "trials", "verdict",
+        ]
 
     def test_perturb_exact(self, capsys):
         code, out = run_cli(["perturb", "--dim", "10", "--trials", "3"], capsys)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shiftlab.dynamics import (
     _cnorm,
+    _cnorms,
     Ball,
     CoverageReport,
     HitReport,
@@ -420,7 +421,13 @@ def test_cnorm_is_numpy_norm_bit_for_bit(parts):
     v.imag = [im for _, im in parts]
     with np.errstate(over="ignore"):  # squares past the float range: inf on both sides
         got, want = _cnorm(v), float(np.linalg.norm(v))
+        # the stacked form, on a stack of v and its reverse
+        reversed_v = v[::-1].copy()
+        stacked = _cnorms(np.stack([v, reversed_v]))
+        want_reversed = float(np.linalg.norm(reversed_v))
     assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert struct.pack("<d", stacked[0]) == struct.pack("<d", want)
+    assert struct.pack("<d", stacked[1]) == struct.pack("<d", want_reversed)
 
 class TestTransitivityPair:
     def test_zero_pair(self):
