@@ -88,7 +88,6 @@ class TestExitCodes:
             "salas --c nan",
             "kerim --k-max-exp 1",
             "kerim --k-max-exp 1024",
-            "kerim --n 1 --k-max-exp 1100",
             "kerim --z abc",
             "tensor --steps ''",
             "density --box nan",

@@ -349,10 +349,8 @@ class TestMixingWindow:
             assert mixing_window(*args) == reference_mixing_window(*args)
 
     # (T, u center, v center, u radius, v radius) where the center probe
-    # misses and many steps hit only through a random probe: at frac 0.5
-    # (the frac-1 probe sphere around u misses the v ball), at 0.25 (a
-    # contraction towards a v ball inside the frac-0.5 sphere) and at 1.0
-    # (a damped rotation)
+    # misses and many steps hit only through a random probe; between them,
+    # at every frac (in the identity case the frac-1 probes all miss)
     _PROBE_CASES = {
         "identity": (np.eye(2), unit(0, 2), 0.5 * unit(0, 2), 1.0, 0.3),
         "scalar-contraction": (np.array([[0.98]]), np.array([1.0]), np.array([0.5]), 1.0, 0.3),
