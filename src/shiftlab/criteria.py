@@ -619,7 +619,7 @@ def symmetry_obstruction(
             # over it meaningless; np.maximum keeps NaN, Python's max drops it
             res[np.isinf(scale)] = np.nan
             worst = np.maximum(worst, res)
-    max_res = float(np.max(worst))
+    max_res = float(np.max(worst, initial=0.0))  # 0.0 for no trials, as before
     verdict = "holds" if math.isfinite(max_res) else "indeterminate"
     return SymmetryReport(verdict, None, sim_exact, max_res, trials, horizon)
 
