@@ -1,5 +1,6 @@
 """Orbits, exponential groups and the empirical diagnostics."""
 
+import hashlib
 import math
 import struct
 
@@ -86,6 +87,43 @@ def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40
                 cur = t @ cur
     total = net.cells * net.cells
     return CoverageReport(len(hit) / total, len(hit), total, horizon, seed)
+
+
+def chunked_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40):
+    """u3_density's stacked orbit loop, copied as it stood before the loop
+    learned to stop once every cell is hit: it always runs every step."""
+    t = np.asarray(T.matrix if hasattr(T, "matrix") else T, dtype=np.complex128)
+    dim = t.shape[0]
+    rng = np.random.default_rng(seed)
+    bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
+    strata = np.arange(base_count) % net.cells + rng.uniform(size=base_count)
+    bases[:, net.x_coord] = strata / net.cells * 2.0 * net.box - net.box
+    scales = [1.0] if scale_grid is None else list(scale_grid)
+    reach = max(map(abs, scales), default=0.0)
+    scales = np.asarray(scales)
+    hit = np.zeros(net.cells * net.cells, dtype=bool)
+    us = np.real(bases[:, net.x_coord])
+    iu = net._axis(us)
+    on = (0 <= iu) & (iu < net.cells)
+    us, cur = us[on], bases[on].astype(np.complex128)[:, :, None]
+    chunk = 64
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, horizon + 1, chunk):
+            ys = np.empty((min(chunk, horizon + 1 - start), len(us)), dtype=np.complex128)
+            for k in range(len(ys)):
+                ys[k] = cur[:, net.y_coord, 0]
+                if start + k < horizon:
+                    cur = t @ cur
+            live = np.logical_and.accumulate(np.isfinite(reach * ys), axis=0)
+            vs = np.real(np.multiply.outer(ys[live], scales))
+            cells = net.cell_of(us[np.nonzero(live)[1], None], vs)
+            hit[cells[cells >= 0]] = True
+            us, cur = us[live[-1]], cur[live[-1]]
+            if not len(us):
+                break
+    hits = int(np.sum(hit))
+    total = net.cells * net.cells
+    return CoverageReport(hits / total, hits, total, horizon, seed)
 
 
 def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed, decided=None):
@@ -262,6 +300,28 @@ class TestU3Density:
         net = NetSpec()
         kwargs = dict(horizon=1000, scale_grid=scale_grid)
         assert u3_density(3 * np.eye(2), net, **kwargs) == reference_u3_density(3 * np.eye(2), net, **kwargs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_genshi_net_matches_loop_without_stop(self, seed):
+        # the density report's net: every cell is hit long before the horizon
+        t = bilateral_shift(genshi_supercyclic_weights(), 10)
+        net = NetSpec(cells=6, box=4.0, x_coord=10, y_coord=10)
+        kwargs = dict(horizon=1000, seed=seed, scale_grid=default_scale_grid(), base_count=40)
+        got = u3_density(t, net, **kwargs)
+        assert got == chunked_u3_density(t, net, **kwargs)
+        assert got.hit_cells == got.total_cells
+
+    @pytest.mark.parametrize("family", ["genshi-fine", "identity"])
+    def test_net_never_covered_matches_loop_without_stop(self, family):
+        if family == "identity":  # unscaled, only the diagonal cells are hit
+            t, net, scales = np.eye(9), NetSpec(cells=6, box=4.0, x_coord=0, y_coord=0), None
+        else:
+            t = bilateral_shift(genshi_supercyclic_weights(), 10)
+            net, scales = NetSpec(cells=24, box=4.0, x_coord=10, y_coord=10), default_scale_grid()
+        kwargs = dict(horizon=300, seed=3, scale_grid=scales, base_count=40)
+        got = u3_density(t, net, **kwargs)
+        assert got == chunked_u3_density(t, net, **kwargs)
+        assert got.hit_cells < got.total_cells
 
     def test_bases_outside_the_box_and_on_cell_edges_match_reference(self):
         # side 1.0: integer coordinates sit on cell edges, +-4 on the box
@@ -549,6 +609,31 @@ class TestVolterraDist:
         bad = np.ones(257)
         with pytest.raises(InputError):
             volterra_dist(256, 0.5, f=bad, n_max=4)
+
+    # float.hex of the adjoint residual and of the distances; at ngrid 2048
+    # (the report's grid) the sha256 of the distances' hex strings, joined by
+    # spaces, stands in for the 41 literals
+    @pytest.mark.parametrize("ngrid, n_max, adjoint, distances", [
+        (16, 8, "0x1.32460dbac5400p-11", [
+            "0x1.1675c01e28530p-26", "0x1.d379e7104c814p-27", "0x1.479fa5d4dd80ep-28",
+            "0x1.36f89766f353ap-32", "0x1.2618dec146955p-31", "0x1.4199efeecfb92p-34",
+            "0x1.1809937c834ecp-36", "0x1.34df4b89cb86ap-40", "0x1.8a625da09155fp-45",
+        ]),
+        (17, 8, "0x1.158a8e6b0c648p-11", [
+            "0x1.1675573bf95a8p-26", "0x1.d360ad48c295cp-27", "0x1.4787d154162e4p-28",
+            "0x1.38c1caf9241b2p-32", "0x1.082161097755cp-31", "0x1.6029c0c025229p-34",
+            "0x1.d96b66f873d15p-37", "0x1.df4d7d523ce15p-40", "0x1.4c2d48d11e344p-45",
+        ]),
+        (2048, 40, "0x1.443db5c700000p-32",
+         "ca0060c9908e43adf20b000dab8be52fc16e84dba5ea54525cb1552375778ecb"),
+    ])
+    def test_bits_pinned(self, ngrid, n_max, adjoint, distances):
+        trace = volterra_dist(ngrid, 0.5, n_max=n_max)
+        assert trace.adjoint_residual.hex() == adjoint
+        got = [d.hex() for d in trace.distances]
+        if isinstance(distances, str):
+            got = hashlib.sha256(" ".join(got).encode()).hexdigest()
+        assert got == distances
 
     def test_bump_support(self):
         f = bump_function(128, 0.5)

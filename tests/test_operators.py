@@ -16,6 +16,7 @@ from shiftlab.operators import (
     TensorElement,
     WeightSequence,
     _log_int,
+    _simpson_adjoint,
     bilateral_shift,
     constant_weights,
     default_alpha,
@@ -188,6 +189,68 @@ class TestVolterra:
     def test_minimum_grid(self):
         with pytest.raises(InputError):
             volterra(8)
+
+
+def reference_simpson_adjoint(ngrid: int) -> np.ndarray:
+    """The row loop _simpson_adjoint is checked against: per row, one leading
+    trapezoid cell when the interval count is odd, then composite Simpson."""
+    npts = ngrid + 1
+    h = 1.0 / ngrid
+    vs = np.zeros((npts, npts))
+    for i in range(npts):
+        cells = ngrid - i
+        if cells == 0:
+            continue
+        j = i
+        if cells % 2 == 1:
+            vs[i, j] += h / 2.0
+            vs[i, j + 1] += h / 2.0
+            j += 1
+            cells -= 1
+        if cells:
+            vs[i, j] += h / 3.0
+            vs[i, j + 1 : j + cells : 2] += 4.0 * h / 3.0
+            vs[i, j + 2 : j + cells : 2] += 2.0 * h / 3.0
+            vs[i, j + cells] += h / 3.0
+    return vs
+
+
+def column_order_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for an upper triangular m, accumulated column by column over
+    the rows i <= j only."""
+    acc = np.zeros(m.shape[0])
+    for j in range(m.shape[1]):
+        acc[: j + 1] += m[: j + 1, j] * x[j]
+    return acc
+
+
+def wide_exponent_vector(n: int, seed: int) -> np.ndarray:
+    """Random signs and mantissas with binary exponents in [-300, 300]: sums
+    of such terms round differently in every other order."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-300, 301, n))
+
+
+SIMPSON_GRIDS = [16, 17, 18, 31, 64, 257, 1024, 2048]
+
+
+class TestSimpsonAdjoint:
+    @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS[:6])
+    def test_matrix_matches_row_loop(self, ngrid):
+        m = _simpson_adjoint(ngrid).matrix
+        assert m.real.tobytes() == reference_simpson_adjoint(ngrid).tobytes()
+        assert not m.imag.any()
+
+    @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS)
+    def test_column_order_product_matches_matrix_bits(self, ngrid):
+        # the strided real view of the complex matrix, as the Volterra
+        # certificate took it: numpy's non-BLAS matmul loop, each row summed
+        # left to right from 0.0
+        m = _simpson_adjoint(ngrid).matrix.real
+        x = wide_exponent_vector(ngrid + 1, seed=ngrid)
+        want = m @ x
+        got = column_order_product(m, x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def reference_h_eval(n: int, ngrid: int) -> np.ndarray:
