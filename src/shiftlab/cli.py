@@ -239,11 +239,16 @@ def cmd_kerim(args) -> ExperimentReport:
     ks = [2**e for e in range(2, args.k_max_exp + 1)]
     rows, trace = [], []
     for k, res in zip(ks, nil.unimodular_residuals(a, z, x, ks)):
+        if not all(map(math.isfinite, res)):
+            break  # past the float range: no measurement, the sweep ends
         rows.append({"k": k, "residuals": list(res)})
         trace.append({"k": k, **{f"residual_{i}": r for i, r in enumerate(res)}})
-    last = max(rows[-1]["residuals"])
-    first = max(rows[0]["residuals"])
-    verdict = "satisfied" if last < first else "inconclusive"
+    if len(rows) < len(ks):
+        verdict = "indeterminate"
+    elif max(rows[-1]["residuals"]) < max(rows[0]["residuals"]):
+        verdict = "satisfied"
+    else:
+        verdict = "inconclusive"
     return ExperimentReport(
         "kerim",
         {"n": args.n, "z": [z.real, z.imag], "k_max_exp": args.k_max_exp},

@@ -532,7 +532,7 @@ class SymmetryReport:
     verdict: str  # "holds" | "inapplicable" | "indeterminate" (an orbit overflowed)
     first_violation: int | None
     similarity_exact: bool
-    max_residual: float
+    max_residual: float | None  # None unless the verdict is "holds"
     trials: int
     horizon: int
 
@@ -571,11 +571,12 @@ def symmetry_obstruction(
     (S0 + S0')-orbit of x + y is orthogonal to y + (-x) for S0 = p(T0).
     The symmetry is checked for 1 <= n <= half + 5, and T0 lives on the
     window -M .. M-1 with M = max(half + 2, 12).  A non-finite residual
-    (an orbit that overflows) makes the verdict "indeterminate".
+    (an orbit that overflows) makes the verdict "indeterminate".  Unless the
+    verdict is "holds", ``max_residual`` is None.
     """
     for nn in range(1, w.half + 6):
         if abs(abs(w.value(nn)) - abs(w.value(-nn))) > 1e-12:
-            return SymmetryReport("inapplicable", nn, False, float("nan"), 0, horizon)
+            return SymmetryReport("inapplicable", nn, False, None, 0, horizon)
 
     m = max(w.half + 2, 12)
     idx = list(range(-m, m))  # window -M .. M-1, preserved by n -> -1-n
@@ -620,8 +621,9 @@ def symmetry_obstruction(
             res[np.isinf(scale)] = np.nan
             worst = np.maximum(worst, res)
     max_res = float(np.max(worst, initial=0.0))  # 0.0 for no trials, as before
-    verdict = "holds" if math.isfinite(max_res) else "indeterminate"
-    return SymmetryReport(verdict, None, sim_exact, max_res, trials, horizon)
+    if not math.isfinite(max_res):  # JSON has no NaN: the report writes null
+        return SymmetryReport("indeterminate", None, sim_exact, None, trials, horizon)
+    return SymmetryReport("holds", None, sim_exact, max_res, trials, horizon)
 
 
 @dataclass(frozen=True, eq=False)

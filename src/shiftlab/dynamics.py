@@ -20,9 +20,9 @@ from .linalg import Subspace, as_matrix, as_vector, kernel_and_image
 from .nilpotent import _unimodular_chain, _unimodular_pair, unimodular_approach  # noqa: F401
 from .operators import (
     TruncatedOperator,
-    _simpson_adjoint,
     grid_inner,
     h_evals,
+    simpson_adjoint_apply,
     trapezoid_weights,
 )
 
@@ -243,7 +243,8 @@ def u3_density(
             cells = net.cell_of(us[np.nonzero(live)[1], None], vs)
             hit[cells[cells >= 0]] = True
             us, cur = us[live[-1]], cur[live[-1]]
-            if not len(us):
+            # only the hit count is reported: a full net cannot change
+            if not len(us) or hit.all():
                 break
     hits = int(np.sum(hit))
     total = net.cells * net.cells
@@ -565,7 +566,6 @@ def volterra_dist(
     """
     if not 0.0 < cutoff < 1.0:
         raise InputError("cutoff must lie in (0, 1)")
-    vstar = _simpson_adjoint(ngrid)
     xs = np.arange(ngrid + 1) / ngrid
     if f is None:
         fvals = bump_function(ngrid, cutoff)
@@ -577,9 +577,7 @@ def volterra_dist(
             raise InputError(f"f must vanish on [{cutoff}, 1] at grid resolution")
 
     hs = h_evals(max(n_max, 1), ngrid)
-    # the strided real view of the complex matrix: a contiguous float64 copy
-    # would sum in another order and move the residual's bytes
-    adj = float(np.max(np.abs(vstar.matrix.real @ hs[1] + hs[0])))
+    adj = float(np.max(np.abs(simpson_adjoint_apply(ngrid, hs[1]) + hs[0])))
 
     dists = []
     for hn in hs[: n_max + 1]:

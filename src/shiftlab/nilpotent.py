@@ -506,19 +506,26 @@ def unimodular_residuals(A, z, x, steps):
     """The four residuals of the twisted limits at each step k of ``steps``.
 
     The Jordan chain does not depend on k; it is built once for the sweep.
+    (I + A)^k and the pair grow like k^(2n-1); a step where they leave the
+    float range gets non-finite residuals (NaN where Python's complex power
+    fails), so numpy's overflow warnings carry nothing.
     """
     a, z, xv = _unimodular_input(A, z, x)
     n, jmat = _unimodular_chain(a, xv)
     one_plus_a = np.eye(a.shape[0], dtype=np.complex128) + a
     out = []
     for k in steps:
-        u_k, v_k = _unimodular_pair(n, jmat, z, k)
-        t = np.linalg.matrix_power(one_plus_a, k)
-        zk = z**k
-        out.append((
-            float(np.linalg.norm(u_k)),
-            float(np.linalg.norm(zk * (t @ u_k) - xv)),
-            float(np.linalg.norm(v_k - xv)),
-            float(np.linalg.norm(zk * (t @ v_k))),
-        ))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_k, v_k = _unimodular_pair(n, jmat, z, k)
+                t = np.linalg.matrix_power(one_plus_a, k)
+                zk = z**k
+                out.append((
+                    float(np.linalg.norm(u_k)),
+                    float(np.linalg.norm(zk * (t @ u_k) - xv)),
+                    float(np.linalg.norm(v_k - xv)),
+                    float(np.linalg.norm(zk * (t @ v_k))),
+                ))
+        except (OverflowError, ZeroDivisionError):  # z ** m past the float range
+            out.append((math.nan,) * 4)
     return out

@@ -235,35 +235,60 @@ def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     return TruncatedOperator(v, "L2_grid", vstar.params), vstar
 
 
-def _simpson_adjoint(ngrid: int) -> TruncatedOperator:
-    """Grid section of V* f = int_x^1 f by a composite Simpson rule.
+def _simpson_columns(ngrid: int) -> tuple:
+    """The weights of V* f = int_x^1 f by a composite Simpson rule.
 
-    One leading trapezoid cell is used when the interval count is odd.  The
-    adjoint identity only needs O(1/ngrid^2), but the exactness checks
-    downstream need the sup-norm residual of V*h' + h below 1e-8 at
-    ngrid = 2048, which the trapezoid rule misses by a factor of five.
+    Row i integrates over the ngrid - i cells right of x_i, with one leading
+    trapezoid cell when that count is odd.  The adjoint identity only needs
+    O(1/ngrid^2), but the exactness checks downstream need the sup-norm
+    residual of V*h' + h below 1e-8 at ngrid = 2048, which the trapezoid
+    rule misses by a factor of five.
+
+    Below the last column, entry (i, j) depends only on r = j - i and the
+    parity of ngrid - j: it is ``cols[(ngrid - j) % 2][r]``, so column j
+    reads ``cols[(ngrid - j) % 2][j::-1]`` from row 0 down.  ``last`` is the
+    last column.
     """
     if ngrid < 16:
         raise InputError("ngrid must be >= 16")
-    npts = ngrid + 1
     h = 1.0 / ngrid
-    vs = np.zeros((npts, npts))
-    for i in range(npts):
-        cells = ngrid - i
-        if cells == 0:
-            continue
-        j = i
-        if cells % 2 == 1:
-            vs[i, j] += h / 2.0
-            vs[i, j + 1] += h / 2.0
-            j += 1
-            cells -= 1
-        if cells:
-            vs[i, j] += h / 3.0
-            vs[i, j + 1 : j + cells : 2] += 4.0 * h / 3.0
-            vs[i, j + 2 : j + cells : 2] += 2.0 * h / 3.0
-            vs[i, j + cells] += h / 3.0
+    # ngrid - j even: a Simpson end node, h/3 where row j starts, h/2 + h/3
+    # where row j - 1 starts on its trapezoid cell, 2h/3 inside longer rows
+    even = np.full(ngrid + 1, 2.0 * h / 3.0)
+    even[:2] = h / 3.0, h / 2.0 + h / 3.0
+    # ngrid - j odd: a Simpson midpoint, h/2 where row j starts on its
+    # trapezoid cell, 4h/3 everywhere else
+    odd = np.full(ngrid + 1, 4.0 * h / 3.0)
+    odd[0] = h / 2.0
+    last = np.full(ngrid + 1, h / 3.0)
+    last[-2:] = h / 2.0, 0.0  # one trapezoid cell, then the empty row
+    return (even, odd), last
+
+
+def _simpson_adjoint(ngrid: int) -> TruncatedOperator:
+    """Grid section of V* by the rule of ``_simpson_columns``."""
+    cols, last = _simpson_columns(ngrid)
+    vs = np.zeros((ngrid + 1, ngrid + 1))
+    for j in range(ngrid):
+        vs[: j + 1, j] = cols[(ngrid - j) % 2][j::-1]
+    vs[:, ngrid] = last
     return TruncatedOperator(vs, "L2_grid", (("ngrid", ngrid),))
+
+
+def simpson_adjoint_apply(ngrid: int, x: np.ndarray) -> np.ndarray:
+    """V* x for real x, without the matrix, bit for bit as
+    ``_simpson_adjoint(ngrid).matrix.real @ x``.
+
+    That product runs numpy's non-BLAS matmul loop over the strided real
+    view, which sums each row left to right from 0.0.  Accumulating column
+    by column makes the same additions in the same order: rows i > j only
+    ever add +-0.0 to 0.0, so they are skipped.
+    """
+    cols, last = _simpson_columns(ngrid)
+    acc = np.zeros(ngrid + 1)
+    for j, xj in enumerate(np.asarray(x, dtype=float)[:ngrid].tolist()):
+        acc[: j + 1] += cols[(ngrid - j) % 2][j::-1] * xj
+    return acc + last * float(x[ngrid])
 
 
 def trapezoid_weights(ngrid: int) -> np.ndarray:
@@ -318,33 +343,45 @@ def h_evals(n_max: int, ngrid: int) -> list:
         raise InputError("derivative order must be >= 0")
     dens = range(-ngrid, 0)  # den < 0 at every point with x < 1
     # int / int is the correctly rounded quotient, as float(Fraction) is
-    ts = [ngrid / den for den in dens]
-    log_dens = [math.log(-den) for den in dens]
+    ts = np.array([ngrid / den for den in dens])
+    log_dens = np.array([math.log(-den) for den in dens])
     numden = np.array([ngrid * den for den in dens], dtype=object)  # Python ints, exact
     num2 = ngrid * ngrid
     num2den2 = numden * numden
     out = []
     prev, acc = 0, np.full(ngrid, 1, dtype=object)
+    c1 = np.full(ngrid, -num2, dtype=object)  # -(2n numden + num^2) at order n
     for n in range(n_max + 1):
-        degree = 2 * n  # even, so den^degree > 0 and A_n carries the sign
         row = np.zeros(ngrid + 1)
-        for i, a in enumerate(acc.tolist()):
-            if a == 0:
-                continue
-            logmag = ts[i] + _log_int(abs(a)) - degree * log_dens[i]
-            if logmag > -745.0:
-                row[i] = math.exp(logmag) if a > 0 else -math.exp(logmag)
+        idx = np.flatnonzero(acc != 0)
+        a = acc[idx]
+        logmag = ts[idx] + _log_ints(np.abs(a)) - (2 * n) * log_dens[idx]
+        keep = logmag > -745.0
+        mags = np.fromiter(map(math.exp, logmag[keep].tolist()), float, np.count_nonzero(keep))
+        # den^(2n) > 0, so A_n carries the sign
+        row[idx[keep]] = np.where(a[keep] > 0, mags, -mags)
         out.append(row)
         if n < n_max:
-            prev, acc = acc, -(numden * (2 * n) + num2) * acc - (n * (n - 1)) * num2den2 * prev
+            prev, acc = acc, c1 * acc - (n * (n - 1)) * num2den2 * prev
+            c1 -= 2 * numden
     return out
 
 
-def _log_int(n: int) -> float:
-    if n.bit_length() <= 512:
-        return math.log(n)
-    shift = n.bit_length() - 512
-    return math.log(n >> shift) + shift * math.log(2.0)
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+_LOG2 = math.log(2.0)
+
+
+def _log_ints(ns: np.ndarray) -> np.ndarray:
+    """math.log of each positive Python int of an object array, also past
+    the float range: an int of more than 512 bits is logged as its top 512
+    bits plus the shift times log 2.
+
+    ``astype(float)`` converts as ``int.__float__`` does, so each float is
+    the one ``math.log(int)`` takes; ``np.log`` may round differently.
+    """
+    shifts = np.maximum(_bit_length(ns) - 512, 0)
+    logs = np.fromiter(map(math.log, (ns >> shifts).astype(float).tolist()), float, len(ns))
+    return logs + shifts.astype(float) * _LOG2
 
 
 def integral_ladder(psi, count: int = 64, floor: float = 0.0) -> list[float]:

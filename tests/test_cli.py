@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -21,6 +22,11 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def reject_constant(name):
+    """json.loads hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"non-JSON constant {name}")
 
 
 def load_report(out):
@@ -149,6 +155,35 @@ class TestExitCodes:
         assert sorted(data) == [
             "first_violation", "horizon", "max_residual", "similarity_exact", "trials", "verdict",
         ]
+
+    @pytest.mark.parametrize("argv, verdict", [
+        ("symmetry --weights const --value 1e10", "indeterminate"),
+        ("symmetry --weights genshi-hc", "inapplicable"),
+    ])
+    def test_symmetry_without_a_residual_writes_strict_json(self, argv, verdict, capsys):
+        code, out = run_cli(shlex.split(argv), capsys)
+        assert code == 2
+        data = json.loads(out, parse_constant=reject_constant)["data"]
+        assert data["verdict"] == verdict
+        assert data["max_residual"] is None
+
+    @pytest.mark.parametrize("argv", [
+        # (I + A)^k overflows: numpy's NaN residuals used to read "satisfied"
+        "kerim --n 4 --z (0.6+0.8j) --k-max-exp 200",
+        # the head cross terms' complex power raised OverflowError
+        "kerim --n 8 --z (0.6+0.8j) --k-max-exp 200",
+        # (-1) ** (-2^1023) raised ZeroDivisionError in Python's complex power
+        "kerim --n 1 --z -1 --k-max-exp 1023",
+    ])
+    def test_kerim_past_the_float_range_is_indeterminate(self, argv, capsys):
+        code, out = run_cli(shlex.split(argv), capsys)
+        assert code == 2
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["verdict"] == "indeterminate"
+        rows = report["data"]["rows"]
+        # the sweep ends before its first non-finite step
+        assert 0 < len(rows) < report["params"]["k_max_exp"] - 1
+        assert all(math.isfinite(r) for row in rows for r in row["residuals"])
 
     def test_perturb_exact(self, capsys):
         code, out = run_cli(["perturb", "--dim", "10", "--trials", "3"], capsys)

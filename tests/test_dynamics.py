@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -634,6 +635,17 @@ class TestVolterraDist:
         if isinstance(distances, str):
             got = hashlib.sha256(" ".join(got).encode()).hexdigest()
         assert got == distances
+
+    def test_no_dense_grid(self):
+        # V* is applied matrix-free: the dense 2049 x 2049 grid and its
+        # complex copy held about 105 MB at once
+        tracemalloc.start()
+        try:
+            volterra_dist(2048, 0.5, n_max=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_bump_support(self):
         f = bump_function(128, 0.5)

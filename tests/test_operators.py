@@ -15,7 +15,6 @@ from shiftlab.operators import (
     TAIL_KINDS,
     TensorElement,
     WeightSequence,
-    _log_int,
     _simpson_adjoint,
     bilateral_shift,
     constant_weights,
@@ -30,6 +29,7 @@ from shiftlab.operators import (
     integral_ladder,
     integral_op,
     saan_generators,
+    simpson_adjoint_apply,
     symmetric_decay_weights,
     tensor_op,
     volterra,
@@ -215,15 +215,6 @@ def reference_simpson_adjoint(ngrid: int) -> np.ndarray:
     return vs
 
 
-def column_order_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for an upper triangular m, accumulated column by column over
-    the rows i <= j only."""
-    acc = np.zeros(m.shape[0])
-    for j in range(m.shape[1]):
-        acc[: j + 1] += m[: j + 1, j] * x[j]
-    return acc
-
-
 def wide_exponent_vector(n: int, seed: int) -> np.ndarray:
     """Random signs and mantissas with binary exponents in [-300, 300]: sums
     of such terms round differently in every other order."""
@@ -242,15 +233,26 @@ class TestSimpsonAdjoint:
         assert not m.imag.any()
 
     @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS)
-    def test_column_order_product_matches_matrix_bits(self, ngrid):
+    def test_matrix_free_product_matches_matrix_bits(self, ngrid):
         # the strided real view of the complex matrix, as the Volterra
         # certificate took it: numpy's non-BLAS matmul loop, each row summed
         # left to right from 0.0
-        m = _simpson_adjoint(ngrid).matrix.real
         x = wide_exponent_vector(ngrid + 1, seed=ngrid)
-        want = m @ x
-        got = column_order_product(m, x)
+        want = _simpson_adjoint(ngrid).matrix.real @ x
+        got = simpson_adjoint_apply(ngrid, x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_minimum_grid(self):
+        with pytest.raises(InputError):
+            simpson_adjoint_apply(15, np.ones(16))
+
+
+def _log_int(n: int) -> float:
+    """math.log of a positive int, past the float range by its top 512 bits."""
+    if n.bit_length() <= 512:
+        return math.log(n)
+    shift = n.bit_length() - 512
+    return math.log(n >> shift) + shift * math.log(2.0)
 
 
 def reference_h_eval(n: int, ngrid: int) -> np.ndarray:
