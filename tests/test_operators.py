@@ -189,6 +189,8 @@ class TestVolterra:
     def test_minimum_grid(self):
         with pytest.raises(InputError):
             volterra(8)
+        with pytest.raises(InputError):
+            simpson_adjoint_apply(15, np.ones(16))
 
 
 def reference_simpson_adjoint(ngrid: int) -> np.ndarray:
@@ -241,10 +243,6 @@ class TestSimpsonAdjoint:
         want = _simpson_adjoint(ngrid).matrix.real @ x
         got = simpson_adjoint_apply(ngrid, x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_minimum_grid(self):
-        with pytest.raises(InputError):
-            simpson_adjoint_apply(15, np.ones(16))
 
 
 def _log_int(n: int) -> float:
