@@ -377,7 +377,7 @@ def _log_ints(ns: np.ndarray) -> np.ndarray:
     bits plus the shift times log 2.
 
     ``astype(float)`` converts as ``int.__float__`` does, so each float is
-    the one ``math.log(int)`` takes; ``np.log`` may round differently.
+    the one ``math.log(int)`` takes; numpy's SIMD log may round differently.
     """
     shifts = np.maximum(_bit_length(ns) - 512, 0)
     logs = np.fromiter(map(math.log, (ns >> shifts).astype(float).tolist()), float, len(ns))
