@@ -1,6 +1,7 @@
 """End-to-end runner tests: exit codes, schema, golden stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -584,6 +585,26 @@ class TestGoldens:
         assert runs[0] == runs[1]
         assert len(runs[0]) >= 1
         assert runs[0] == [(name, (GOLDEN_DIR / name).read_bytes()) for name, _ in runs[0]]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "salas --full-traces",
+                "aeffe737f17db1779ab1a321ffd48b42629dcae07ca10a9bb6862951040d8265",
+            ),
+            (
+                "salas --full-traces --weights genshi-sc --variant supercyclic",
+                "3eddc2d53bfba35c16704cf022b8316362274ac9d91002d0cac4cd3684729c49",
+            ),
+        ],
+    )
+    def test_full_traces_digest(self, argv, digest, capsys):
+        """All 9 x 16384 traces at the default horizons: too large for a
+        golden file, so the stdout is pinned by its sha256."""
+        code, out = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_volterra_suite_emits_csv(self, tmp_path):
         files = emit_goldens("volterra", str(tmp_path))

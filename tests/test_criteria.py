@@ -14,6 +14,7 @@ from shiftlab.criteria import (
     _in_region_v,
     _log_weight_prefix,
     _in_triangle_u,
+    _salas_traces,
     b_symmetry_check,
     builtin_region,
     ebs_perturb,
@@ -165,6 +166,40 @@ class TestLogWeightPrefix:
         w = _PREFIX_WEIGHTS["zero-tail"]
         assert _log_weight_prefix(w, -2, 3) is None
         assert _log_weight_prefix(w, -3, 2) is None
+
+
+def reference_salas_traces(w, m_max, n_max, variant):
+    """The per-m trace rows through fancy-index gathers of the prefix pairs:
+    the bits _salas_traces must reproduce."""
+    lo = -n_max + 1
+    his, los = _log_weight_prefix(w, lo, m_max + n_max)
+
+    def logw(a, b):
+        return (his[b - lo + 1] - his[a - lo]) + (los[b - lo + 1] - los[a - lo])
+
+    ns = np.arange(1, n_max + 1)
+    traces = np.empty((m_max + 1, n_max))
+    for m in range(m_max + 1):
+        left = logw(m - ns + 1, np.full_like(ns, m))
+        right = logw(np.full_like(ns, m + 1), m + ns)
+        if variant == "hypercyclic":
+            traces[m] = np.maximum(left, -right).astype(np.float64)
+        else:
+            traces[m] = (left - right).astype(np.float64)
+    return traces
+
+
+class TestSalasTraces:
+    @pytest.mark.parametrize("family", [genshi_hypercyclic_weights, genshi_supercyclic_weights])
+    @pytest.mark.parametrize("c, m0", [(2.0, 3), (3.0, 2)])
+    @pytest.mark.parametrize("variant", ["hypercyclic", "supercyclic"])
+    @pytest.mark.parametrize("m_max, n_max", [(8, 2**14), (2, 64), (0, 8), (5, 9)])
+    def test_bits_match_gather_loop(self, family, c, m0, variant, m_max, n_max):
+        w = family(c, m0)
+        got = _salas_traces(w, m_max, n_max, variant)
+        want = reference_salas_traces(w, m_max, n_max, variant)
+        assert got.shape == want.shape == (m_max + 1, n_max)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestKerDagger:

@@ -1,9 +1,11 @@
 """Canonical JSON: the bytes every report and golden file is made of."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -94,3 +96,60 @@ def test_keys_equal_as_strings_keep_the_last_value():
     obj = {1: "int", "1": "str", (2.5): [np.float64(2.5)], "2.5": None}
     assert canonical_json(obj) == '{\n "1": "str",\n "2.5": null\n}\n'
     assert canonical_json(obj) == reference_json(obj)
+
+
+# float64 arrays whose elements repeat: the bit patterns of a small pool, so a
+# writer that spells each distinct value once is checked on -0.0 beside 0.0,
+# two NaN payloads, both infinities and the smallest subnormal
+_POOL_BITS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e16, 1e-5], dtype=np.float64
+).view(np.int64).tolist() + [0x7FF8000000000000, 0x7FF8000000000001]
+
+
+@st.composite
+def _repeating_arrays(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6))
+    size = int(np.prod(shape))
+    picks = draw(st.lists(st.sampled_from(_POOL_BITS), min_size=size, max_size=size))
+    return np.array(picks, dtype=np.int64).view(np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_arrays(), st.integers(0, 2))
+def test_repeating_float64_arrays_match_reference(a, depth):
+    obj = a
+    for _ in range(depth):
+        obj = {"x": [obj, 1]}
+    assert canonical_json(obj) == reference_json(obj)
+
+
+def _grid():
+    a = np.array([0.1, -0.0, 0.0, np.nan, np.inf, 0.1, -np.inf, 2.5, 0.0, 1e300, 0.1, 7.0])
+    return a.reshape(3, 4)
+
+
+def _matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        return np.matrix(_grid())
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(_grid().T, id="transposed"),
+        pytest.param(_grid()[::2, ::-3], id="strided"),
+        pytest.param(np.asfortranarray(_grid()), id="fortran-order"),
+        pytest.param(_grid().astype(">f8"), id="big-endian"),
+        pytest.param(np.zeros((2, 0)), id="shape-2x0"),
+        pytest.param(np.zeros((0, 3)), id="shape-0x3"),
+        pytest.param(np.array(-0.0), id="0-d"),
+        pytest.param(np.array(np.nan), id="0-d-nan"),
+        pytest.param(_matrix(), id="matrix"),
+        pytest.param(np.arange(6.0).reshape(1, 2, 3)[:, :, 1:], id="3-d-view"),
+        pytest.param(np.full(5, 1e-5), id="one-value"),
+    ],
+)
+def test_float64_array_layouts_match_reference(a):
+    for obj in (a, {"k": a}, [[a]]):
+        assert canonical_json(obj) == reference_json(obj)
