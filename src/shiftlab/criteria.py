@@ -59,7 +59,7 @@ class SalasCertificate:
             "trace_minima": [float(np.min(t)) for t in self.log_traces],
         }
         if full_traces:
-            out["log_traces"] = self.log_traces.tolist()
+            out["log_traces"] = self.log_traces
         return out
 
 
@@ -94,17 +94,15 @@ def _salas_traces(w: WeightSequence, m_max: int, n_max: int, variant: str):
     if prefix is None:
         return None
     his, los = prefix
-
-    def logw(a: int, b: int) -> np.ndarray:
-        # log wtilde(a, b) elementwise for array-valued a or b; the hi parts
-        # cancel to the true difference, the lo parts restore compensation
-        return (his[b - lo + 1] - his[a - lo]) + (los[b - lo + 1] - los[a - lo])
-
-    ns = np.arange(1, n_max + 1)
+    # log wtilde(a, b) = (his[b-lo+1] - his[a-lo]) + (los[b-lo+1] - los[a-lo]):
+    # the hi parts cancel to the true difference, the lo parts restore
+    # compensation.  With k = m - lo + 1, left (a = m-n+1, b = m) reads the
+    # prefixes k-1 down to k-n_max, right (a = m+1, b = m+n) k+1 up to k+n_max
     traces = np.empty((m_max + 1, n_max))
     for m in range(m_max + 1):
-        left = logw(m - ns + 1, np.full_like(ns, m))
-        right = logw(np.full_like(ns, m + 1), m + ns)
+        k = m - lo + 1
+        left = (his[k] - his[k - n_max : k][::-1]) + (los[k] - los[k - n_max : k][::-1])
+        right = (his[k + 1 : k + 1 + n_max] - his[k]) + (los[k + 1 : k + 1 + n_max] - los[k])
         if variant == "hypercyclic":
             traces[m] = np.maximum(left, -right).astype(np.float64)
         else:

@@ -112,7 +112,10 @@ def _write(obj, out: list, nl: str):
             sep = "," + inner
         out += (nl, "]")
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, nl)
+        if obj.dtype == np.float64 and obj.ndim and obj.size:
+            _write_floats(obj, out, nl)
+        else:
+            _write(obj.tolist(), out, nl)
     elif isinstance(obj, np.bool_):
         _write(bool(obj), out, nl)
     elif isinstance(obj, np.integer):
@@ -131,6 +134,35 @@ def _write(obj, out: list, nl: str):
         out.append(_float(obj))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_floats(a: np.ndarray, out: list, nl: str):
+    """Append the JSON of ``a.tolist()`` for a non-empty float64 array of
+    one or more dimensions, spelling each distinct value once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 (and NaN payloads)
+    stay apart; the words are then gathered into the array's shape.
+    """
+    a = np.asarray(a)  # an np.matrix row would stay 2-d
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    spell = float.__repr__ if np.isfinite(values).all() else _float
+    words = np.array(list(map(spell, values.tolist())), dtype=object)
+    _write_rows(words[inverse.reshape(a.shape)], out, nl)
+
+
+def _write_rows(words: np.ndarray, out: list, nl: str):
+    """Write an object array of spelled floats as the nested-list branches do."""
+    inner = nl + " "
+    if words.ndim == 1:
+        out += ("[", inner, ("," + inner).join(words.tolist()), nl, "]")
+        return
+    sep = "[" + inner
+    for row in words:
+        out.append(sep)
+        _write_rows(row, out, inner)
+        sep = "," + inner
+    out += (nl, "]")
 
 
 def trace_csv(rows: list[dict]) -> str:
