@@ -3,8 +3,9 @@
 Seven areas, one module each: tolerant/exact linear algebra (``linalg``,
 ``rational``), the nilpotent approach-pair solvers (``nilpotent``), the
 operator zoo (``operators``), decision procedures with certificates
-(``criteria``), the exact degree grading (``grading``), orbit and density
-diagnostics (``dynamics``) and the experiment runner (``cli``).
+(``criteria``), the exact degree grading (``grading``), the density,
+mixing and Volterra probes with the group-law residual (``dynamics``) and
+the experiment runner (``cli``).
 """
 
 from .errors import (

@@ -199,11 +199,12 @@ def cmd_jordan(args) -> ExperimentReport:
     )
 
 
-# tensor --mode -> the point z(m) of step m, from --dims: every block at m,
-# or the first block at m and the others held at 1
+# tensor --mode -> (the point z(m) of step m, the coordinates of z(m) that
+# escape as m grows), from --dims: every block at m, all escaping, or the
+# first block at m and the others held at 1, only the first escaping
 TENSOR_MODES = {
-    "diag": lambda dims, m: tuple(float(m) for _ in dims),
-    "bounded": lambda dims, m: tuple(float(m) if j == 0 else 1.0 for j in range(len(dims))),
+    "diag": lambda dims, m: (tuple(float(m) for _ in dims), set(range(len(dims)))),
+    "bounded": lambda dims, m: (tuple(float(m) if j == 0 else 1.0 for j in range(len(dims))), {0}),
 }
 
 
@@ -213,10 +214,9 @@ def cmd_tensor(args) -> ExperimentReport:
     u = np.zeros(tt.dim)
     u[0] = 1.0
     v = u.copy()
-    zs = functools.partial(TENSOR_MODES[args.mode], dims)
     rows = []
     for m in args.steps:
-        r1, r2 = nil.tensor_approach_residuals(tt, zs, u, v, m)
+        r1, r2 = nil.tensor_approach_residuals(tt, *TENSOR_MODES[args.mode](dims, m), u, v)
         rows.append({"m": m, "residual_u": r1, "residual_v": r2})
     decreasing = all(
         rows[i]["residual_u"] >= rows[i + 1]["residual_u"] - 1e-12

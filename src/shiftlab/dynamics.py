@@ -1,4 +1,5 @@
-"""Orbit generation and the empirical density / mixing / supercyclicity probes.
+"""The group-law residual, the empirical density / mixing probes and the
+Volterra distance experiment.
 
 Every asymptotic claim is reported as a trace (plus fitted decay data where
 useful), never as a boolean: finite truncations cannot certify limits.
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import commutator_residual, unimodular_chain_spaces
+from .criteria import unimodular_chain_spaces
 from .errors import DomainError, InputError, PreconditionError
-from .linalg import Subspace, as_matrix, as_vector, kernel_and_image
+from .linalg import Subspace, as_matrix, as_vector
 # unimodular_approach is bound here too: perfbench's layer test checks that
 # tracing rebinds it in this module
 from .nilpotent import _unimodular_chain, _unimodular_pair, unimodular_approach  # noqa: F401
@@ -26,7 +27,6 @@ from .operators import (
     trapezoid_weights,
 )
 
-OVERFLOW_LIMIT = 1e250
 # orbit steps u3_density iterates before it bins their points: bounds the
 # points held at once (steps x bases x scales) whatever the horizon
 _DENSITY_CHUNK = 64
@@ -34,77 +34,6 @@ _DENSITY_CHUNK = 64
 
 def _matrix_of(T) -> np.ndarray:
     return as_matrix(T.matrix if isinstance(T, TruncatedOperator) else T)
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitTrace:
-    base: np.ndarray = field(repr=False)
-    iterates: tuple = field(repr=False)
-    scalings: tuple = ()
-    norms: tuple = ()
-    truncated: bool = False
-
-    def __len__(self):
-        return len(self.iterates)
-
-
-def orbit(T, x, steps: int, scalings=None) -> OrbitTrace:
-    """[x, Tx, ..., T^steps x], each multiplied by its scaling.
-
-    The trace is truncated with a flag when an iterate norm overflows.
-    """
-    t = _matrix_of(T)
-    x = as_vector(x, t.shape[0])
-    if scalings is not None:
-        scalings = [complex(s) for s in scalings]
-        if len(scalings) < steps + 1:
-            raise InputError("need one scaling per orbit entry")
-        if any(s == 0 for s in scalings):
-            raise InputError("scalings must be nonzero")
-    iterates = []
-    norms = []
-    cur = x.copy()
-    truncated = False
-    # the norm of the step that overflows is inf or nan and ends the trace
-    # with the truncation flag, so numpy's warnings carry nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            scaled = cur * scalings[k] if scalings is not None else cur
-            nrm = float(np.linalg.norm(scaled))
-            if not math.isfinite(nrm) or nrm > OVERFLOW_LIMIT:
-                truncated = True
-                break
-            iterates.append(scaled)
-            norms.append(nrm)
-            if k < steps:
-                cur = t @ cur
-    return OrbitTrace(
-        x,
-        tuple(iterates),
-        tuple(scalings[: len(iterates)]) if scalings is not None else (),
-        tuple(norms),
-        truncated,
-    )
-
-
-def exp_group(As, z) -> np.ndarray:
-    """e^{z_1 A_1 + ... + z_k A_k} for a pairwise commuting tuple (to 1e-8)."""
-    from scipy.linalg import expm  # lazy: most reports never need scipy
-
-    mats = [_matrix_of(a) for a in As]
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if len(mats) != z.shape[0]:
-        raise InputError("one parameter coordinate per generator required")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            r = commutator_residual(mats[i], mats[j])
-            if r > 1e-8:
-                raise PreconditionError(
-                    f"generators {i} and {j} do not commute (residual {r:.3e}); "
-                    "the group law fails for non-commuting tuples"
-                )
-    gen = sum(zj * m for zj, m in zip(z, mats))
-    return expm(gen)
 
 
 def group_law_residual(As, z, w) -> float:
@@ -434,93 +363,6 @@ def _cnorms(vs: np.ndarray) -> np.ndarray:
     re, im = vs.real, vs.imag
     sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
     return np.sqrt(sq[..., 0, 0])
-
-
-def kernel_ladder(T, tol: float = 1e-9):
-    """[ker T, ker T^2, ...] until the dimension stabilizes."""
-    t = _matrix_of(T)
-    dim = t.shape[0]
-    out = []
-    power = np.eye(dim, dtype=np.complex128)
-    last = -1
-    for _n in range(1, dim + 1):
-        power = power @ t
-        kernel, _ = kernel_and_image(power, tol)
-        out.append(kernel)
-        if kernel.dim == last:
-            break
-        last = kernel.dim
-    return out
-
-
-@dataclass(frozen=True)
-class SupercyclicProbe:
-    verdict: str  # "coverage" | "inapplicable"
-    coverage: CoverageReport | None
-    ladder_dims: tuple
-    scalings: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "coverage": self.coverage.to_dict() if self.coverage else None,
-            "ladder_dims": list(self.ladder_dims),
-            "scalings": [float(s) for s in self.scalings],
-        }
-
-
-def supercyclic_probe(
-    T,
-    net: NetSpec,
-    horizon: int,
-    seed: int = 0,
-) -> SupercyclicProbe:
-    """Projective-orbit coverage for operators with dense generalized kernel.
-
-    Scalings follow the doubling rule lambda_k = 2^k max(1, ||u_k^x||) over a
-    seed set of 8 Gaussian vectors, with u_k^x the minimum-norm preimage of
-    x under T^k.  Four random orbits are scaled by +-s lambda_k for 24
-    log-spaced s in [1e-3, 1].  Inapplicable when the kernel ladder never
-    fills the space.
-    """
-    t = _matrix_of(T)
-    dim = t.shape[0]
-    ladder = kernel_ladder(t)
-    dims = tuple(sp.dim for sp in ladder)
-    if not dims or dims[-1] < dim:
-        return SupercyclicProbe("inapplicable", None, dims, ())
-
-    rng = np.random.default_rng(seed)
-    seeds = rng.normal(size=(8, dim))
-    horizon = min(horizon, dim)
-    lambdas = []
-    power = np.eye(dim, dtype=np.complex128)
-    for k in range(1, horizon + 1):
-        power = power @ t
-        worst = 1.0
-        for x in seeds:
-            u_k, *_ = np.linalg.lstsq(power, x.astype(np.complex128), rcond=None)
-            worst = max(worst, float(np.linalg.norm(u_k)))
-        lambdas.append((2.0**k) * worst)
-
-    smags = np.logspace(-3, 0, 24)
-    factors = np.concatenate([smags, -smags])
-    hit = np.zeros(net.cells * net.cells, dtype=bool)
-    for _p in range(4):
-        cur = rng.normal(size=dim).astype(np.complex128)
-        for k in range(1, horizon + 1):
-            cur = t @ cur
-            if float(np.linalg.norm(cur)) == 0.0:
-                break
-            y = lambdas[k - 1] * cur
-            # every scaling s and -s at once; the factors +-s are exact
-            pts = np.real(np.multiply.outer(factors, y[[net.x_coord, net.y_coord]]))
-            cells = net.cell_of(pts[:, 0], pts[:, 1])
-            hit[cells[cells >= 0]] = True
-    hits = int(np.sum(hit))
-    total = net.cells * net.cells
-    cov = CoverageReport(hits / total, hits, total, horizon, seed)
-    return SupercyclicProbe("coverage", cov, dims, tuple(lambdas))
 
 
 # ---------------------------------------------------------------------------

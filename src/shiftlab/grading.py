@@ -244,30 +244,6 @@ def monomial_intersection(generators, d: int):
     return _monomial_intersection(basis, d, den, k)
 
 
-def membership_witness(x: GradedVector, y: GradedVector):
-    """Decide y ∈ F(M, x): is y a rational-function multiple of x?
-
-    Returns the reduced witness (p, q) with p(M) y = q(M) x componentwise
-    (the ratio r = q/p), or None when no consistent ratio exists.
-    """
-    if x.is_zero():
-        raise InputError("x must be nonzero")
-    if x.k != y.k:
-        raise InputError("component count mismatch")
-    ratio = None
-    for cx, cy in zip(x.components, y.components):
-        if cx.is_zero():
-            if not cy.is_zero():
-                return None
-            continue
-        r = cy / cx
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio.den, ratio.num
-
-
 def random_rational_function(rng, max_deg: int = 4) -> RationalFunction:
     """num/den with integer coefficients drawn uniformly from -9..9."""
     num = Poly([int(rng.integers(-9, 10)) for _ in range(max_deg + 1)])

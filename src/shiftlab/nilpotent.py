@@ -338,40 +338,22 @@ class TensorShiftTuple:
         return idx
 
 
-def _classify_unbounded(zs, m: int, k: int) -> set[int]:
-    """Coordinates judged to grow without bound: |z_m| at least 10 times
-    |z_0|, or nonzero where z_0 vanishes."""
-    z_now = np.asarray(zs(m), dtype=np.complex128)
-    z_ref = np.asarray(zs(0), dtype=np.complex128)
-    out = set()
-    for j in range(k):
-        ref = abs(z_ref[j])
-        cur = abs(z_now[j])
-        if ref < 1e-12:
-            if cur > 1e-12:
-                out.add(j)
-        elif cur >= 10.0 * ref:
-            out.add(j)
-    return out
+def tensor_approach(tt: TensorShiftTuple, z_m, escaping, u, v) -> np.ndarray:
+    """x_m with x_m -> u and e^{<z_m, T>} x_m -> v at the point z_m of K^k.
 
-
-def tensor_approach(tt: TensorShiftTuple, zs, u, v, m: int) -> np.ndarray:
-    """x_m with x_m -> u and e^{<z_m, T>} x_m -> v along the sequence zs.
-
-    ``zs`` is a callable m -> point of K^k.  The blockwise construction
-    needs to know which coordinates of z_m escape to infinity; it judges
-    them by 10x growth against the start of the sequence.  Blocks with
-    bounded coordinate are corrected exactly by e^{-z_j S_j}.
+    ``escaping`` is the set of coordinates j whose z_m[j] grows without
+    bound along the sequence; the caller declares it.  Those blocks get the
+    Jordan approach pair, and blocks with bounded coordinate are corrected
+    exactly by e^{-z_j S_j}.
     """
-    z_m = np.asarray(zs(m), dtype=np.complex128).reshape(-1)
+    z_m = np.asarray(z_m, dtype=np.complex128).reshape(-1)
     if z_m.shape[0] != tt.k:
         raise InputError(f"z_m must have {tt.k} coordinates")
-    unbounded = _classify_unbounded(zs, m, tt.k)
-    if not unbounded:
+    if not escaping:
         raise PreconditionError(
             "stalled sequence: no coordinate of z_m grows without bound"
         )
-    if any(abs(z_m[j]) == 0 for j in unbounded):
+    if any(abs(z_m[j]) == 0 for j in escaping):
         raise PreconditionError("an unbounded coordinate of z_m vanishes at this index")
 
     u = as_vector(u, tt.dim)
@@ -390,7 +372,7 @@ def tensor_approach(tt: TensorShiftTuple, zs, u, v, m: int) -> np.ndarray:
         for q in range(nj):
             e_q = np.zeros(nj, dtype=np.complex128)
             e_q[q] = 1.0
-            if j in unbounded:
+            if j in escaping:
                 a_fac[j, q] = jordan_solve(nj, zj, np.zeros(nj), e_q)
                 b_fac[j, q] = jordan_solve(nj, zj, e_q, np.zeros(nj))
             else:
@@ -418,11 +400,11 @@ def tensor_approach(tt: TensorShiftTuple, zs, u, v, m: int) -> np.ndarray:
     return x
 
 
-def tensor_approach_residuals(tt: TensorShiftTuple, zs, u, v, m: int):
+def tensor_approach_residuals(tt: TensorShiftTuple, z_m, escaping, u, v):
     from scipy.linalg import expm
 
-    x = tensor_approach(tt, zs, u, v, m)
-    z_m = np.asarray(zs(m), dtype=np.complex128).reshape(-1)
+    x = tensor_approach(tt, z_m, escaping, u, v)
+    z_m = np.asarray(z_m, dtype=np.complex128).reshape(-1)
     gen = sum(z_m[j] * tt.operator(j) for j in range(tt.k))
     ex = expm(gen)
     u = as_vector(u, tt.dim)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .linalg import as_matrix
 from .rational import Poly, RationalMatrix, _as_fraction
 
@@ -89,14 +89,6 @@ class WeightSequence:
             outside = ~inside
             logs[outside] += (np.abs(ns[outside]) - half) * np.log(np.longdouble(r))
         return logs
-
-    def sup_bound(self) -> float:
-        out = max(abs(w) for w in self.window)
-        if self.tail_kind == "constant":
-            out = max(out, abs(self.c_plus), abs(self.c_minus))
-        elif self.tail_kind == "geometric" and abs(self.ratio) > 1:
-            raise DomainError("geometric tail with |ratio| > 1 is unbounded")
-        return out
 
     def dual(self) -> "WeightSequence":
         """The reflected sequence w'_n = w_{1-n}, window widened by one."""
@@ -382,66 +374,6 @@ def _log_ints(ns: np.ndarray) -> np.ndarray:
     shifts = np.maximum(_bit_length(ns) - 512, 0)
     logs = np.fromiter(map(math.log, (ns >> shifts).astype(float).tolist()), float, len(ns))
     return logs + shifts.astype(float) * _LOG2
-
-
-def integral_ladder(psi, count: int = 64, floor: float = 0.0) -> list[float]:
-    """a_1 = psi(1), a_{k+1} = psi(a_k); stops at the floor or the count cap."""
-    ladder = []
-    a = psi(1.0)
-    for _ in range(count):
-        ladder.append(a)
-        if len(ladder) >= 2 and ladder[-1] >= ladder[-2]:
-            raise PreconditionError("ladder is not strictly decreasing")
-        a = psi(a)
-        if a <= floor:
-            ladder.append(a)
-            break
-    return ladder
-
-
-def integral_op(alpha, psi, ngrid: int):
-    """Discretized T f(x) = int_0^psi(x) alpha f, plus the kernel ladder.
-
-    ``alpha`` is a callable or a grid array; ``psi`` must be continuous,
-    strictly increasing, with psi(x) < x on (0,1] (checked on the grid).
-    """
-    if ngrid < 16:
-        raise InputError("ngrid must be >= 16")
-    h = 1.0 / ngrid
-    xs = np.arange(ngrid + 1) * h
-    avals = np.asarray([alpha(x) for x in xs]) if callable(alpha) else np.asarray(alpha)
-    if avals.shape[0] != ngrid + 1:
-        raise InputError("alpha grid length mismatch")
-    if np.any(avals == 0):
-        raise PreconditionError("alpha vanishes at a grid point")
-    ps = np.array([psi(x) for x in xs])
-    for i in range(1, ngrid + 1):
-        if ps[i] >= xs[i]:
-            raise PreconditionError(f"psi(x) >= x at grid point x = {xs[i]:.6f}")
-        if ps[i] <= ps[i - 1]:
-            raise PreconditionError("psi is not strictly increasing on the grid")
-
-    m = np.zeros((ngrid + 1, ngrid + 1), dtype=np.complex128)
-    for i in range(ngrid + 1):
-        p = ps[i]
-        if p <= 0:
-            continue
-        full = int(p / h)
-        full = min(full, ngrid)
-        row = np.zeros(ngrid + 1, dtype=np.complex128)
-        if full >= 1:
-            row[0] += h / 2.0
-            row[1:full] += h
-            row[full] += h / 2.0
-        rest = p - full * h
-        if rest > 0 and full < ngrid:
-            theta = rest / h
-            # linear interpolation of the integrand across the partial cell
-            row[full] += rest * (1.0 - theta / 2.0)
-            row[full + 1] += rest * theta / 2.0
-        m[i] = row * avals
-    ladder = integral_ladder(psi, floor=h / 2.0)
-    return TruncatedOperator(m, "L2_grid", (("ngrid", ngrid),)), ladder
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,11 +174,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def leading(self) -> Fraction:
-        if not self._num:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
     def __bool__(self):
         return bool(self._num)
 
@@ -262,9 +257,6 @@ class Poly:
         """The monic gcd over Q; zero only when both are zero."""
         g = _primitive_gcd(_primitive(self._num), _primitive(self._coerce(other)._num))
         return Poly._from_ints(g, g[-1]) if g else Poly.zero()
-
-    def derivative(self) -> "Poly":
-        return Poly._from_ints([i * a for i, a in enumerate(self._num)][1:], self._den)
 
     def __call__(self, x):
         out = 0

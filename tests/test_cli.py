@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import build_parser, emit_goldens, main
+from shiftlab.cli import TENSOR_MODES, build_parser, emit_goldens, main
 from shiftlab.reports import SCHEMA_VERSION
 
 
@@ -220,6 +220,12 @@ class TestExitCodes:
         assert code == 0
         code, out = run_cli(["tensor", "--dims", "1,1", "--steps", "4,16,64"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("mode", sorted(TENSOR_MODES))
+    def test_tensor_mode_declares_the_growing_coordinates(self, mode):
+        # the declared escaping coordinates are those that grow with the step
+        (z4, escaping), (z8, _) = (TENSOR_MODES[mode]((1, 2, 1), m) for m in (4, 8))
+        assert escaping == {j for j in range(3) if abs(z8[j]) > abs(z4[j])}
 
     def test_saan_group(self, capsys):
         code, out = run_cli(["saan-group", "--k", "2", "--degree", "6"], capsys)

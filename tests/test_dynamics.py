@@ -1,4 +1,4 @@
-"""Orbits, exponential groups and the empirical diagnostics."""
+"""The group-law residual and the empirical diagnostics."""
 
 import hashlib
 import math
@@ -19,12 +19,8 @@ from shiftlab.dynamics import (
     NetSpec,
     bump_function,
     default_scale_grid,
-    exp_group,
     group_law_residual,
-    kernel_ladder,
     mixing_window,
-    orbit,
-    supercyclic_probe,
     transitivity_pair,
     u3_density,
     volterra_dist,
@@ -36,7 +32,6 @@ from shiftlab.nilpotent import backward_shift
 from shiftlab.operators import (
     bilateral_shift,
     genshi_supercyclic_weights,
-    integral_op,
     saan_generators,
 )
 
@@ -45,14 +40,6 @@ def unit(i, dim):
     v = np.zeros(dim)
     v[i] = 1.0
     return v
-
-
-def nilpotent_weighted_shift(dim, seed=2):
-    rng = np.random.default_rng(seed)
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        m[k - 1, k] = 0.5 + rng.uniform(0, 1)
-    return m
 
 
 def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40, pair_sampler=None):
@@ -179,54 +166,7 @@ def reference_mixing_window(t, ball_u, ball_v, horizon, probe_budget, seed, deci
     return HitReport(tuple(hits), first, horizon, seed)
 
 
-class TestOrbit:
-    def test_identity_constant(self):
-        tr = orbit(np.eye(4), np.ones(4), 10)
-        assert len(tr) == 11
-        for it in tr.iterates:
-            assert np.allclose(it, 1.0)
-
-    def test_scaled_doubling(self):
-        tr = orbit(2.0 * np.eye(3), np.ones(3), 8, scalings=[2.0**-n for n in range(9)])
-        for it in tr.iterates:
-            assert np.allclose(it, 1.0)
-
-    def test_matches_repeated_multiplication(self):
-        rng = np.random.default_rng(0)
-        t = rng.normal(size=(16, 16)) / 4.0
-        x = rng.normal(size=16)
-        tr = orbit(t, x, 200)
-        cur = x.astype(complex)
-        for k in (0, 7, 100, 200):
-            ref = np.linalg.matrix_power(t, k) @ x
-            assert np.linalg.norm(tr.iterates[k] - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
-            cur = cur  # keep flake quiet
-
-    def test_overflow_flags_truncation(self):
-        tr = orbit(10.0 * np.eye(2), np.ones(2), 400)
-        assert tr.truncated
-        assert len(tr) < 401
-
-    def test_zero_scaling_rejected(self):
-        with pytest.raises(InputError):
-            orbit(np.eye(2), np.ones(2), 1, scalings=[1.0, 0.0])
-
-
-class TestExpGroup:
-    def test_shift_formula(self):
-        g = exp_group([backward_shift(2)], [3.0])
-        assert np.allclose(g, [[1.0, 3.0], [0.0, 1.0]])
-
-    def test_zero_parameter_is_identity(self):
-        mats = saan_generators(2, 10)
-        assert np.array_equal(exp_group(mats, [0.0, 0.0]), np.eye(10))
-
-    def test_inverse_identity(self):
-        mats = saan_generators(2, 21)
-        z = [0.8, -1.3]
-        prod = exp_group(mats, z) @ exp_group(mats, [-a for a in z])
-        assert np.linalg.norm(prod - np.eye(21)) <= 1e-10
-
+class TestGroupLawResidual:
     def test_group_law_on_saan_generators(self):
         mats = saan_generators(2, 45)
         rng = np.random.default_rng(1)
@@ -235,12 +175,9 @@ class TestExpGroup:
             w = rng.uniform(-1, 1, 2)
             assert group_law_residual(mats, z, w) <= 1e-10
 
-    def test_noncommuting_pair_rejected_and_law_fails(self):
+    def test_noncommuting_pair_law_fails(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = a.T
-        with pytest.raises(PreconditionError):
-            exp_group([a, b], [1.0, 1.0])
-        assert group_law_residual([a, b], [1.0, 0.0], [0.0, 1.0]) > 0.1
+        assert group_law_residual([a, a.T], [1.0, 0.0], [0.0, 1.0]) > 0.1
 
 
 class TestU3Density:
@@ -536,53 +473,6 @@ class TestTransitivityPair:
         with pytest.raises(DomainError) as err:
             transitivity_pair(t, unit(3, 4), unit(0, 4), 16)
         assert "distance" in str(err.value)
-
-
-class TestSupercyclicProbe:
-    def test_nilpotent_shift_coverage(self):
-        t = nilpotent_weighted_shift(16)
-        net = NetSpec(cells=5, box=3.0, x_coord=0, y_coord=1)
-        rep = supercyclic_probe(t, net, horizon=14, seed=3)
-        assert rep.verdict == "coverage"
-        assert rep.coverage.fraction >= 0.9
-        assert rep.ladder_dims[-1] == 16  # full flag
-
-    def test_tap_operator_ladder_matches_support_structure(self):
-        t, ladder = integral_op(lambda x: 1.0, lambda x: x / 2.0, 64)
-        spaces = kernel_ladder(t, tol=1e-7)
-        xs = np.arange(65) / 64
-        for n, space in enumerate(spaces[:4], 1):
-            expected = int(np.sum(xs > ladder[n - 1]))
-            assert space.dim == expected
-            f = np.where(xs > ladder[n - 1], 1.0, 0.0)  # indicator above a_n
-            assert space.contains(f, 1e-6)
-
-    def test_invertible_inapplicable(self):
-        rep = supercyclic_probe(2.0 * np.eye(5), NetSpec(cells=4, box=2.0), horizon=10)
-        assert rep.verdict == "inapplicable"
-        assert rep.coverage is None
-
-    def test_scalings_follow_doubling_rule(self):
-        # lambda_k = 2^k max(1, ||u_k||) makes the scaled preimages vanish
-        t = nilpotent_weighted_shift(8)
-        rep = supercyclic_probe(t, NetSpec(cells=4, box=2.0), horizon=6, seed=0)
-        lam = rep.scalings
-        assert all(lam[k] >= 2.0 ** (k + 1) * 0.999 for k in range(len(lam)))
-
-    def test_pinned_coverage_and_scalings(self):
-        # fixed at the per-point binning loop; the scalings print exactly
-        t = nilpotent_weighted_shift(8)
-        net = NetSpec(cells=16, box=2.0, x_coord=0, y_coord=1)
-        rep = supercyclic_probe(t, net, horizon=6, seed=5)
-        assert rep.coverage == CoverageReport(150 / 256, 150, 256, 6, 5)
-        assert [repr(s) for s in rep.scalings] == [
-            "6.952560767775469",
-            "17.013935244606802",
-            "29.57480988239278",
-            "65.54043553818882",
-            "141.35102200237586",
-            "196.05959865437606",
-        ]
 
 
 class TestVolterraDist:

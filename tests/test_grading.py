@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftlab.errors import DomainError, InputError
+from shiftlab.errors import DomainError
 from shiftlab.grading import (
     GradedVector,
     deg,
     DegreeBoundReport,
-    membership_witness,
     monomial_intersection,
     n0_bound,
     random_graded_vector,
@@ -178,46 +177,6 @@ class TestN0Bound:
     def test_zero_space_rejected(self):
         with pytest.raises(DomainError):
             n0_bound([GradedVector([ZERO])])
-
-
-class TestMembership:
-    def test_scalar_multiple(self):
-        x = GradedVector([ONE, Z])
-        y = x.scale(Z)
-        p, q = membership_witness(x, y)
-        assert RationalFunction(q, p) == Z
-
-    def test_polynomial_ratio(self):
-        x = GradedVector([ONE, Z])
-        shift = RationalFunction(Poly([1, 1]))
-        y = x.scale(shift)
-        p, q = membership_witness(x, y)
-        assert RationalFunction(q, p) == shift
-
-    def test_inconsistent_ratios(self):
-        assert membership_witness(GradedVector([ONE, ZERO]), GradedVector([ZERO, ONE])) is None
-
-    def test_zero_vector_is_member(self):
-        x = GradedVector([ONE, Z])
-        p, q = membership_witness(x, GradedVector([ZERO, ZERO]))
-        assert q.is_zero() and not p.is_zero()
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(InputError):
-            membership_witness(GradedVector([ZERO]), GradedVector([ONE]))
-
-    def test_ratio_map_is_linear(self, rng):
-        x = GradedVector([ONE, Z])
-        r1 = random_rational_function(rng, 2)
-        r2 = random_rational_function(rng, 2)
-        y = x.scale(r1)
-        u = x.scale(r2)
-        s, t = Fraction(2), Fraction(-3)
-        combo = GradedVector(
-            [s * a + t * b for a, b in zip(y.components, u.components)]
-        )
-        p, q = membership_witness(x, combo)
-        assert RationalFunction(q, p) == s * r1 + t * r2
 
 
 class TestDeltaGrading:

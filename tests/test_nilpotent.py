@@ -378,7 +378,7 @@ class TestTensorApproach:
         v = np.zeros(4)
         v[1] = 1.0
         m = 64
-        x = tensor_approach(tt, lambda i: (float(i),), u, v, m)
+        x = tensor_approach(tt, (float(m),), {0}, u, v)
         direct = jordan_solve(2, float(m), [1.0, 0.0], [0.0, 1.0])
         assert np.allclose(x, direct, atol=1e-9)
 
@@ -388,7 +388,7 @@ class TestTensorApproach:
         u[0] = 1.0
         prev = np.inf
         for m in (4, 16, 64, 256):
-            r1, r2 = tensor_approach_residuals(tt, lambda i: (float(i), float(i)), u, u, m)
+            r1, r2 = tensor_approach_residuals(tt, (float(m), float(m)), {0, 1}, u, u)
             assert max(r1, r2) < prev
             prev = max(r1, r2)
         assert prev < 1e-2
@@ -397,9 +397,8 @@ class TestTensorApproach:
         tt = TensorShiftTuple((1, 1))
         u = np.zeros(4)
         u[0] = 1.0
-        zs = lambda i: (float(i), 1.0)  # noqa: E731
         for m in (4, 64, 256):
-            r1, r2 = tensor_approach_residuals(tt, zs, u, u, m)
+            r1, r2 = tensor_approach_residuals(tt, (float(m), 1.0), {0}, u, u)
             assert max(r1, r2) <= 1e-10
 
     def test_bounded_case_against_dense_oracle(self):
@@ -407,9 +406,8 @@ class TestTensorApproach:
         tt = TensorShiftTuple((1, 2))
         u = np.zeros(2 * 4)
         u[0] = 1.0
-        zs = lambda i: (1.0, float(i))  # noqa: E731
         m = 128
-        x = tensor_approach(tt, zs, u, u, m)
+        x = tensor_approach(tt, (1.0, float(m)), {1}, u, u)
         # block 1 bounded: factor e^{-z S} e_1 = e_1; block 2: jordan solve
         block2 = jordan_solve(2, float(m), [1.0, 0.0], [1.0, 0.0])
         oracle = np.kron(np.array([1.0, 0.0]), block2)
@@ -419,8 +417,10 @@ class TestTensorApproach:
         tt = TensorShiftTuple((1, 1))
         u = np.zeros(4)
         u[0] = 1.0
-        with pytest.raises(PreconditionError):
-            tensor_approach(tt, lambda i: (1.0, 1.0), u, u, 4)
+        with pytest.raises(PreconditionError, match="stalled"):
+            tensor_approach(tt, (1.0, 1.0), set(), u, u)
+        with pytest.raises(PreconditionError, match="vanishes"):
+            tensor_approach(tt, (4.0, 0.0), {0, 1}, u, u)
 
 
 class TestUnimodularApproach:

@@ -26,8 +26,6 @@ from shiftlab.operators import (
     grid_inner,
     h_derivative,
     h_evals,
-    integral_ladder,
-    integral_op,
     saan_generators,
     simpson_adjoint_apply,
     symmetric_decay_weights,
@@ -42,7 +40,6 @@ class TestWeightSequence:
         w = WeightSequence([3.0, 1.0, 2.0], "constant", c_plus=5.0, c_minus=7.0)
         assert w.value(0) == 1.0 and w.value(1) == 2.0 and w.value(-1) == 3.0
         assert w.value(9) == 5.0 and w.value(-9) == 7.0
-        assert w.sup_bound() == 7.0
 
     def test_geometric_tail_anchored_at_edges(self):
         w = symmetric_decay_weights(half=2, base=2.0)
@@ -144,7 +141,9 @@ class TestBilateralShift:
         w = genshi_supercyclic_weights()
         t = bilateral_shift(w, 6)
         sums = np.abs(t.matrix).sum(axis=0)
-        assert np.all(sums <= w.sup_bound() + 1e-12)
+        # sup |w_n|: the largest weight of the window and of the constant tails
+        sup = max(*map(abs, w.window), abs(w.c_plus), abs(w.c_minus))
+        assert np.all(sums <= sup + 1e-12)
 
     def test_dual_weight_matrix_identity(self):
         # U^-1 T'_w U = T_w' exactly on a symmetric window
@@ -312,42 +311,6 @@ class TestHDerivative:
         assert [r.tobytes() for r in rows] == [h_evals(n, 16)[n].tobytes() for n in range(4)]
         with pytest.raises(InputError):
             h_evals(-1, 16)
-
-
-class TestIntegralOp:
-    def test_ladder_halving(self):
-        ladder = integral_ladder(lambda x: x / 2.0, count=10, floor=1e-4)
-        for k, a in enumerate(ladder, 1):
-            assert abs(a - 2.0**-k) < 1e-15
-
-    def test_kernel_annihilation(self):
-        t, ladder = integral_op(lambda x: 1.0, lambda x: x / 2.0, 128)
-        xs = np.arange(129) / 128
-        f = np.where(xs > ladder[1], (xs - ladder[1]) ** 2, 0.0)  # zero on [0, a_2]
-        residual = np.linalg.norm(np.linalg.matrix_power(t.matrix, 2) @ f)
-        assert residual <= 1e-10
-
-    def test_residual_shrinks_with_grid(self):
-        # support edge not grid-aligned, so the partial quadrature cells
-        # leave genuine crumbs that refinement must shrink
-        def tail_residual(ngrid):
-            t, ladder = integral_op(lambda x: 1.0, lambda x: x / 2.3, ngrid)
-            a2 = ladder[1]
-            xs = np.arange(ngrid + 1) / ngrid
-            f = np.where(xs > a2, (xs - a2) ** 2, 0.0)
-            return float(np.linalg.norm(np.linalg.matrix_power(t.matrix, 2) @ f))
-
-        coarse, fine = tail_residual(64), tail_residual(256)
-        assert fine > 0.0
-        assert fine < coarse
-
-    def test_psi_must_contract(self):
-        with pytest.raises(PreconditionError):
-            integral_op(lambda x: 1.0, lambda x: x, 64)
-
-    def test_alpha_must_not_vanish(self):
-        with pytest.raises(PreconditionError):
-            integral_op(lambda x: x, lambda x: x / 2.0, 64)  # alpha(0) = 0
 
 
 def _frac(rng) -> Fraction:

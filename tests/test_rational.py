@@ -33,11 +33,9 @@ def test_poly_divmod_and_gcd():
         a.divmod(Poly())
 
 
-def test_poly_eval_and_derivative():
+def test_poly_eval():
     p = Poly([1, 0, Fraction(1, 2)])
     assert p(2) == Fraction(3)
-    assert p.derivative() == Poly([0, 1])
-    assert Poly([5]).derivative().is_zero()
 
 
 def test_rational_function_reduction_and_canonical_denominator():
@@ -495,7 +493,7 @@ def test_poly_gcd_divides_both_and_is_monic(a, b, c):
     if a.is_zero() and b.is_zero():
         assert g.is_zero()
         return
-    assert g.leading() == 1
+    assert g.coeffs[-1] == 1
     assert (a % g).is_zero() and (b % g).is_zero()
     if not c.is_zero():
         assert (g % c).is_zero()
@@ -505,7 +503,7 @@ def test_poly_gcd_divides_both_and_is_monic(a, b, c):
 @given(_polys, _nonzero_polys)
 def test_rational_function_is_reduced_with_monic_denominator(num, den):
     rf = RationalFunction(num, den)
-    assert rf.den.leading() == 1
+    assert rf.den.coeffs[-1] == 1
     assert rf.num.gcd(rf.den) == Poly.one()
     assert rf.num * den == num * rf.den
     if num.is_zero():
@@ -524,7 +522,7 @@ def test_rational_function_field_laws(a, b, c):
     if not a.is_zero():
         assert (b / a) * a == b
     for rf in (a + b, a * b, a - c):
-        assert rf.den.leading() == 1 and rf.num.gcd(rf.den) == Poly.one()
+        assert rf.den.coeffs[-1] == 1 and rf.num.gcd(rf.den) == Poly.one()
 
 
 # A pure-Fraction reference for Poly: the coefficient-tuple algorithms on
@@ -586,10 +584,6 @@ def _ref_gcd(a, b):
     return tuple(c / a[-1] for c in a) if a else a
 
 
-def _ref_derivative(a):
-    return _ref_trim([i * c for i, c in enumerate(a)][1:])
-
-
 def _ref_call(a, x):
     out = 0
     for c in reversed(a):
@@ -635,7 +629,6 @@ def test_poly_operations_match_fraction_reference(a, b, s, n):
         (pa * s, _ref_mul(a, sc)),
         (s * pa, _ref_mul(sc, a)),
         (pa**n, _ref_pow(a, n)),
-        (pa.derivative(), _ref_derivative(a)),
         (pa.gcd(pb), _ref_gcd(a, b)),
         (pb.gcd(pa), _ref_gcd(b, a)),
     ):
@@ -655,7 +648,6 @@ def test_poly_operations_match_fraction_reference(a, b, s, n):
         got, want = pa(x), _ref_call(a, x)
         assert got == want and type(got) is type(want)
     if a:
-        assert pa.leading() == a[-1] and type(pa.leading()) is Fraction
         assert pa.degree == len(a) - 1
     else:
         assert pa.degree == NEG_INF and pa.is_zero()
