@@ -296,6 +296,39 @@ class TestParserReuse:
             assert out == fresh[name]
 
 
+class TestVolterraReuse:
+    """Volterra reports in one process, with grids and supports that come
+    back, each give the bytes of a fresh process."""
+
+    ARGV = [
+        "volterra --ngrid 256 --q 0.5",
+        "volterra --ngrid 256 --q 0.3",
+        "volterra --ngrid 256 --f-file {}",
+        "volterra --ngrid 512",
+        "volterra --ngrid 256 --q 0.5",
+    ]
+
+    @pytest.fixture(scope="class")
+    def f_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("volterra") / "f.json"
+        values = [i * (128 - i) / 4096.0 if i < 128 else 0.0 for i in range(257)]
+        path.write_text(json.dumps({"values": values}))
+        return str(path)
+
+    def test_reports_match_fresh_processes(self, f_file, capsys):
+        argvs = [[part.format(f_file) for part in argv.split()] for argv in self.ARGV]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "shiftlab.cli", *argv], capture_output=True, text=True
+            ).stdout
+            for argv in argvs
+        ]
+        for argv, want in zip(argvs, fresh):
+            code, out = run_cli(argv, capsys)
+            assert code in (0, 2)
+            assert out == want
+
+
 class TestOutputs:
     def test_report_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"

@@ -413,6 +413,73 @@ class TestRegions:
             gs_region_verdict(builtin_region("U"), "shift1", 100)
 
 
+class _RecordingRng:
+    """A generator with only ``uniform(low, high, size)``, logging each call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def uniform(self, low, high, size):
+        self.calls.append((low, high, size))
+        return self.rng.uniform(low, high, size)
+
+
+def _complex_triangle_u(z):
+    a, b = np.real(z), np.imag(z)
+    return (a < 0) & (b - a < 1) & (b + a > -1)
+
+
+def _complex_region_v(z):
+    a, b = np.real(z), np.imag(z)
+    with np.errstate(invalid="ignore"):
+        return (0 < b) & (b < 1) & (np.abs(a) < 1.0 - np.sqrt(1.0 - b * b))
+
+
+def reference_sample(region, rng, count):
+    """The complex-batch rejection loop ``RegionPredicate.sample`` is pinned
+    to: each batch draws its real parts, then its imaginary parts, forms the
+    complex points and keeps those the region's complex predicate accepts."""
+    contains = {"U": _complex_triangle_u, "V": _complex_region_v}[region.name]
+    re_min, re_max, im_min, im_max = region.bbox
+    out = np.empty(count, dtype=np.complex128)
+    got = 0
+    while got < count:
+        batch = max(count - got, 256)
+        zs = rng.uniform(re_min, re_max, batch) + 1j * rng.uniform(im_min, im_max, batch)
+        sel = zs[contains(zs)]
+        take = min(sel.size, count - got)
+        out[got : got + take] = sel[:take]
+        got += take
+    return out
+
+
+class TestRegionSampler:
+    """``RegionPredicate.sample`` keeps the bytes and the draws of the
+    complex-batch loop; counts below 256 take the minimum batch."""
+
+    @pytest.mark.parametrize("count", [1, 255, 10**4, 10**5])
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_bytes_match_complex_batch_loop(self, name, count):
+        region = builtin_region(name)
+        for seed in range(8):
+            got = region.sample(np.random.default_rng(seed), count)
+            want = reference_sample(region, np.random.default_rng(seed), count)
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 255, 10**4])
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_uniform_only_stub_sees_the_generator_draws(self, name, count):
+        region = builtin_region(name)
+        for seed in range(8):
+            stub, ref = _RecordingRng(seed), _RecordingRng(seed)
+            got = region.sample(stub, count)
+            want = reference_sample(region, ref, count)
+            assert stub.calls == ref.calls
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == region.sample(np.random.default_rng(seed), count).tobytes()
+
+
 def _ref_triangle_u(z: complex) -> bool:
     a, b = z.real, z.imag
     return a < 0 and b - a < 1 and b + a > -1
