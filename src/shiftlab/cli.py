@@ -527,6 +527,11 @@ def _distance_rows(trace: dyn.DistanceTrace) -> list[dict]:
 def cmd_volterra(args) -> ExperimentReport:
     f = load_grid_function(args.f_file, args.ngrid) if args.f_file else None
     trace = dyn.volterra_dist(args.ngrid, args.q, f=f, n_max=args.n_max)
+    if trace.f_norm == 0.0:
+        # f is zero, or so small that f * f underflows, as the bump on a
+        # short (0, q) is: no distance relative to ||f|| exists
+        what = f"--f-file: grid function {args.f_file}" if args.f_file else f"--q: the bump on (0, {args.q})"
+        raise InputError(f"argument {what} has zero norm on the grid")
     dmin = min(d / trace.f_norm for d in trace.distances)
     # 1e-8 is the contract at ngrid = 2048; the leading trapezoid cells of
     # the adjoint quadrature scale cubically, so rescale for other grids

@@ -373,37 +373,46 @@ def _eta_pairs(x1, x2, u_vecs, f_vecs, n):
 class RegionPredicate:
     """Plane region with a membership test, bounding box and name.
 
-    ``contains`` maps an ndarray of complex points to an ndarray of bools,
-    elementwise, and a single complex point to a single bool.
+    ``inside`` maps the real and imaginary parts of points, two float
+    ndarrays, to an ndarray of bools, elementwise, and two floats to a bool.
     """
 
     name: str
-    contains: object = field(repr=False)  # elementwise: complex ndarray -> bool ndarray
+    inside: object = field(repr=False)  # elementwise: (re, im) float ndarrays -> bool ndarray
     bbox: tuple = (-1.0, 1.0, -1.0, 1.0)  # (re_min, re_max, im_min, im_max)
 
+    def contains(self, z):
+        """Membership of a complex point, or of each point of a complex ndarray."""
+        return self.inside(np.real(z), np.imag(z))
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` points of the region by rejection from its box.
+
+        Each batch draws its real parts, then its imaginary parts, and keeps
+        the points inside in draw order.  The kept parts are written straight
+        into the complex result, so no batch is formed as complex numbers;
+        ``re + 1j * im`` would give the same bits, as it differs from them
+        only where a part is -0.0, which no uniform draw is.
+        """
         re_min, re_max, im_min, im_max = self.bbox
         out = np.empty(count, dtype=np.complex128)
         got = 0
         while got < count:
             batch = max(count - got, 256)
-            zs = rng.uniform(re_min, re_max, batch) + 1j * rng.uniform(
-                im_min, im_max, batch
-            )
-            sel = zs[np.asarray(self.contains(zs), dtype=bool)]
-            take = min(sel.size, count - got)
-            out[got : got + take] = sel[:take]
-            got += take
+            re = rng.uniform(re_min, re_max, batch)
+            im = rng.uniform(im_min, im_max, batch)
+            keep = np.flatnonzero(self.inside(re, im))[: count - got]
+            out.real[got : got + keep.size] = re[keep]
+            out.imag[got : got + keep.size] = im[keep]
+            got += keep.size
         return out
 
 
-def _in_triangle_u(z):
-    a, b = np.real(z), np.imag(z)
+def _in_triangle_u(a, b):
     return (a < 0) & (b - a < 1) & (b + a > -1)
 
 
-def _in_region_v(z):
-    a, b = np.real(z), np.imag(z)
+def _in_region_v(a, b):
     # np.sqrt is correctly rounded, like math.sqrt; off 0 < b < 1 its nan
     # is masked out
     with np.errstate(invalid="ignore"):

@@ -8,6 +8,7 @@ All randomized probes are bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -418,14 +419,28 @@ def volterra_dist(
         if np.any(np.abs(fvals[xs >= cutoff]) > 0):
             raise InputError(f"f must vanish on [{cutoff}, 1] at grid resolution")
 
-    hs = h_evals(max(n_max, 1), ngrid)
-    adj = float(np.max(np.abs(simpson_adjoint_apply(ngrid, hs[1]) + hs[0])))
-
+    hs, adj, norms = _volterra_table(ngrid, n_max)
     dists = []
-    for hn in hs[: n_max + 1]:
-        norm_hn = math.sqrt(abs(grid_inner(hn, hn, ngrid)))
+    for hn, norm_hn in zip(hs, norms):
         inner = abs(grid_inner(fvals, hn, ngrid))
         dists.append(inner / norm_hn if norm_hn > 0 else float("nan"))
     wts = trapezoid_weights(ngrid)
     f_norm = float(math.sqrt(float(np.sum(wts * fvals * fvals))))
     return DistanceTrace(ngrid, cutoff, adj, tuple(dists), f_norm)
+
+
+@functools.lru_cache(maxsize=4)
+def _volterra_table(ngrid: int, n_max: int) -> tuple:
+    """The part of ``volterra_dist`` that f and the cutoff do not change:
+    the read-only rows h, h', ..., h^(max(n_max, 1)), the adjoint residual
+    sup |V* h' + h| and the grid norms ||h^(n)|| for n = 0..n_max.
+
+    An entry holds 8 (ngrid + 1) bytes per row, about 0.7 MB at the
+    report's ngrid 2048 and n_max 40.
+    """
+    hs = h_evals(max(n_max, 1), ngrid)
+    for row in hs:
+        row.flags.writeable = False
+    adj = float(np.max(np.abs(simpson_adjoint_apply(ngrid, hs[1]) + hs[0])))
+    norms = tuple(math.sqrt(abs(grid_inner(hn, hn, ngrid))) for hn in hs[: n_max + 1])
+    return tuple(hs), adj, norms

@@ -104,12 +104,23 @@ class TestExitCodes:
             "density --threshold -1",
             "density --threshold 0",
             "density --threshold 1.5",
+            "volterra --ngrid 256 --n-max 4 --f-file {zeros}",
+            "volterra --ngrid 256 --n-max 4 --f-file {tiny}",
+            "volterra --ngrid 256 --q 0.01",
         ],
     )
-    def test_bad_input_is_rejected(self, argv, capsys):
-        """Empty sweeps, non-finite numbers and malformed values end in an
-        input error, not a verdict or a traceback."""
-        code = main(shlex.split(argv))
+    def test_bad_input_is_rejected(self, argv, tmp_path, capsys):
+        """Empty sweeps, non-finite numbers, malformed values and a grid
+        function of zero norm end in an input error, not a verdict or a
+        traceback."""
+        files = {
+            "zeros": [0.0] * 257,
+            # f * f underflows to 0 on the grid
+            "tiny": [1e-200] * 128 + [0.0] * 129,
+        }
+        for name, values in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"values": values}))
+        code = main(shlex.split(argv.format(**{name: tmp_path / f"{name}.json" for name in files})))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_identity_pairing, exact_unit, log_abs, shaped_nilpotent_tensor
 from shiftlab.criteria import (
-    _in_region_v,
     _log_weight_prefix,
-    _in_triangle_u,
     _salas_traces,
     b_symmetry_check,
     builtin_region,
@@ -508,11 +506,11 @@ def _region_points(draw):
 @given(st.lists(_region_points(), min_size=1, max_size=8))
 def test_region_predicates_match_scalar_reference(groups):
     zs = [z for group in groups for z in group]
-    for pred, ref in ((_in_triangle_u, _ref_triangle_u), (_in_region_v, _ref_region_v)):
+    for region, ref in ((builtin_region("U"), _ref_triangle_u), (builtin_region("V"), _ref_region_v)):
         expected = [ref(z) for z in zs]
-        got = pred(np.array(zs))
+        got = region.contains(np.array(zs))
         assert got.dtype == bool and got.tolist() == expected
-        assert [bool(pred(z)) for z in zs] == expected  # scalars still work
+        assert [bool(region.contains(z)) for z in zs] == expected  # scalars still work
 
 
 def reference_symmetry_obstruction(w, p_coeffs, trials, horizon, seed):

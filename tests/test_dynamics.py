@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from shiftlab.dynamics import (
     _cnorm,
     _cnorms,
+    _volterra_table,
     Ball,
     CoverageReport,
     HitReport,
@@ -492,9 +493,21 @@ class TestVolterraDist:
         assert np.mean(rel[-5:]) < np.mean(rel[:5])
 
     def test_deterministic_reproduction(self):
+        # two cold builds of the h-table, then a cached one
+        _volterra_table.cache_clear()
         a = volterra_dist(256, 0.5, n_max=12)
+        _volterra_table.cache_clear()
         b = volterra_dist(256, 0.5, n_max=12)
-        assert a.to_dict() == b.to_dict()
+        c = volterra_dist(256, 0.5, n_max=12)
+        assert a.to_dict() == b.to_dict() == c.to_dict()
+
+    def test_cached_rows_are_read_only(self):
+        volterra_dist(256, 0.5, n_max=4)
+        hs, _, norms = _volterra_table(256, 4)
+        assert len(hs) == len(norms) == 5
+        for row in hs:
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
     def test_support_violation_rejected(self):
         bad = np.ones(257)
@@ -528,7 +541,9 @@ class TestVolterraDist:
 
     def test_no_dense_grid(self):
         # V* is applied matrix-free: the dense 2049 x 2049 grid and its
-        # complex copy held about 105 MB at once
+        # complex copy held about 105 MB at once; a cold call builds the
+        # cached h-table
+        _volterra_table.cache_clear()
         tracemalloc.start()
         try:
             volterra_dist(2048, 0.5, n_max=40)
