@@ -29,7 +29,7 @@ from shiftlab.nilpotent import (
     unimodular_approach,
     unimodular_residuals,
 )
-from shiftlab.rational import RationalMatrix
+from shiftlab.rational import RationalMatrix, _as_fraction
 
 
 class TestBuildAnz:
@@ -353,6 +353,78 @@ class TestDiscretePair:
         x = discrete_pair(2, 8, [1.0, 0.5], [0.0, 1.0])
         y = discrete_pair(2, 8, [1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
         assert x.tobytes() == y.tobytes()
+
+
+def _reference_discrete_pair_errors_exact(n, j, u, v):
+    """The Fraction evaluation of the exact pair errors: x_j through
+    Fraction matrix-vector products, (I+S)^j through binomial sums of
+    Fractions, each squared error a Fraction rounded once by float()."""
+    if j < 1:
+        raise InputError("step index j must be >= 1")
+    dim = 2 * n
+    u = [_as_fraction(a) for a in u]
+    v = [_as_fraction(a) for a in v]
+    jmat = similarity_j(n)
+    ju = (jmat @ (u + [Fraction(0)] * n))[:n]
+    jv = (jmat @ (v + [Fraction(0)] * n))[:n]
+    x = jmat.inv() @ jordan_solve_exact(n, j, ju, jv)
+    tx = [sum(math.comb(j, k) * x[i + k] for k in range(dim - i)) for i in range(dim)]
+    r1 = sum((x[i] - (u[i] if i < n else 0)) ** 2 for i in range(dim))
+    r2 = sum((tx[i] - (v[i] if i < n else 0)) ** 2 for i in range(dim))
+    return math.sqrt(float(r1)), math.sqrt(float(r2))
+
+
+_PAIR_STEPS = (1, 2, 3, 4, 64, 1024, 4096)
+# a head entry: zero, a small integer, or a signed Fraction whose
+# denominator may be as large as the Mersenne prime 2^61 - 1
+_pair_entry = st.one_of(
+    st.just(0),
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=2**61 - 1),
+    st.integers(min_value=1, max_value=2**61 - 1).map(lambda d: Fraction(-1, d)),
+)
+
+
+@st.composite
+def _pair_case(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    j = draw(st.sampled_from(_PAIR_STEPS))
+    u = draw(st.lists(_pair_entry, min_size=n, max_size=n))
+    v = draw(st.lists(_pair_entry, min_size=n, max_size=n))
+    return n, j, u, v
+
+
+class TestDiscretePairErrorsMatchFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_pair_case())
+    def test_floats_equal_the_fraction_evaluation(self, case):
+        n, j, u, v = case
+        got = discrete_pair_errors_exact(n, j, u, v)
+        want = _reference_discrete_pair_errors_exact(n, j, u, v)
+        assert got == want and repr(got) == repr(want)
+        assert all(type(a) is float for a in got)
+
+    def test_golden_cases(self):
+        for n in (1, 2, 3):
+            for j in (4, 64, 1024):
+                u, v = [Fraction(1)] + [Fraction(0)] * (n - 1), [Fraction(0)] * n
+                got = discrete_pair_errors_exact(n, j, u, v)
+                want = _reference_discrete_pair_errors_exact(n, j, u, v)
+                assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_input_errors(self, n):
+        good = [Fraction(1, 3)] * n
+        bads = ([1] * (n - 1), [1] * (n + 1), [0.5] * n, [Fraction(1)] * (n - 1) + [1.0])
+        for bad in bads:
+            for u, v in ((bad, good), (good, bad)):
+                for fn in (discrete_pair_errors_exact, _reference_discrete_pair_errors_exact):
+                    with pytest.raises(InputError):
+                        fn(n, 4, u, v)
+        for fn in (discrete_pair_errors_exact, _reference_discrete_pair_errors_exact):
+            for j in (0, -1):
+                with pytest.raises(InputError):
+                    fn(n, j, good, good)
 
 
 class TestTensorShiftTuple:

@@ -32,7 +32,7 @@ from shiftlab.operators import (
     tensor_op,
     volterra,
 )
-from shiftlab.rational import Poly
+from shiftlab.rational import Poly, RationalMatrix
 
 
 class TestWeightSequence:
@@ -485,6 +485,38 @@ class TestSaanGenerators:
             for f, e in zip(floats, exact):
                 want = np.array([[complex(float(x)) for x in row] for row in e.data])
                 assert f.dtype == np.complex128 and f.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _reference_exact(k, ntrunc, phi=None, alpha=None):
+        """The exact generators built entry by entry from Fractions."""
+        indices = graded_lex_indices(k, ntrunc) if phi is None else list(phi)[:ntrunc]
+        pos = {m: i for i, m in enumerate(indices)}
+        alpha_fn = default_alpha if alpha is None else alpha
+        mats = []
+        for j in range(k):
+            rows = [[Fraction(0)] * ntrunc for _ in range(ntrunc)]
+            for m, col in pos.items():
+                target = tuple(x - (1 if i == j else 0) for i, x in enumerate(m))
+                if m[j] >= 1 and target in pos:
+                    s = sum(m)
+                    rows[pos[target]][col] = Fraction(alpha_fn(s - 1)) / Fraction(alpha_fn(s))
+            mats.append(RationalMatrix(rows))
+        return mats
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ntrunc", [1, 2, 45, 56])
+    def test_exact_generators_match_fraction_reference(self, k, ntrunc):
+        odd = lambda m: Fraction(3) ** (m * (m + 1) // 2)  # noqa: E731
+        # every other graded-lex index, reversed: some targets fall outside
+        phi = graded_lex_indices(k, 2 * ntrunc + 2)[::-2]
+        for kw in ({}, {"alpha": odd}, {"phi": phi}, {"phi": phi, "alpha": odd}):
+            got = saan_generators(k, ntrunc, exact=True, **kw)
+            want = self._reference_exact(k, ntrunc, **kw)
+            assert len(got) == k
+            for g, w in zip(got, want):
+                assert g == w
+                assert g.data == w.data
+                assert (g.rows, g.cols) == (ntrunc, ntrunc)
 
     def test_growth_condition_enforced(self):
         with pytest.raises(PreconditionError):
