@@ -167,21 +167,23 @@ def cmd_jordan(args) -> ExperimentReport:
         for _ in range(args.pairs):
             u = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
             v = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
-            c_fit = None
             for e in range(1, args.z_max_exp + 1):
                 z = Fraction(2) ** e
                 x = nil.jordan_solve_exact(n, z, u, v)
                 r1, r2 = nil.jordan_residuals_exact(n, z, u, v, x)
                 exact_zero = exact_zero and r1 == 0 and r2 == 0
                 worst_exact = max(worst_exact, float(r1), float(r2))
-                tail = [abs(complex(x[n + j - 1])) for j in range(1, n + 1)]
+                tail = x[n:]
                 if e == 1:
                     # data at |z| = 2 underestimates the uniform constant;
                     # apply the standard 16x margin (observed worst ~9)
-                    c_fit = max(t * float(z) ** j for j, t in enumerate(tail, 1))
+                    c_fit = max(abs(complex(t)) * float(z) ** j for j, t in enumerate(tail, 1))
+                    bound = 16.0 * (c_fit + 1e-12)
                 else:
+                    # |x_(n+j)| z^j against the bound: scaling by z^j = 2^(ej)
+                    # is exact, so no float underflow decides the check
                     for j, t in enumerate(tail, 1):
-                        if t > 16.0 * (c_fit + 1e-12) * float(z) ** (-j):
+                        if abs(t.numerator << (e * j)) / t.denominator > bound:
                             bound_ok = False
         rows.append({"n": n, "worst_residual": worst_exact, "decay_bound_ok": bound_ok})
     verdict = "satisfied" if exact_zero and bound_ok else "violated-at-horizon"

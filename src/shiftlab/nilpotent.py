@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,22 +216,33 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
 
     x_j is the exact-rational mirror of ``discrete_pair``, and (I+S)^j is
     expanded with exact binomial coefficients, so the returned floats carry
-    no cancellation noise even at j in the thousands.
+    no cancellation noise even at j in the thousands.  Every step runs on
+    integers over one denominator d, and each squared error r/d^2 is
+    rounded once by integer true division, as ``float(Fraction)`` does.
     """
     if j < 1:
         raise InputError("step index j must be >= 1")
     dim = 2 * n
     u = [_as_fraction(a) for a in u]
     v = [_as_fraction(a) for a in v]
-    jmat = similarity_j(n)
-    ju = (jmat @ (u + [Fraction(0)] * n))[:n]
-    jv = (jmat @ (v + [Fraction(0)] * n))[:n]
-    x = _similarity_j_inverse(n) @ jordan_solve_exact(n, j, ju, jv)
+    if len(u) != n or len(v) != n:
+        raise InputError(f"head vectors must have length {n}")
+    heads, dh = _cleared(u + v)
+    # the zero-padded heads meet only the first n columns of J's head rows
+    jrows, dj = similarity_j(n).cleared()
+    juv = [sum(map(operator.mul, row[:n], heads[h : h + n])) for h in (0, n) for row in jrows[:n]]
+    # x_j = J^-1 [ju ; map @ (ju + jv)], the ``jordan_solve_exact`` at z = j
+    amap = _approach_map(n, Fraction(j))
+    tail, d = amap._matvec(juv, dj * dh)
+    da = amap.cleared()[1]
+    x, d = _similarity_j_inverse(n)._matvec([a * da for a in juv[:n]] + tail, d)
     # (I+S)^j has C(j, k) on its k-th superdiagonal
-    tx = [sum(math.comb(j, k) * x[i + k] for k in range(dim - i)) for i in range(dim)]
-    r1 = sum((x[i] - (u[i] if i < n else 0)) ** 2 for i in range(dim))
-    r2 = sum((tx[i] - (v[i] if i < n else 0)) ** 2 for i in range(dim))
-    return math.sqrt(float(r1)), math.sqrt(float(r2))
+    binom = [math.comb(j, k) for k in range(dim)]
+    tx = [sum(map(operator.mul, binom, x[i:])) for i in range(dim)]
+    f = d // dh
+    r1 = sum((a - b * f) ** 2 for a, b in zip(x, heads[:n])) + sum(a * a for a in x[n:])
+    r2 = sum((a - b * f) ** 2 for a, b in zip(tx, heads[n:])) + sum(a * a for a in tx[n:])
+    return math.sqrt(r1 / (d * d)), math.sqrt(r2 / (d * d))
 
 
 @functools.lru_cache(maxsize=64)

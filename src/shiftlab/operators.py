@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .linalg import as_matrix
-from .rational import Poly, RationalMatrix, _as_fraction
+from .rational import Poly, RationalMatrix, _as_fraction, _cleared
 
 TAIL_KINDS = ("constant", "geometric", "zero")
 
@@ -490,24 +490,26 @@ def saan_generators(
             )
     # a column of degree s carries alpha_{s-1}/alpha_s, whichever j acts
     ratios = [None] + [alphas[s - 1] / alphas[s] for s in range(1, max_deg + 1)]
+    # the exact matrices are integer rows over the ratios' common denominator
+    nums, den = _cleared(ratios[1:])
     mats = []
     for j in range(k):
-        entries = {}  # (row, col) -> Fraction
+        entries = {}  # (row, col) -> degree of the column
         for m, col in pos.items():
             if m[j] < 1:
                 continue
             target = tuple(x - (1 if idx == j else 0) for idx, x in enumerate(m))
             row = pos.get(target)
             if row is not None:  # graded-lex never drops targets; custom phi might
-                entries[row, col] = ratios[sum(m)]
+                entries[row, col] = sum(m)
         if exact:
-            zero = Fraction(0)
-            mats.append(
-                RationalMatrix([[entries.get((r, c), zero) for c in range(ntrunc)] for r in range(ntrunc)])
-            )
+            num = [[0] * ntrunc for _ in range(ntrunc)]
+            for (r, c), s in entries.items():
+                num[r][c] = nums[s - 1]
+            mats.append(RationalMatrix._from_ints(num, den))
         else:
             a = np.zeros((ntrunc, ntrunc), dtype=np.complex128)
-            for rc, coeff in entries.items():
-                a[rc] = float(coeff)
+            for rc, s in entries.items():
+                a[rc] = float(ratios[s])
             mats.append(a)
     return mats

@@ -272,6 +272,23 @@ class TestExitCodes:
         assert 0 < max(row["worst_residual"] for row in report["data"]["rows"]) <= 1e-10
         assert all(row["decay_bound_ok"] for row in report["data"]["rows"])
 
+    def test_jordan_decay_check_survives_float_underflow(self, capsys):
+        # at z = 2^269 the bound c z^-j underflows to 0.0 in floats while the
+        # exact |x| z^j is about 500 against 16 c of about 1.6e5
+        code, out = run_cli(["jordan", "--n-max", "4", "--pairs", "1", "--z-max-exp", "280"], capsys)
+        assert code == 0
+        assert load_report(out)["verdict"] == "satisfied"
+
+    def test_jordan_beyond_the_float_range_of_z(self):
+        # z = 2^1024 and beyond has no float; only the fit at z = 2 uses one
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli", "jordan", "--n-max", "1", "--pairs", "1", "--z-max-exp", "1100"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "satisfied"
+
     def test_subspaces_shift(self, capsys):
         code, out = run_cli(["subspaces", "--which", "kerdagger", "--op", "shift", "--n", "3"], capsys)
         assert code == 0
