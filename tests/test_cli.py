@@ -281,8 +281,9 @@ class TestExitCodes:
 
     def test_jordan_beyond_the_float_range_of_z(self):
         # z = 2^1024 and beyond has no float; only the fit at z = 2 uses one
+        argv = shlex.split("jordan --n-max 1 --pairs 1 --z-max-exp 1100")
         proc = subprocess.run(
-            [sys.executable, "-m", "shiftlab.cli", "jordan", "--n-max", "1", "--pairs", "1", "--z-max-exp", "1100"],
+            [sys.executable, "-m", "shiftlab.cli", *argv],
             capture_output=True,
             text=True,
         )

@@ -506,7 +506,9 @@ class TestSaanGenerators:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("ntrunc", [1, 2, 45, 56])
     def test_exact_generators_match_fraction_reference(self, k, ntrunc):
-        odd = lambda m: Fraction(3) ** (m * (m + 1) // 2)  # noqa: E731
+        def odd(m):  # alpha_m = 3^(m(m+1)/2): the ratios have odd denominators 3^s
+            return Fraction(3) ** (m * (m + 1) // 2)
+
         # every other graded-lex index, reversed: some targets fall outside
         phi = graded_lex_indices(k, 2 * ntrunc + 2)[::-2]
         for kw in ({}, {"alpha": odd}, {"phi": phi}, {"phi": phi, "alpha": odd}):
