@@ -9,14 +9,16 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import TENSOR_MODES, build_parser, emit_goldens, main
-from shiftlab.reports import SCHEMA_VERSION
+from shiftlab.cli import NEGATIVE_VERDICTS, TENSOR_MODES, build_parser, emit_goldens, main
+from shiftlab.reports import SCHEMA_VERSION, ExperimentReport, trace_csv
 
 
 def run_cli(argv, capsys):
@@ -552,6 +554,143 @@ class TestNonFiniteWeights:
         text = json.dumps(weights).replace('"INF"', json.dumps(inf))
         for command in ("salas --weights file:{} --n-max 64", "symmetry --weights file:{}"):
             self._run(command, json.loads(text), tmp_path, capsys)
+
+def _reference_jordan_tail(n, z, u, v):
+    """The tail of the approach pair, A_{n,z} t = R v - H u, solved by a
+    plain Gauss-Jordan on Fractions."""
+    m = [
+        [z ** (j + k - 1) / math.factorial(j + k - 1) for k in range(1, n + 1)]
+        + [
+            v[n - j]
+            - sum(
+                z ** (k + j - n - 1) * u[k - 1] / math.factorial(k + j - n - 1)
+                for k in range(n - j + 1, n + 1)
+            )
+        ]
+        for j in range(1, n + 1)
+    ]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[p] = m[p], m[c]
+        m[c] = [a / m[c][c] for a in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [row[-1] for row in m]
+
+
+def _reference_jordan(args, offset=Fraction(0)):
+    """The jordan report computed on Fractions step by step: the exact pair
+    x at z = 2^e (its last entry moved by ``offset``), both squared head
+    residuals as Fractions, the decay fit and checks on Fraction entries."""
+    rng = np.random.default_rng(args.seed)
+    rows = []
+    worst_exact = 0.0
+    exact_zero = True
+    bound_ok = True
+    for n in range(1, args.n_max + 1):
+        for _ in range(args.pairs):
+            u = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
+            v = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
+            for e in range(1, args.z_max_exp + 1):
+                z = Fraction(2) ** e
+                x = u + _reference_jordan_tail(n, z, u, v)
+                x[-1] += offset
+                ex = [
+                    sum(z ** (k - i) / math.factorial(k - i) * x[k] for k in range(i, 2 * n))
+                    for i in range(n)
+                ]
+                r1 = sum((a - b) ** 2 for a, b in zip(x, u))
+                r2 = sum((a - b) ** 2 for a, b in zip(ex, v))
+                exact_zero = exact_zero and r1 == 0 and r2 == 0
+                worst_exact = max(worst_exact, float(r1), float(r2))
+                tail = x[n:]
+                if e == 1:
+                    c_fit = max(abs(complex(t)) * float(z) ** j for j, t in enumerate(tail, 1))
+                    bound = 16.0 * (c_fit + 1e-12)
+                else:
+                    for j, t in enumerate(tail, 1):
+                        if abs(t.numerator << (e * j)) / t.denominator > bound:
+                            bound_ok = False
+        rows.append({"n": n, "worst_residual": worst_exact, "decay_bound_ok": bound_ok})
+    verdict = "satisfied" if exact_zero and bound_ok else "violated-at-horizon"
+    return ExperimentReport(
+        "jordan",
+        {"n_max": args.n_max, "pairs": args.pairs, "z_max_exp": args.z_max_exp},
+        seed=args.seed,
+        verdict=verdict,
+        data={"rows": rows},
+        trace=rows,
+    )
+
+
+def _reference_jordan_output(argv, offset=Fraction(0)):
+    """(exit code, stdout) of the reference report for a json or csv argv."""
+    args = build_parser().parse_args(argv)
+    report = _reference_jordan(args, offset)
+    text = report.to_json() if args.format == "json" else trace_csv(report.trace)
+    return (2 if report.verdict in NEGATIVE_VERDICTS else 0), text
+
+
+def _move_last_entry_of_the_exact_solve(monkeypatch, offset):
+    """Move the last entry of every exact approach pair the jordan report
+    solves by ``offset``."""
+    from shiftlab import nilpotent
+
+    solve = nilpotent.jordan_solve_exact
+
+    def moved(n, z, u, v):
+        x = solve(n, z, u, v)
+        return x[:-1] + [x[-1] + offset]
+
+    monkeypatch.setattr(nilpotent, "jordan_solve_exact", moved)
+
+
+_JORDAN_ARGVS = [
+    *(
+        f"jordan --n-max {n} --pairs {p} --z-max-exp 6 --seed {7 * n + p}"
+        for n in range(1, 7)
+        for p in (1, 2, 3)
+    ),
+    *(f"jordan --n-max 4 --pairs 1 --seed {s}" for s in range(64)),
+    *(f"jordan --n-max 2 --pairs 2 --z-max-exp {e}" for e in (1, 6, 40, 280, 1100)),
+    "jordan --n-max 4 --pairs 1 --z-max-exp 280",
+    "jordan --n-max 6 --pairs 1 --z-max-exp 40 --seed 5",
+    "jordan",
+    "--format csv jordan --n-max 2 --pairs 1",
+    "--format csv jordan --n-max 5 --pairs 3 --z-max-exp 40 --seed 9",
+]
+
+# (argv, offset of the last entry): at small z an offset makes only the
+# residuals nonzero; as z = 2^e grows, |offset| z^j outgrows the fitted
+# bound, so the later rows' decay checks turn false too
+_MOVED_JORDAN_CASES = [
+    ("jordan --n-max 2 --pairs 1 --z-max-exp 3", Fraction(1, 10**9)),
+    ("jordan --n-max 3 --pairs 2 --z-max-exp 40", Fraction(1, 10**9)),
+    ("jordan --n-max 4 --pairs 1 --z-max-exp 12 --seed 3", Fraction(-3, 7 * 10**5)),
+    ("--format csv jordan --n-max 3 --pairs 1 --z-max-exp 40", Fraction(-1, 2**70)),
+]
+
+
+class TestJordanMatchesFractionReference:
+    """The jordan report's bytes and exit code against a Fraction evaluation
+    of the same loop.  Unmoved, every residual is 0.0 and every decay check
+    true; the moved cases make both columns carry information."""
+
+    @pytest.mark.parametrize("argv", _JORDAN_ARGVS)
+    def test_report_bytes_and_exit_code(self, argv, capsys):
+        argv = shlex.split(argv)
+        assert run_cli(argv, capsys) == _reference_jordan_output(argv)
+
+    @pytest.mark.parametrize("argv, offset", _MOVED_JORDAN_CASES)
+    def test_moved_solution(self, argv, offset, capsys, monkeypatch):
+        argv = shlex.split(argv)
+        want = _reference_jordan_output(argv, offset)
+        _move_last_entry_of_the_exact_solve(monkeypatch, offset)
+        assert run_cli(argv, capsys) == want
+        assert want[0] == 2
+
 
 _CONFIG_FLAGS = {
     "salas": st.fixed_dictionaries(
