@@ -170,14 +170,33 @@ def _approach_map(n: int, z: Fraction) -> RationalMatrix:
     ``_head_cross_terms(n, z, u)`` is H u for a fixed n x n matrix H, so
     the tail A_{n,z}^{-1} (R v - H u) of the exact solve, with R reversing
     a vector, is linear in (u, v).  Column k of H is the cross terms of e_k.
+    z is coerced first, so an int z and its Fraction share one cache entry.
     """
+    z = Fraction(z)
     h_cols = [_head_cross_terms(n, z, [int(i == k) for i in range(n)]) for k in range(n)]
     rhs = [[-col[j] for col in h_cols] + [int(k == n - 1 - j) for k in range(n)] for j in range(n)]
     return build_anz_exact(n, z).inv() @ RationalMatrix(rhs)
 
 
+def _jordan_ints(n: int, z, heads, dh: int) -> tuple[list[int], int]:
+    """The exact approach pair on integers: ``(ints, d)`` with x = ints / d.
+
+    ``heads / dh`` is u followed by v, and z is a nonzero rational.  The head
+    of x is u over the map's denominator; the tail is the cached
+    ``_approach_map(n, z)`` applied to (u, v) as one integer product.
+    """
+    amap = _approach_map(n, z)
+    tail, d = amap._matvec(heads, dh)
+    da = amap.cleared()[1]
+    return [h * da for h in heads[:n]] + tail, d
+
+
 def jordan_solve_exact(n: int, z, u, v) -> list[Fraction]:
-    """Exact-rational mirror of jordan_solve for rational z, u, v."""
+    """Exact-rational mirror of jordan_solve for rational z, u, v.
+
+    Checks the input and wraps the integer kernel ``_jordan_ints`` in
+    Fractions.
+    """
     z = _as_fraction(z)
     if z == 0:
         raise DomainError("the approach-pair system is singular at z = 0")
@@ -185,7 +204,8 @@ def jordan_solve_exact(n: int, z, u, v) -> list[Fraction]:
     v = [_as_fraction(x) for x in v]
     if len(u) != n or len(v) != n:
         raise InputError(f"head vectors must have length {n}")
-    return u + _approach_map(n, z) @ (u + v)
+    ints, d = _jordan_ints(n, z, *_cleared(u + v))
+    return [Fraction(a, d) for a in ints]
 
 
 def jordan_residuals_exact(n: int, z, u, v, x) -> tuple[Fraction, Fraction]:
@@ -194,21 +214,27 @@ def jordan_residuals_exact(n: int, z, u, v, x) -> tuple[Fraction, Fraction]:
     Evaluates head(x) - u and head(e^{zS} x) - v on integers over common
     denominators; useful because the floating evaluation of the second
     condition loses about |z|^(n-1) eps of absolute accuracy to
-    cancellation.
+    cancellation.  x, u and v are cleared once each and the integer
+    kernel ``_squared_distance`` does the rest.
     """
     xs, dx = _cleared([_as_fraction(a) for a in x])
     ex, de = exp_shift_exact(2 * n, _as_fraction(z))._matvec(xs, dx)
-    return _squared_distance(xs[:n], dx, u, n), _squared_distance(ex[:n], de, v, n)
+    out = []
+    for ints, den, head in ((xs, dx, u), (ex, de, v)):
+        hs, dh = _cleared([_as_fraction(a) for a in head[:n]])
+        if len(hs) != n:
+            raise InputError(f"head vectors must have length at least {n}")
+        s, d = _squared_distance(ints, den, hs, dh)
+        out.append(Fraction(s, d * d))
+    return out[0], out[1]
 
 
-def _squared_distance(ints, den: int, head, n: int) -> Fraction:
-    """sum_i (ints[i]/den - head[i])^2 over the first n entries of head."""
-    hs, dh = _cleared([_as_fraction(a) for a in head[:n]])
-    if len(hs) != n:
-        raise InputError(f"head vectors must have length at least {n}")
+def _squared_distance(ints, den: int, hs, dh: int) -> tuple[int, int]:
+    """``(s, d)`` with s / d^2 = sum_i (ints[i]/den - hs[i]/dh)^2 over the
+    entries of hs."""
     d = math.lcm(den, dh)
     fa, fb = d // den, d // dh
-    return Fraction(sum((a * fa - b * fb) ** 2 for a, b in zip(ints, hs)), d * d)
+    return sum((a * fa - b * fb) ** 2 for a, b in zip(ints, hs)), d
 
 
 def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
@@ -231,11 +257,8 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
     # the zero-padded heads meet only the first n columns of J's head rows
     jrows, dj = similarity_j(n).cleared()
     juv = [sum(map(operator.mul, row[:n], heads[h : h + n])) for h in (0, n) for row in jrows[:n]]
-    # x_j = J^-1 [ju ; map @ (ju + jv)], the ``jordan_solve_exact`` at z = j
-    amap = _approach_map(n, Fraction(j))
-    tail, d = amap._matvec(juv, dj * dh)
-    da = amap.cleared()[1]
-    x, d = _similarity_j_inverse(n)._matvec([a * da for a in juv[:n]] + tail, d)
+    # x_j = J^-1 (the approach pair of (ju, jv) at z = j)
+    x, d = _similarity_j_inverse(n)._matvec(*_jordan_ints(n, j, juv, dj * dh))
     # (I+S)^j has C(j, k) on its k-th superdiagonal
     binom = [math.comb(j, k) for k in range(dim)]
     tx = [sum(map(operator.mul, binom, x[i:])) for i in range(dim)]

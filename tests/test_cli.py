@@ -257,17 +257,7 @@ class TestExitCodes:
     def test_jordan_inexact_solve_is_violated(self, capsys, monkeypatch):
         # a solve off by 1e-9 in one tail entry leaves squared residuals far
         # below 1e-10; only exact zero residuals make the verdict
-        from fractions import Fraction
-
-        from shiftlab import nilpotent
-
-        solve = nilpotent.jordan_solve_exact
-
-        def off_by_tiny(n, z, u, v):
-            x = solve(n, z, u, v)
-            return x[:-1] + [x[-1] + Fraction(1, 10**9)]
-
-        monkeypatch.setattr(nilpotent, "jordan_solve_exact", off_by_tiny)
+        _move_last_entry_of_the_exact_solve(monkeypatch, Fraction(1, 10**9))
         code, out = run_cli(["jordan", "--n-max", "2", "--pairs", "1", "--z-max-exp", "3"], capsys)
         report = load_report(out)
         assert code == 2 and report["verdict"] == "violated-at-horizon"
@@ -325,6 +315,36 @@ class TestParserReuse:
             code, out = run_cli(shlex.split(self.ARGV[name]), capsys)
             assert code in (0, 2)
             assert out == fresh[name]
+
+
+class TestJordanCacheReuse:
+    """The approach maps and the e^{zS} matrices are cached per (n, z); a
+    second jordan report, and the discrete pair at the same z, reuse them."""
+
+    def test_a_second_report_adds_no_cache_misses(self, capsys):
+        from shiftlab import nilpotent
+
+        def misses():
+            return (
+                nilpotent._approach_map.cache_info().misses,
+                nilpotent.exp_shift_exact.cache_info().misses,
+            )
+
+        argv = "jordan --n-max 4 --pairs 1 --seed {}"
+        assert run_cli(shlex.split(argv.format(0)), capsys)[0] == 0
+        before = misses()
+        assert run_cli(shlex.split(argv.format(1)), capsys)[0] == 0
+        assert misses() == before
+        nilpotent.discrete_pair_errors_exact(2, 8, [1, 0], [0, 1])
+        assert nilpotent._approach_map.cache_info().misses == before[0]
+
+    def test_int_and_fraction_z_share_one_entry(self):
+        from shiftlab import nilpotent
+
+        for n in range(1, 5):
+            for e in range(1, 11):
+                a = nilpotent._approach_map(n, 1 << e)
+                assert nilpotent._approach_map(n, Fraction(2) ** e) is a
 
 
 class TestVolterraReuse:
@@ -635,16 +655,20 @@ def _reference_jordan_output(argv, offset=Fraction(0)):
 
 def _move_last_entry_of_the_exact_solve(monkeypatch, offset):
     """Move the last entry of every exact approach pair the jordan report
-    solves by ``offset``."""
+    solves by ``offset`` = p/q, exactly on the integer kernel's output:
+    x = ints / d becomes (ints q, with p d added to the last) / (d q)."""
     from shiftlab import nilpotent
 
-    solve = nilpotent.jordan_solve_exact
+    solve = nilpotent._jordan_ints
+    p, q = offset.numerator, offset.denominator
 
-    def moved(n, z, u, v):
-        x = solve(n, z, u, v)
-        return x[:-1] + [x[-1] + offset]
+    def moved(n, z, heads, dh):
+        ints, d = solve(n, z, heads, dh)
+        ints = [a * q for a in ints]
+        ints[-1] += p * d
+        return ints, d * q
 
-    monkeypatch.setattr(nilpotent, "jordan_solve_exact", moved)
+    monkeypatch.setattr(nilpotent, "_jordan_ints", moved)
 
 
 _JORDAN_ARGVS = [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shiftlab.errors import DomainError, InputError, PreconditionError
 from shiftlab.nilpotent import (
     TensorShiftTuple,
+    _approach_map,
     backward_shift,
     backward_shift_exact,
     build_anz_exact,
@@ -261,6 +262,20 @@ class TestJordanSolveExactMatchesFractionReference:
         for short_or_long in (x[:-1], x + [0]):
             with pytest.raises(InputError):
                 jordan_residuals_exact(n, 4, good, good, short_or_long)
+
+
+class TestApproachMapCache:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("z", [4, -3, 7])
+    def test_an_int_z_on_a_cold_cache(self, n, z):
+        # the cross terms of an int z used to divide by math.factorial into
+        # floats, so the map depended on whether its Fraction came first
+        _approach_map.cache_clear()
+        by_int = _approach_map(n, z)
+        _approach_map.cache_clear()
+        by_fraction = _approach_map(n, Fraction(z))
+        assert by_int == by_fraction
+        assert _approach_map(n, z) is by_fraction
 
 
 class TestSimilarity:
