@@ -164,7 +164,7 @@ def _jordan_heads(n: int, z: complex, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=256)
-def _approach_map(n: int, z: Fraction) -> RationalMatrix:
+def _approach_map(n: int, z) -> RationalMatrix:
     """The n x 2n matrix A_{n,z}^{-1} [-H | R] with tail = map @ (u + v).
 
     ``_head_cross_terms(n, z, u)`` is H u for a fixed n x n matrix H, so
