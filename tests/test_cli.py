@@ -716,6 +716,23 @@ class TestJordanMatchesFractionReference:
         assert want[0] == 2
 
 
+# sha256 of stdout for the detan argvs of the exact-sweep benchmark, and a
+# larger sweep
+_DETAN_DIGESTS = {
+    "detan": "71d11cbb317ea34a4fc3ea720ef163b7a2a2e42a20e24b63d770c5156865abeb",
+    "detan --max-n 7 --max-k 8": "743bc08b482d11b6485bb818a41c810a67077572ceb632a87867729b28b78f7a",
+    "detan --max-n 8 --max-k 7": "0c233fee9a707d91db5dd4621078c2f8eb619001fad35755105617859c57fa55",
+    "detan --max-n 12 --max-k 12": "78b2450732b7b0964117154fc045d637e198880f5622e4478949150c78d602c5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_DETAN_DIGESTS))
+def test_detan_report_digest(argv, capsys):
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DETAN_DIGESTS[argv]
+
+
 _CONFIG_FLAGS = {
     "salas": st.fixed_dictionaries(
         {"n-max": st.integers(8, 256)},

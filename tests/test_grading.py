@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shiftlab.cli import _random_grading_family
 from shiftlab.errors import DomainError
 from shiftlab.grading import (
     GradedVector,
@@ -284,6 +285,14 @@ def _preset_generators():
         cases[f"random-shifted-{seed}"] = [x, x.scale(Z), y]
     cases["shared-leading"] = [GradedVector([rf([0, 0, 1])]), GradedVector([rf([1, 0, 1])])]
     cases["denominators"] = [GradedVector([rf([1], [0, 1])]), GradedVector([rf([2, 1], [1, 1])])]
+    # every family of `grading --preset random --degree 2 --seed s` that the
+    # benchmark draws (s < 32; seeds 0, 2, 4 and 6 repeat random-0/2/4/6),
+    # and a few at degrees 1 and 3
+    for seed in range(32):
+        cases[f"bench-2-{seed}"] = _random_grading_family(2, seed)
+    for degree in (1, 3):
+        for seed in (0, 2, 4):
+            cases[f"bench-{degree}-{seed}"] = _random_grading_family(degree, seed)
     return cases
 
 
@@ -465,6 +474,47 @@ _PINNED_INTERSECTIONS = {('denominators', 0): ((('2', '0', '-1'), ('0', '1', '1'
  ('split-4', 4): None,
  ('split-4', 5): None}
 
+# the benchmark families' intersections at d = 0 .. n0, pinned by the sha256
+# of the tuple of their literals
+_PINNED_INTERSECTION_DIGESTS = {'bench-1-0': '080180fa92b88efa3701888ea646232eb5af45e8092786c467f8a6806173e751',
+ 'bench-1-2': '4e02d1c79ae9ed24970399328000dbd88f73a7fb9f13de93032254dbdeca92ca',
+ 'bench-1-4': '6b653b199c410def7c05fb8f51ee5432877ade11533a316a995fedbc117f9535',
+ 'bench-2-0': '177b362dce82115ed497d0a202e9190c7559a009bd13ceda572d97bd3dc37a28',
+ 'bench-2-1': '2c1a1e53896ce8a14a6b389c32454d6f2578439dd4951f57c4e5484f038290ce',
+ 'bench-2-10': '0ef5c04b2403c4886d7406d52840ea257468cd285c8d0bad5552a4faaff385d5',
+ 'bench-2-11': '1ebe7e8787b40e314298b96540a34afade574a1ce9589e111dab2a63f50f5807',
+ 'bench-2-12': 'fdea3464c54ddd40db2eb62b50ff8a303184858bce348e92cc21b0e62222608a',
+ 'bench-2-13': 'b4bf62c43df2ceeaa63e107f3f882e5f1073d42b1832ca2e9c6bc35842978167',
+ 'bench-2-14': '3b3a79e6024dd0ba8641cc4a2aad773944fbcee593f8381475e13f6a530ad8cf',
+ 'bench-2-15': '866832ce85d16ae18ea70b78a026a75e97fe5bcc3bac425b9147420645c26723',
+ 'bench-2-16': '6b1b1c474a6fd6035d214b56cf05a57a010907377382cd07d3e1691a5a40a41b',
+ 'bench-2-17': '4ffc6fe004d85ab13b821e0be12c7652527830d9fa703be36a439616dde68590',
+ 'bench-2-18': 'e59be1dcd9d0db3d87973b9fd79c5031e403fb2e74c990d87878e751b892b0fe',
+ 'bench-2-19': 'ad3926b629c73ff87474df2c86c4fb266049cea281553e4feb289d455fd357ad',
+ 'bench-2-2': 'cbe14d05cd894b72dbd83103939bfcf276b18581db18488913c7355dac157088',
+ 'bench-2-20': '3debd44516f0ed35d78520890dce8380375a8eed5d39429c28ec87e1bb9eb4ff',
+ 'bench-2-21': '361f2324bad2f932bf58ec328d4b6ca766b0e48b81293f94bca73a97d8956060',
+ 'bench-2-22': '3a75843f61ff5cc15204599d654a33ca6de83e8b3d32020a4a97f10e266922fa',
+ 'bench-2-23': '32574b49e04507f08c33cd20b3c2dcb606747d25c4123691fa1e9744d8660548',
+ 'bench-2-24': 'de95bc4cb1a970bf2214a5d805e95a25274a044d78f13a7b78127a59cca136c3',
+ 'bench-2-25': 'f1173093eb62280ba2987420920df134de3addfe5b016803b28203363ba447d0',
+ 'bench-2-26': '600e121cf59562949bf0b4229735255a83c37a44b0801d85619c593d0534fda1',
+ 'bench-2-27': 'faec75acb19c3f572a0c2cbce3fa9f439ab2f95253cd7e15c4f1322ba2217baa',
+ 'bench-2-28': '42102f55bcede60a859df789469ea44a0d7e109402a7fd2e82f4de998f090d98',
+ 'bench-2-29': '65d8fd3b5c27488cd8452a10ad1d9f29e23cf628e5d465d3d6178c4bbeb9a74c',
+ 'bench-2-3': 'e6aea944522d259c8d5281718d3a6f85751e5be83f9bdad954be4dd485d3ec87',
+ 'bench-2-30': 'a5fae3b280e1f138bb7005a102fa687c97cc86c8cfd34085c5df81c5c70640db',
+ 'bench-2-31': 'c231846ba4fcf8e256aa1f1e9ea01059aa0ed4b8bcdca79f18b825a550bbcbc6',
+ 'bench-2-4': '1b868d18710c6df6b75e19b54bdba3ec847eb07a6ea83e6a43d239935dd00a3c',
+ 'bench-2-5': '56273c0e3117ba9973fae9c1806f7d58a45686f13ac9321a189f09345091e05c',
+ 'bench-2-6': '1c462568de44c114b9d2902ecf9c876f0030d87150c5ea3661f93277246d4b7e',
+ 'bench-2-7': 'cc5c63fc40fe5e5777813f4ea55067835b7b93ff9694505359de2eb75e6c0e63',
+ 'bench-2-8': '59bf5a8be4129d636a206ec1b8aaf3de132b2c32a8b3cc3695124b128151066a',
+ 'bench-2-9': '8404247d8f5589be2c07d91d03c02b23acc3f640761705745ffa5f4500ec5911',
+ 'bench-3-0': 'ea07e31eef983fcf913273f17c753f790a30c0cd565c6a0042c38f21135d4ec2',
+ 'bench-3-2': '60f498ac1ee17881c4ab884aa249c72deaad0c751d96e1ad53431f6d5ac22bb0',
+ 'bench-3-4': 'c3e78fd983eb857df2fd938e33738d578fa0128f3f2420e6481848da52408958'}
+
 _PINNED_WITNESSES = {'denominators': (('0', '-2', '-1'), ('1', '1')),
  'powers-0': None,
  'powers-1': (('0', '-1'), ('1',)),
@@ -503,16 +553,57 @@ _PINNED_WITNESS_DIGESTS = {'random-0': '695f4fb47339919d0619ed4a7cb6d473cb206475
  'random-4': '8993517a7168abc7bf551b1acb56328954e2d04034cf8f6dd14c3966e3c35ace',
  'random-5': 'e2767768d5081e50f3032ca0066a625ec0cdcb51a4a0e104df9580afbac645b0',
  'random-6': '937f31a30ba55bc36f352376a45820db7448ffde201bddcba92ac82f607abcd0',
- 'random-7': 'e37774f9221f6090935a69798cb343935df34d4c20708843a4a5ed0bde272567'}
+ 'random-7': 'e37774f9221f6090935a69798cb343935df34d4c20708843a4a5ed0bde272567',
+ 'bench-1-0': '6ab57e7edfd8374b9478470f7bdf133347f144661cfa4ebaaab5b956f33ac690',
+ 'bench-1-2': 'efa3f7722192ed3bb95ce618ef76b630b1d72ff8144ba24d5a5da94e62265fcd',
+ 'bench-1-4': 'ec2d03da20466c21690c6f766498c5aba9e447fce080cdd0639fd512fe4b320b',
+ 'bench-2-0': '695f4fb47339919d0619ed4a7cb6d473cb2064756272ee3834f99f7c379f7305',
+ 'bench-2-1': 'ca0b8e4cfebfa1f1ac485f391f268b5012e7f907cb8b5aa89edf839d29d5b47c',
+ 'bench-2-10': 'b5c253b57531e6164560ae382e7027d53019c8493fbb913bee854ae263e81501',
+ 'bench-2-11': 'b80ef27bb5196534ebf2384f10f23256bbdee1b0114ca34862d511b75bd253c9',
+ 'bench-2-12': 'a58c76ac3f89fe70fc4232442dc629be1947875773a6e5fe508011e4ee718be5',
+ 'bench-2-13': '0ea5852f02016e8015d215da1a4b1a7829b58e7948ee9c769f9c692e7a801207',
+ 'bench-2-14': '2abcb2489d739d96d78e349f61a637f6fc2497311295c4717d1c88690e54b8ef',
+ 'bench-2-15': 'cb17fdaa66b6ed25528519a5a7ce336761ff3950656072ce4a1175644f137cd5',
+ 'bench-2-16': 'a8b850f28fa5ceab0033c302b01b1be86841429a7f3602e8d38244bf156d7493',
+ 'bench-2-17': '9fc3cf6a5d05ef910f32a4390575456a504c101ee2789f5c1009c0b7f6793acd',
+ 'bench-2-18': 'f07676fd99bc2d3850a6545b16a8686375946676059b354da3f0db7087427c4b',
+ 'bench-2-19': 'd2fe2ea1ae42f67668f758ec9391f7fd2336fe455147c8d160af9a3be78cf56c',
+ 'bench-2-2': '6abb5cade07037a8691e31147c80ea9c7d550909d0ae348b43b759953e094754',
+ 'bench-2-20': 'ff81e3c3828408e31f15bce2bd8581605da56cbb675b4c9de175a59bb3d102f6',
+ 'bench-2-21': '80dc57a1735de41b847d538367d175f35bb0381a338c33d81afad74c05727a32',
+ 'bench-2-22': '8bdfcbe4b482517f1b3f68a454da0323f3a4716859c5cf914b03e8ba5250162f',
+ 'bench-2-23': '8bb7a98feb8a3bc6922173b2b69b3997be97ca8a42f642d8c23a162b4ff84939',
+ 'bench-2-24': '8524f0ded0553190f45f198fc6291ffec0372b04a532590fe6e6654da01b019b',
+ 'bench-2-25': '922d826c353a7e50deb3b74b6e351151b43c8980772c48bb8845a8b7535c976f',
+ 'bench-2-26': '471590a1fd27edfd84d5140c039df004c1a95915b6a3c2c6117c54884fcbb011',
+ 'bench-2-27': 'a174adde13f4beeceff781b7ded8297b1918ff36cf55802ed9c3876fae892d0a',
+ 'bench-2-28': '931cf866482805878ea8e5ab1a2ba7cc444ed7bdf5aeb916c462f446d2d21ae5',
+ 'bench-2-29': '92bdc66ecf292c5c8750041676e3e8f86932dcc0a5b93d95e564dc70d710520c',
+ 'bench-2-3': '7fe2891d8e02b3638797053efb92891e86024133e6e61ca88db02b9a76160727',
+ 'bench-2-30': '54d9012779f636b127a3d474181fd13441d0dd06a47618de2a4dfa601503bcf2',
+ 'bench-2-31': 'ae3b7fddb95f6288cfa0e55901fd20a2c2a9bcb025d3faf7c299b9e47324d841',
+ 'bench-2-4': '8993517a7168abc7bf551b1acb56328954e2d04034cf8f6dd14c3966e3c35ace',
+ 'bench-2-5': '400c2dd9340a514e617e9fa4ccd388dc76bca7ec883dfcec362766bc2a5400e1',
+ 'bench-2-6': '937f31a30ba55bc36f352376a45820db7448ffde201bddcba92ac82f607abcd0',
+ 'bench-2-7': 'e67709f47aa2cc507263695c4f1d787fddc713febdd300082dcfba0ff8e88279',
+ 'bench-2-8': '3a7dd8176c5447dc51ff7a7a1300befe692c1361524f46a795fad1a55ac891c2',
+ 'bench-2-9': '3754cae566a3f8051b1630e1c79823c385a363dd1c0a372d57903d2830ddc488',
+ 'bench-3-0': '71091b7648139587b5f399fd02568c41b792ae2db9ec5a382df0b886a3201862',
+ 'bench-3-2': '4418c29c7f6201bb256037cd87dbe7c6196ffaa7288b03260b6630c83240b20c',
+ 'bench-3-4': '036c2174622c4abbc8070330398f122eeda7b9ce5ac35066edbb3d8b8bff305f'}
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))
 def test_monomial_intersection_pinned(name):
     gens = [g for g in _PRESETS[name] if not g.is_zero()]
-    degrees = sorted(d for n, d in _PINNED_INTERSECTIONS if n == name)
-    assert degrees == list(range(n0_bound(gens).n0 + 1))
-    for d in degrees:
-        assert _vector_literal(monomial_intersection(gens, d)) == _PINNED_INTERSECTIONS[name, d]
+    degrees = list(range(n0_bound(gens).n0 + 1))
+    literals = tuple(_vector_literal(monomial_intersection(gens, d)) for d in degrees)
+    if name in _PINNED_INTERSECTION_DIGESTS:
+        assert hashlib.sha256(repr(literals).encode()).hexdigest() == _PINNED_INTERSECTION_DIGESTS[name]
+    else:
+        assert degrees == sorted(d for n, d in _PINNED_INTERSECTIONS if n == name)
+        assert literals == tuple(_PINNED_INTERSECTIONS[name, d] for d in degrees)
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))

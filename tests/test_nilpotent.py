@@ -15,6 +15,7 @@ from shiftlab.nilpotent import (
     backward_shift,
     backward_shift_exact,
     build_anz_exact,
+    build_mnk_exact,
     det_mnk,
     det_mnk_recurrence,
     discrete_pair,
@@ -61,7 +62,28 @@ class TestBuildAnz:
             assert build_anz_exact(n, Fraction(3, 2)).det() != 0
 
 
+def _reference_mnk(n, k):
+    """M_{n,k} from one Fraction per entry: (k+n-l)!/(k+n-l+j-1)! at 1-based
+    row j, column l."""
+    return RationalMatrix(
+        [
+            [
+                Fraction(math.factorial(k + n - ll), math.factorial(k + n - ll + j - 1))
+                for ll in range(1, n + 1)
+            ]
+            for j in range(1, n + 1)
+        ]
+    )
+
+
 class TestDetMnk:
+    def test_matrix_and_det_match_the_fraction_build(self):
+        for n in range(1, 11):
+            for k in range(1, 11):
+                got, want = build_mnk_exact(n, k), _reference_mnk(n, k)
+                assert got == want and got.data == want.data
+                assert got.det() == want.det()
+
     def test_base_case(self):
         for k in (1, 3, 9):
             assert det_mnk_recurrence(1, k) == 1
