@@ -24,7 +24,7 @@ from . import grading as gr
 from . import nilpotent as nil
 from . import operators as op
 from .errors import InputError, ShiftlabError
-from .rational import Poly, RationalFunction, _cleared
+from .rational import Poly, RationalFunction, _nearest_ratio
 from .reports import (
     ExperimentReport,
     canonical_json,
@@ -165,9 +165,12 @@ def cmd_jordan(args) -> ExperimentReport:
     bound_ok = True
     for n in range(1, args.n_max + 1):
         for _ in range(args.pairs):
-            u = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
-            v = [Fraction(x).limit_denominator(2**20) for x in rng.uniform(0, 1, n)]
-            heads, dh = _cleared(u + v)
+            # the heads u, then v: each draw's nearest ratio with denominator
+            # at most 2^20, cleared over their lcm
+            draws = (*rng.uniform(0, 1, n), *rng.uniform(0, 1, n))
+            ratios = [_nearest_ratio(x, 2**20) for x in draws]
+            dh = math.lcm(*(q for _, q in ratios))
+            heads = [p * (dh // q) for p, q in ratios]
             for e in range(1, args.z_max_exp + 1):
                 # z = 2^e as an int: the caches key it equal to Fraction(2) ** e
                 x, d = nil._jordan_ints(n, 1 << e, heads, dh)

@@ -185,7 +185,9 @@ def n0_bound(generators) -> DegreeBoundReport:
     a degree filtration: row-reduce the coefficient matrix ordered by degree
     descending; every achievable delta is the degree of some pivot row.
     The verification checks z^d L ∩ L = {0} exactly for
-    n0 <= d <= n0 + 3 and probes d = n0 - 1 for a counterexample.
+    n0 <= d <= n0 + 3 and probes d = n0 - 1 for a counterexample.  Each
+    check is decided by a rank; a null vector is built only for the
+    counterexample, when there is one.
     """
     basis, deltas, den, k = _reduced_basis(generators)
     delta_plus = max(deltas) - den.degree
@@ -194,10 +196,12 @@ def n0_bound(generators) -> DegreeBoundReport:
 
     verified = []
     for d in range(n0, n0 + 4):
-        if _monomial_intersection(basis, d, den, k) is not None:
+        if _meets(basis, d):
             raise DomainError(f"n0 verification failed: z^{d} L ∩ L is nonzero")
         verified.append(d)
-    counter = _monomial_intersection(basis, n0 - 1, den, k) if n0 >= 2 else None
+    counter = None
+    if n0 >= 2 and _meets(basis, n0 - 1):
+        counter = _monomial_intersection(basis, n0 - 1, den, k)
     return DegreeBoundReport(
         delta_plus,
         delta_minus,
@@ -206,6 +210,26 @@ def n0_bound(generators) -> DegreeBoundReport:
         (n0 - 1) if counter is not None else None,
         counter,
     )
+
+
+def _shifted_system(basis, d: int):
+    """The basis shifted by z^d, then the basis itself, as coefficient
+    dicts, and the sorted monomials that occur in them."""
+    vecs = [{(e + d, j): c for (e, j), c in v.items()} for v in basis] + basis
+    return vecs, sorted(set().union(*vecs))
+
+
+def _meets(basis, d: int) -> bool:
+    """Whether z^d L ∩ L is nonzero, for ``basis`` a reduced basis of D L.
+
+    Both halves of the shifted system are independent (see
+    ``_monomial_intersection``), so the 2r vectors are dependent, i.e. of
+    rank below 2r, exactly when the intersection is nonzero.  The rank is
+    one forward elimination on the vectors as integer rows.
+    """
+    vecs, monomials = _shifted_system(basis, d)
+    rows = [[v.get(m, 0) for m in monomials] for v in vecs]
+    return RationalMatrix._from_ints(rows, 1).rank() < len(vecs)
 
 
 def _monomial_intersection(basis, d: int, den: Poly, k: int):
@@ -217,10 +241,9 @@ def _monomial_intersection(basis, d: int, den: Poly, k: int):
     independent, so every null vector has a nonzero shifted part, and the
     first one is returned, divided by D.
     """
-    shifted = [{(e + d, j): c for (e, j), c in v.items()} for v in basis]
-    vecs = shifted + basis
+    vecs, monomials = _shifted_system(basis, d)
+    shifted = vecs[: len(basis)]
     # one row per monomial that occurs: the null space ignores row order
-    monomials = sorted(set().union(*vecs))
     null = RationalMatrix._from_ints([[v.get(m, 0) for v in vecs] for m in monomials], 1).nullspace()
     if not null:
         return None
@@ -238,8 +261,11 @@ def monomial_intersection(generators, d: int):
     """A nonzero element of z^d L ∩ L for L = span(generators), or None.
 
     Exact: reduces to a rational null-space computation after clearing the
-    common denominator (which rescales both sides identically).
+    common denominator (which rescales both sides identically).  ``d`` must
+    be nonnegative.
     """
+    if d < 0:
+        raise InputError(f"monomial degree must be >= 0, got {d}")
     basis, _, den, k = _reduced_basis(generators)
     return _monomial_intersection(basis, d, den, k)
 

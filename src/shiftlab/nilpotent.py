@@ -75,16 +75,17 @@ def build_mnk_exact(n: int, k: int) -> RationalMatrix:
     """Entries (k+n-l)!/(k+n-l+j-1)! for 1-based row j, column l."""
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
-    return RationalMatrix(
+    # over D = (k+2n-2)!, the largest factorial below, every entry is an integer
+    fact = [1]
+    for i in range(1, k + 2 * n - 1):
+        fact.append(fact[-1] * i)
+    big = fact[-1]
+    return RationalMatrix._from_ints(
         [
-            [
-                Fraction(
-                    math.factorial(k + n - ll), math.factorial(k + n - ll + j - 1)
-                )
-                for ll in range(1, n + 1)
-            ]
+            [fact[k + n - ll] * (big // fact[k + n - ll + j - 1]) for ll in range(1, n + 1)]
             for j in range(1, n + 1)
-        ]
+        ],
+        big,
     )
 
 

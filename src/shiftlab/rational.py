@@ -392,6 +392,32 @@ def _cleared(xs):
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def _nearest_ratio(x: float, max_den: int):
+    """``(p, q)``, coprime with ``0 < q <= max_den``, such that ``p / q`` is
+    ``Fraction(x).limit_denominator(max_den)``: the same continued-fraction
+    walk on the integers of ``x.as_integer_ratio()``.  Of the last
+    convergent and the best semiconvergent, the nearer is kept, the
+    convergent on a tie."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # x lies between the two candidates, which are 1 / (q1 (q0 + k q1))
+    # apart, and p1 / q1 is d / (q1 den) away from x
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _eliminate(rows, ncols, forward_only=False):
     """Fraction-free Gauss-Jordan on rows over ints or over ``Poly``, in place.
 

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from shiftlab.cli import _random_grading_family
-from shiftlab.errors import DomainError
+from shiftlab.errors import DomainError, InputError
 from shiftlab.grading import (
     GradedVector,
+    _meets,
+    _monomial_intersection,
+    _reduced_basis,
     deg,
     DegreeBoundReport,
     monomial_intersection,
@@ -305,6 +308,41 @@ def test_n0_bound_matches_reference(name):
     rep = n0_bound(gens)
     assert rep == _reference_n0_bound(gens)
     assert (rep.counterexample is None) == (rep.counterexample_degree is None)
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_meets_agrees_with_the_null_space(name):
+    gens = [g for g in _PRESETS[name] if not g.is_zero()]
+    basis, _, den, k = _reduced_basis(gens)
+    for d in range(0, n0_bound(gens).n0 + 4):
+        assert _meets(basis, d) == (_monomial_intersection(basis, d, den, k) is not None)
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_n0_bound_builds_a_null_space_only_for_a_counterexample(name, monkeypatch):
+    calls = []
+    nullspace = RationalMatrix.nullspace
+
+    def counted(self):
+        calls.append(self)
+        return nullspace(self)
+
+    monkeypatch.setattr(RationalMatrix, "nullspace", counted)
+    rep = n0_bound([g for g in _PRESETS[name] if not g.is_zero()])
+    assert len(calls) == (rep.counterexample is not None)
+    if name == "powers-2":
+        assert rep.counterexample_degree == 2 and len(calls) == 1
+    if name.startswith(("random-", "bench-")) and not name.startswith("random-shifted"):
+        assert calls == []
+
+
+def test_monomial_intersection_rejects_a_negative_degree():
+    # d = -1 used to write the z^-1 coefficient through index -1 and return
+    # the zero vector as a nonzero element
+    gens = _PRESETS["powers-2"]
+    with pytest.raises(InputError):
+        monomial_intersection(gens, -1)
+    assert monomial_intersection(gens, 0) is not None
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))

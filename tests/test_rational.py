@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.errors import DomainError, InputError
-from shiftlab.rational import NEG_INF, Poly, RationalFunction, RationalMatrix
+from shiftlab.rational import NEG_INF, Poly, RationalFunction, RationalMatrix, _nearest_ratio
 
 
 def test_poly_basic_arithmetic():
@@ -688,3 +688,38 @@ def test_rational_function_equality_with_foreign_operands_is_false():
         assert (other == rf) is False
     assert rf == Poly([1, 1]) and RationalFunction(Poly([2])) == 2
     assert RationalFunction(Poly([1]), Poly([2])) == Fraction(1, 2)
+
+
+_dyadics = st.builds(lambda k, m: k / 2**m, st.integers(-(2**12), 2**12), st.integers(0, 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), _dyadics),
+    st.one_of(st.integers(1, 64), st.just(2**20)),
+)
+@example(0.0, 1)
+@example(0.0, 2**20)
+@example(0.375, 8)  # the denominator is already within the bound
+@example(-0.6, 2**20)
+@example(0.5, 1)  # 0 and 1 tie
+@example(0.25, 2)  # 0 and 1/2 tie
+@example(-0.5, 1)  # -1 and 0 tie
+def test_nearest_ratio_is_limit_denominator(x, max_den):
+    f = Fraction(x).limit_denominator(max_den)
+    assert _nearest_ratio(x, max_den) == (f.numerator, f.denominator)
+
+
+def test_nearest_ratio_keeps_the_convergent_on_a_tie():
+    # every dyadic k/2^6 in [-1, 1] at every bound up to 64; x is a tie when
+    # the mirror 2x - p/q of the answer is as near and no larger in
+    # denominator, and limit_denominator then keeps the convergent
+    ties = 0
+    for max_den in range(1, 65):
+        for k in range(-64, 65):
+            x = k / 64
+            f = Fraction(x).limit_denominator(max_den)
+            assert _nearest_ratio(x, max_den) == (f.numerator, f.denominator)
+            mirror = 2 * Fraction(x) - f
+            ties += mirror != f and mirror.denominator <= max_den
+    assert ties > 0
