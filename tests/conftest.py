@@ -42,9 +42,10 @@ def exact_identity_pairing(dim: int) -> np.ndarray:
     )
 
 
-def shaped_nilpotent_tensor(rng, dim: int, depth: int = 2):
-    """Exact tensor element with T^depth = 0 (depth 2 or 3) and enough room
-    for the biorthogonal ladder of size 2*depth, plus targets x1, x2.
+def shaped_nilpotent_pairs(rng, dim: int, depth: int = 2):
+    """``(pairs, pairing, x1, x2)`` of an exact tensor element with
+    T^depth = 0 (depth 2 or 3) and enough room for the biorthogonal ladder
+    of size 2*depth, plus targets x1, x2.
 
     The y-functionals read coordinates 0..depth-2, the x-vectors sit on a
     chain of later coordinates, so the nilpotency index is exactly depth.
@@ -71,8 +72,13 @@ def shaped_nilpotent_tensor(rng, dim: int, depth: int = 2):
         x2 = exact_unit(dim - 1, dim)
     else:
         raise ValueError("depth must be 2 or 3")
-    xi = TensorElement(pairs, exact_identity_pairing(dim))
-    return xi, x1, x2
+    return pairs, exact_identity_pairing(dim), x1, x2
+
+
+def shaped_nilpotent_tensor(rng, dim: int, depth: int = 2):
+    """``shaped_nilpotent_pairs`` as ``(TensorElement, x1, x2)``."""
+    pairs, pairing, x1, x2 = shaped_nilpotent_pairs(rng, dim, depth)
+    return TensorElement(pairs, pairing), x1, x2
 
 
 @pytest.fixture

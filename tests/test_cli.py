@@ -733,6 +733,100 @@ def test_detan_report_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _DETAN_DIGESTS[argv]
 
 
+# sha256 of stdout for the perturb argvs of the exact-dense benchmark,
+# ``perturb --dim D --trials 1 --seed S``, keyed "D-S"
+_PERTURB_DIGESTS = {
+    "10-0": "d2b2a032cbe7997db6c7779c755cad3e6eed3651a50f2d75acb4100a3774a3ef",
+    "10-1": "ec028d60498f4ae790beedddfb8b4b4f943b6404df6489df2275443edc4a9f53",
+    "10-2": "fe3282bf48f943e03ac3ee6561a18dad6998a2f0fee06258d9e905f83628a04b",
+    "10-3": "1b07c9c7b833773109851774b4232d7ae7adeb814a188d7f6ae0a316ce1045a3",
+    "10-4": "9c314b950931d9599d71f172940f050aa88f18aefe48f8d29d0716c0929bf626",
+    "10-5": "1e1e03e72552a76a3ecfda059f5714b76388fcf3f32b002803d01fe6ded241db",
+    "10-6": "715a211660ee08bc2175dda7aed45d33e87feb395d53ecbe6d75d7377449efc3",
+    "10-7": "a4b9d11b1f84d781299a9943c9fc648bd73f16c82927894a44ec4645c3d9cba7",
+    "10-8": "5df69ece8667d0845dbde1c2fe176972f30fafe54db8942c56f957c6c31d3149",
+    "10-9": "634f490f86879e8bba96a6bd62a0c747e1694a0e3e030dec2e6c38e2dc6a52bc",
+    "10-10": "3085ededa84254529f7f36f94956ffc9ae28c86a4b78b2342d27356ea878a9cf",
+    "10-11": "eb8e6a6df7978bfcc5aa16044cc8ae58181c56108785be1672d18243b81a30ba",
+    "10-12": "e6ceb203e5e04664860d5f4efda5c08ec764fa0135fef2834eaab4ce663fd386",
+    "10-13": "cf0cdcb5742521e103e873d56551d5cf060ec3ec52509b221eb8fd4d9dc2a099",
+    "10-14": "905fdd2691366a81f5c87990be13af6bacec862758973ed26e61b0547ede963a",
+    "10-15": "eb32eeabd2cd4561530e82ab452bbd34c9280e3848746702f8fdf1defa0c8c05",
+    "11-0": "fb9134bd1d3d6deb38a907189156c7df3d0dd45e241f2a2d7a3517f8a3baa304",
+    "11-1": "6d7ba1030604abd3446dfad30cab9883f853790d522a7ceda2e1deca11c018b1",
+    "11-2": "a767f9a2cdf30b32290838e899c46cebebc37f4462a87d2f531640a40c0b7d44",
+    "11-3": "532a6f97bff419d449f0f7ca4f6a049c2ef89fb930f91d8460c48a0eab81e700",
+    "11-4": "34392d884d5a5cf528e39fdb0f77934e9c2b9409b5e659e62ad740509cf458ab",
+    "11-5": "7fe5966efd247a7fde40cf1da5e68c2b4607fdc25a77593156304942d5257362",
+    "11-6": "b06550ab605eb7e19ec0d1a8ca5e05e537c02cfa6495a28ff62234a36b2ec160",
+    "11-7": "1c2b18958d6a3520334c83bc41dea7554f3459f3612ed68c797c427ed68e9506",
+    "11-8": "f9b10b5cf802e63583276baf26fdfd5b7e160411d4a6d71b3edc5bf88cfa3c05",
+    "11-9": "82c55bb0ea45dd17cdee7ab724ca5938d50ca30853736a7a74a1e3fc1e431658",
+    "11-10": "3eeb7605ecc53416a027ac22f488312771781d4a0688a314f5f37b283fac9b05",
+    "11-11": "76b0488c1fe78160aad0285d57db8654cde0b43b0545e857b6901f25ab746dbe",
+    "11-12": "1d1c544521cab2e58319c4fbb8fca33d8ea2c5fd9f2dfc16256ffb945cecf4b9",
+    "11-13": "526dd6fbe52cfcd7c2f2f76bdde2ee703e1188e7a415a85769414f5b4110f723",
+    "11-14": "38ec13d9b2f81c90add2216e3b11d27b3af4df0e8d97881cd8b581c92d8513f1",
+    "11-15": "bba8cbd28b5a5f3040e76a44809eba34efe18976e04f330575e80ae6aeea32e5",
+    "12-0": "bbd433ff29e2f87f6d38fe9d3ce66c8f019daaa6afd249dd0131bf42fead7d43",
+    "12-1": "0afde855a7424682a2ccf8fa71212ddcc0fbcaca56ecea1b599291449c15eb7b",
+    "12-2": "6de216b19f8e68f8e6c3fb9a6de0c2e25571e6d2f2507d62900aa88ceb06ed9f",
+    "12-3": "8f50d6eeb8184236ab1ab34f900d45480cf4883398a82adfeb3b1757d76300cf",
+    "12-4": "656e619038b70870d30f9de964f14d583740d352138178bba67bb2a10439c9b2",
+    "12-5": "6907f2630e0e9ceefb347b5758e998a78c2a130ea8c5bad22b6310cb6ec7400e",
+    "12-6": "37e48cc18de3f87d3e7a1cd682391f9a8de5736f485f14c3eef18a1f00ce0d38",
+    "12-7": "fc5285621b0103a0e4fed02747d502e8f8aabf24551f475bff0004fd3ab5cecd",
+    "12-8": "1dd5681f246ee0e432cc1bdd5436ee21ae8de82d0548b5088db8bd533e40332a",
+    "12-9": "9c61b94175334bc4b2bdce0f2a5541fcc3f88f0f8a28deb74901af29754b9319",
+    "12-10": "bdd8f21cfba8122a18d9aa038bbebeb1998c34d608b35c3c116b33b1d6c66e4b",
+    "12-11": "e087bd41a450f3df4a9f715309ffb782fa21227a3904d966d87b9fcf49fde407",
+    "12-12": "1c043f9eead186c115b77aa5ae901c4565a6f9b27575a401eda7c4b369ca114b",
+    "12-13": "d2ce7913fa59e9da591642543c894ce0934b80d907f1516b01cf0d2d18585451",
+    "12-14": "47b86df26a39d804422d21f460289255b5a735519487c248058ab6d5565dc5f3",
+    "12-15": "8e116b77d5e428902742a29bb537d385f8be6445a6516c0bfbbcf77af76d4022",
+    "13-0": "7b34dd8a25c9356ae010864a5a75afc930be000bb4522582c2e272974c217b55",
+    "13-1": "26c002ea59be7bfac70c882d0debe5abcc62608c3f70f37eed6761146fab5a34",
+    "13-2": "b1c3f0d2bbbb1996e903a186777097ae14dffa11fdd87ae33f84fd25b4fd155e",
+    "13-3": "faa1b40b5ad9b66e98cfdecef6974d64a7a45b2f59c4d646c56e697bb22ea723",
+    "13-4": "c3e9a50b6fc0d55ab1d4255074850353088976efb7a5917af54907eb3bb288da",
+    "13-5": "326a5f23012ffd8a77ad8fdaaacbfa9bf9a899c1546c1468f73bbe7536414d58",
+    "13-6": "30d5f49c1d4ffc7e0fe09345b2a969525fb686da58ac9b1a2fbacd6fd9bf9a02",
+    "13-7": "c21e3d5ad16424c936aadc0d86dabf4cc8cd750455cbf6ec04cc0b30e633bf28",
+    "13-8": "9b5856e7270ff09784507f90ffb465ca2b25154e5b02e3c1e1b7ed6bd67e5d49",
+    "13-9": "e2226559729f25b12f03432ae8a7170852da1c5c1696551b9e12d9d6fe70c1d8",
+    "13-10": "ee4104f6e2988bd2fae1c11c991ef523004690639b36852e97a1eed33e01d518",
+    "13-11": "a95bc3a4801493bf75d5584e2b85f700f5b6f646543e4e49428ef5dd48d6004f",
+    "13-12": "765367d9f7204a115d82663494d2b5b836e4d6272eebfabebcf83e17986c65f6",
+    "13-13": "243a54d68a61d55e903963883e38b10908fe617b6ac134c2b2e93a3e59fa2231",
+    "13-14": "012eea9523f8895aa0bcb8486ba8e302c2c5a64b55262d04e5d5130e0b4dd174",
+    "13-15": "4cf4d757155752a9872c5db326ad77ccbc516d9df9b274c388ef2a201f03375d",
+    "14-0": "68281377e03d961358d57b214f8d5cd6ea7c7876106c5024749ad32f6ed7ef4c",
+    "14-1": "d2f677ab9b2d2ea6d68df9f6588cdb5264dee2e49ffd9882c37a9fece3338fac",
+    "14-2": "15d6134fc37c8651ad682b7f5467195d98aebdab4c4a208a8d1430f3b91d4720",
+    "14-3": "367c203a8cd6260a074430f989e2a25e71822eab37b11836d374e676bd082aee",
+    "14-4": "ee75cb34cd87b0e5fd3ba25655b329f757eb16616be07e45c80d49812025471f",
+    "14-5": "ffa35ec91d3ae8af115f771279d8d2bc68eea566d530424f1688fbb483019448",
+    "14-6": "4978ff40b4dea3f1bf77733d74caa1bfc17d69512dd30452ee78310ca607c4f4",
+    "14-7": "061baec1845d3321811a72ff976581df6bc3e43b80f229a932676e3a7cb6f916",
+    "14-8": "feb538d0cc60aad9c5f08bd625b5a264497286f3018d5a41ed14781f3c605e3b",
+    "14-9": "5fbeb1190687f73e6672bb696c302273b6332333cd189e5694af303c81d68cea",
+    "14-10": "711a617f7d0af710625bc5ac7c98441d56a78c9b7efc9d536ba075c7a675e754",
+    "14-11": "f5b5ecce18839d93a9301dc15824c77825ae71bacd0d8e860dd305d7ac5bd3fc",
+    "14-12": "c8cdad44fa2fa5db1f274f0952d357453c22fadc233ef4b0b04c5ac7ebf5411d",
+    "14-13": "865cd8dff1982e3742322d874db62e3f65bedc06a68e82468568f2e36b690e0c",
+    "14-14": "20f1b61fcf9dd1572fc51f5d7241374c1e9030a5954d17b6509e29a9a2a6fffb",
+    "14-15": "872ece20fa1876eb8c9f5382293ebe51c5845442b5dc39a8f648426b8eb89011",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PERTURB_DIGESTS))
+def test_perturb_report_digest(key, capsys):
+    dim, seed = key.split("-")
+    code, out = run_cli(["perturb", "--dim", dim, "--trials", "1", "--seed", seed], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PERTURB_DIGESTS[key]
+
+
 _CONFIG_FLAGS = {
     "salas": st.fixed_dictionaries(
         {"n-max": st.integers(8, 256)},

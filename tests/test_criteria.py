@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_identity_pairing, exact_unit, log_abs, shaped_nilpotent_tensor
+from conftest import (
+    exact_identity_pairing,
+    exact_unit,
+    log_abs,
+    shaped_nilpotent_pairs,
+    shaped_nilpotent_tensor,
+)
+from shiftlab.cli import _shaped_nilpotent_tensor
 from shiftlab.criteria import (
     _log_weight_prefix,
     _salas_traces,
@@ -39,6 +46,7 @@ from shiftlab.operators import (
     symmetric_decay_weights,
     tensor_op,
 )
+from shiftlab.rational import RationalMatrix
 
 
 def unit(i, dim):
@@ -366,6 +374,112 @@ class TestEbsPerturb:
         xi = TensorElement((zero,), exact_identity_pairing(dim))
         with pytest.raises(InputError):
             ebs_perturb(xi, exact_unit(0, dim), exact_unit(1, dim), 0)
+
+
+# Fraction object-array reference for the tensor perturbation: the
+# element's factors and pairing as numpy arrays of Fractions, T_xi and S_xi
+# as sums of outer products, and the ladder as arrays cut from the same
+# eliminations.
+
+
+def _reference_exact(a) -> np.ndarray:
+    a = np.asarray(a, dtype=object)
+    return np.array([Fraction(v) for v in a.flat], dtype=object).reshape(a.shape)
+
+
+def _reference_tensor_op(pairs, pairing):
+    """T_xi = sum_j x_j (B y_j)^T and S_xi = sum_j y_j (x_j^T B)^T as
+    Fraction object arrays."""
+    b = _reference_exact(pairing)
+    t = np.full((b.shape[0], b.shape[0]), Fraction(0), dtype=object)
+    s = np.full((b.shape[1], b.shape[1]), Fraction(0), dtype=object)
+    for x, y in pairs:
+        x, y = _reference_exact(x), _reference_exact(y)
+        t += np.outer(x, b @ y)
+        s += np.outer(y, x @ b)
+    return t, s
+
+
+def _reference_ebs_perturb(pairs, pairing, x1, x2, s, n):
+    """``(pairs of xi_s, u vectors, f vectors)`` on Fraction object arrays."""
+    s = Fraction(s)
+    t, smat = (RationalMatrix(m) for m in _reference_tensor_op(pairs, pairing))
+    x1, x2 = _reference_exact(x1), _reference_exact(x2)
+    bmat = RationalMatrix(_reference_exact(pairing))
+    everything = slice(None)
+    targets = RationalMatrix([x1, x2]) @ bmat
+    f0 = RationalMatrix._block([[smat], [targets]], everything, everything).nullspace()
+    u0m = RationalMatrix(t.nullspace())
+    g = u0m @ (bmat @ RationalMatrix(f0).transpose())
+    eye = RationalMatrix.identity(g.rows)
+    red, pivots = RationalMatrix._block([[g, eye]], everything, everything).rref()
+    p = RationalMatrix._block([[red]], slice(2 * n), slice(g.cols, None))
+    u_vecs = [np.asarray(row, dtype=object) for row in (p @ u0m).data]
+    f_vecs = [np.asarray(f0[c], dtype=object) for c in pivots[: 2 * n]]
+    eta = [(x1, f_vecs[0]), (x2, f_vecs[n])]
+    for j in range(2, n + 1):
+        eta.append((u_vecs[j - 2], f_vecs[j - 1]))
+        eta.append((u_vecs[n + j - 2], f_vecs[n + j - 1]))
+    scaled = [(np.asarray([s * a for a in x], dtype=object), y) for x, y in eta]
+    return list(pairs) + scaled, u_vecs, f_vecs
+
+
+def _reference_shaped_nilpotent_pairs(rng, dim: int):
+    """``(pairs, pairing, x1, x2)`` of the ``perturb`` report's draw, with the
+    same rng calls in the same order."""
+    f0 = Fraction(0)
+
+    def unit(i, c):
+        v = np.array([f0] * dim, dtype=object)
+        v[i] = c
+        return v
+
+    pairing = np.array(
+        [[Fraction(1) if i == j else f0 for j in range(dim)] for i in range(dim)],
+        dtype=object,
+    )
+    c1 = Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    c2 = -Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    pairs = ((unit(dim - 5, c1), unit(0, Fraction(1))), (unit(dim - 4, c2), unit(1, Fraction(1))))
+    return pairs, pairing, unit(dim - 3, Fraction(1)), unit(dim - 2, Fraction(1))
+
+
+def _as_rows(m) -> tuple:
+    return tuple(tuple(row) for row in m)
+
+
+class TestEbsPerturbMatchesReference:
+    """``tensor_op`` of the perturbed element and the ladder, entry for
+    entry, against the object-array reference."""
+
+    def _check(self, xi, pairs, pairing, x1, x2, s, n):
+        assert _as_rows(tensor_op(xi)[0].data) == _as_rows(_reference_tensor_op(pairs, pairing)[0])
+        pert = ebs_perturb(xi, x1, x2, s, n=n)
+        pairs_s, u_ref, f_ref = _reference_ebs_perturb(pairs, pairing, x1, x2, s, n)
+        t, smat = tensor_op(pert.xi_s)
+        t_ref, s_ref = _reference_tensor_op(pairs_s, pairing)
+        assert t.data == _as_rows(t_ref)
+        assert smat.data == _as_rows(s_ref)
+        assert _as_rows(pert.u_vectors) == _as_rows(u_ref)
+        assert _as_rows(pert.f_vectors) == _as_rows(f_ref)
+
+    @pytest.mark.parametrize("dim, depth", [(10, 2), (12, 3)])
+    def test_conftest_shapes(self, dim, depth):
+        rng = np.random.default_rng(dim * 10 + depth)
+        for _ in range(4):
+            pairs, pairing, x1, x2 = shaped_nilpotent_pairs(rng, dim, depth)
+            s = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            self._check(TensorElement(pairs, pairing), pairs, pairing, x1, x2, s, depth)
+
+    @pytest.mark.parametrize("dim", range(10, 15))
+    def test_perturb_report_draws(self, dim):
+        for seed in range(4):
+            xi, x1, x2 = _shaped_nilpotent_tensor(np.random.default_rng(seed), dim)
+            ref = _reference_shaped_nilpotent_pairs(np.random.default_rng(seed), dim)
+            pairs, pairing, rx1, rx2 = ref
+            assert (tuple(x1), tuple(x2)) == (tuple(rx1), tuple(rx2))
+            for s in (Fraction(1, 2), Fraction(-7, 3)):
+                self._check(xi, pairs, pairing, x1, x2, s, 2)
 
 
 class TestRegions:
