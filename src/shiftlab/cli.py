@@ -325,24 +325,17 @@ def cmd_subspaces(args) -> ExperimentReport:
 
 def _shaped_nilpotent_tensor(rng, dim: int):
     """Random exact tensor element with T^2 = 0 and room for the ladder."""
-    f0 = Fraction(0)
 
     def unit(i, c):
-        v = np.array([f0] * dim, dtype=object)
+        v = [0] * dim
         v[i] = c
         return v
 
-    pairing = np.array(
-        [[Fraction(1) if i == j else f0 for j in range(dim)] for i in range(dim)],
-        dtype=object,
-    )
     c1 = Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
     c2 = -Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-    pairs = ((unit(dim - 5, c1), unit(0, Fraction(1))), (unit(dim - 4, c2), unit(1, Fraction(1))))
-    xi = op.TensorElement(pairs, pairing)
-    x1 = unit(dim - 3, Fraction(1))
-    x2 = unit(dim - 2, Fraction(1))
-    return xi, x1, x2
+    pairs = ((unit(dim - 5, c1), unit(0, 1)), (unit(dim - 4, c2), unit(1, 1)))
+    xi = op.TensorElement(pairs, [unit(i, 1) for i in range(dim)])
+    return xi, unit(dim - 3, 1), unit(dim - 2, 1)
 
 
 def cmd_perturb(args) -> ExperimentReport:
@@ -543,7 +536,7 @@ def cmd_volterra(args) -> ExperimentReport:
         # short (0, q) is: no distance relative to ||f|| exists
         what = f"--f-file: grid function {args.f_file}" if args.f_file else f"--q: the bump on (0, {args.q})"
         raise InputError(f"argument {what} has zero norm on the grid")
-    dmin = min(d / trace.f_norm for d in trace.distances)
+    dmin = min(d / trace.f_norm for d in trace.distances if d is not None)
     # 1e-8 is the contract at ngrid = 2048; the leading trapezoid cells of
     # the adjoint quadrature scale cubically, so rescale for other grids
     adjoint_tol = 1e-8 * (2048.0 / args.ngrid) ** 3

@@ -195,7 +195,7 @@ def unimodular_chain_spaces(T, tol: float = 1e-9):
     """
     t = as_matrix(T)
     dim = t.shape[0]
-    vals = eigenvalues(t, tol)
+    vals = eigenvalues(t)
     out = []
     for z, members in cluster_points(vals, defective_cluster_radius(t)):
         if abs(abs(z) - 1.0) > 1e-6:
@@ -309,24 +309,24 @@ def _nilpotency_index(t: RationalMatrix, cap: int) -> int | None:
 def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPerturbation:
     """Perturb a nilpotent xi so that x1, x2 land in ker-dagger of T_{xi_s}.
 
-    Exact only (``TensorElement`` holds Fractions; x1, x2 and s are read as
-    Fractions).  Adds s * eta where eta couples x1, x2 and a biorthogonal
-    ladder u_1..u_2n in ker T_xi against functionals f_1..f_2n in L, the
-    null space of S_xi and of b(x1, .), b(x2, .); then T_{xi_s}^n u_n =
-    s^n x1, T_{xi_s}^n u_2n = s^n x2 and T_{xi_s}^(2n) = 0 hold exactly.
-    ``n`` defaults to the nilpotency index of T_xi.
+    Exact only (``TensorElement`` holds rational matrices; x1, x2 and s are
+    read as Fractions).  Adds s * eta where eta couples x1, x2 and a
+    biorthogonal ladder u_1..u_2n in ker T_xi against functionals f_1..f_2n
+    in L, the null space of S_xi and of b(x1, .), b(x2, .); then
+    T_{xi_s}^n u_n = s^n x1, T_{xi_s}^n u_2n = s^n x2 and T_{xi_s}^(2n) = 0
+    hold exactly.  ``n`` defaults to the nilpotency index of T_xi.
     """
     if s == 0:
         raise InputError("the perturbation scale s must be nonzero")
     s = Fraction(s)
     t, smat = tensor_op(xi)
-    x1 = np.asarray([Fraction(v) for v in x1], dtype=object)
-    x2 = np.asarray([Fraction(v) for v in x2], dtype=object)
+    x1 = [Fraction(v) for v in x1]
+    x2 = [Fraction(v) for v in x2]
     if n is None:
         n = _nilpotency_index(t, t.rows)
         if n is None:
             raise DomainError("T_xi is not nilpotent")
-    bmat = RationalMatrix(xi.pairing)
+    bmat = xi.pairing
     # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]
     targets = RationalMatrix([x1, x2]) @ bmat
     everything = slice(None)
@@ -350,19 +350,13 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
             "pairing between ker T and L is too small"
         )
     p = RationalMatrix._block([[red]], slice(2 * n), slice(g.cols, None))
-    u_vecs = [np.asarray(row, dtype=object) for row in (p @ u0m).data]
-    f_vecs = [np.asarray(f0[c], dtype=object) for c in pivots[: 2 * n]]
-    eta = _eta_pairs(x1, x2, u_vecs, f_vecs, n)
-    xi_s = xi.scaled_added(s, eta)
-    return EbsPerturbation(xi_s, s, n, tuple(u_vecs), tuple(f_vecs))
-
-
-def _eta_pairs(x1, x2, u_vecs, f_vecs, n):
-    pairs = [(x1, f_vecs[0]), (x2, f_vecs[n])]
-    for j in range(2, n + 1):
-        pairs.append((u_vecs[j - 2], f_vecs[j - 1]))
-        pairs.append((u_vecs[n + j - 2], f_vecs[n + j - 1]))
-    return pairs
+    u = (p @ u0m).data
+    f = RationalMatrix([f0[c] for c in pivots[: 2 * n]])
+    # eta = x1 (x) f_1 + sum_{j<n} u_j (x) f_{j+1}
+    #     + x2 (x) f_{n+1} + sum_{j<n} u_{n+j} (x) f_{n+j+1}
+    eta_xs = RationalMatrix([x1, *u[: n - 1], x2, *u[n : 2 * n - 1]])
+    xi_s = xi.scaled_added(s, eta_xs, f)
+    return EbsPerturbation(xi_s, s, n, u, f.data)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class NetSpec:
     def __post_init__(self):
         if self.cells < 2 or self.box <= 0:
             raise InputError("net needs at least 2 cells per axis and a positive box")
+        if not math.isfinite(2.0 * self.box):
+            raise InputError(f"net box {self.box} is too large: 2 * box leaves the float range")
 
     def _axis(self, w):
         """Float row index of each coordinate w; on the net iff in [0, cells).
@@ -139,11 +141,14 @@ def u3_density(
     if pair_sampler is None:
         # stratify the projected coordinate so every input column of the net
         # sees samples regardless of seed; the rest stays Gaussian
-        bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
+        with np.errstate(over="ignore"):  # checked below
+            bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
         strata = (np.arange(base_count) % net.cells + rng.uniform(size=base_count))
         bases[:, net.x_coord] = strata / net.cells * 2.0 * net.box - net.box
     else:
         bases = np.asarray(pair_sampler(rng, base_count, dim))
+    if not np.isfinite(bases).all():
+        raise InputError(f"a base vector leaves the float range at net box {net.box}")
     scales = [1.0] if scale_grid is None else list(scale_grid)
     reach = max(map(abs, scales), default=0.0)
     scales = np.asarray(scales)
@@ -375,7 +380,8 @@ class DistanceTrace:
     ngrid: int
     cutoff: float
     adjoint_residual: float  # sup |V* h' + h| on the grid
-    distances: tuple  # d_n = |<f, h^(n)>| / ||h^(n)|| for n = 0..n_max
+    distances: tuple  # d_n = |<f, h^(n)>| / ||h^(n)|| for n = 0..n_max; None
+    # where ||h^(n)|| or <f, h^(n)> leaves the float range
     f_norm: float
 
     def to_dict(self) -> dict:
@@ -421,9 +427,13 @@ def volterra_dist(
 
     hs, adj, norms = _volterra_table(ngrid, n_max)
     dists = []
-    for hn, norm_hn in zip(hs, norms):
-        inner = abs(grid_inner(fvals, hn, ngrid))
-        dists.append(inner / norm_hn if norm_hn > 0 else float("nan"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hn, norm_hn in zip(hs, norms):
+            inner = abs(grid_inner(fvals, hn, ngrid))
+            if not (math.isfinite(inner) and math.isfinite(norm_hn)):
+                dists.append(None)  # no float distance: a sum overflowed
+            else:
+                dists.append(inner / norm_hn if norm_hn > 0 else float("nan"))
     wts = trapezoid_weights(ngrid)
     f_norm = float(math.sqrt(float(np.sum(wts * fvals * fvals))))
     return DistanceTrace(ngrid, cutoff, adj, tuple(dists), f_norm)
@@ -442,5 +452,6 @@ def _volterra_table(ngrid: int, n_max: int) -> tuple:
     for row in hs:
         row.flags.writeable = False
     adj = float(np.max(np.abs(simpson_adjoint_apply(ngrid, hs[1]) + hs[0])))
-    norms = tuple(math.sqrt(abs(grid_inner(hn, hn, ngrid))) for hn in hs[: n_max + 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # read as not finite
+        norms = tuple(math.sqrt(abs(grid_inner(hn, hn, ngrid))) for hn in hs[: n_max + 1])
     return tuple(hs), adj, norms

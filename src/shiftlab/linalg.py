@@ -185,7 +185,7 @@ def exp_nilpotent(A, z) -> np.ndarray:
     return out
 
 
-def eigenvalues(A, tol: float = 1e-9) -> np.ndarray:
+def eigenvalues(A) -> np.ndarray:
     """Eigenvalues with multiplicity for dim <= 64."""
     m = as_matrix(A)
     if m.shape[0] != m.shape[1]:

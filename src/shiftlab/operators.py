@@ -10,6 +10,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .linalg import as_matrix
-from .rational import Poly, RationalMatrix, _as_fraction, _cleared
+from .rational import Poly, RationalMatrix, _cleared
 
 TAIL_KINDS = ("constant", "geometric", "zero")
 
@@ -317,6 +318,13 @@ def h_derivative(n: int) -> Poly:
     return Poly(_q_coeffs(n))
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def h_evals(n_max: int, ngrid: int) -> list:
     """h, h', ..., h^(n_max) sampled on the uniform grid i/ngrid, overflow-safe.
 
@@ -349,7 +357,11 @@ def h_evals(n_max: int, ngrid: int) -> list:
         a = acc[idx]
         logmag = ts[idx] + _log_ints(np.abs(a)) - (2 * n) * log_dens[idx]
         keep = logmag > -745.0
-        mags = np.fromiter(map(math.exp, logmag[keep].tolist()), float, np.count_nonzero(keep))
+        logs = logmag[keep].tolist()
+        try:
+            mags = np.fromiter(map(math.exp, logs), float, len(logs))
+        except OverflowError:  # |h^(n)| past the float range is inf there
+            mags = np.fromiter(map(_exp_or_inf, logs), float, len(logs))
         # den^(2n) > 0, so A_n carries the sign
         row[idx[keep]] = np.where(a[keep] > 0, mags, -mags)
         out.append(row)
@@ -376,70 +388,53 @@ def _log_ints(ns: np.ndarray) -> np.ndarray:
     return logs + shifts.astype(float) * _LOG2
 
 
-@dataclass(frozen=True, eq=False)
 class TensorElement:
     """Finite sum xi = sum_j x_j (x) y_j with an explicit bilinear pairing.
 
-    Exact only: ``pairing[i, j] = b(e_i, f_j)`` must be a numpy object array
-    of exact rationals, and every entry of the pairing and of the factors is
-    stored as a Fraction, so every downstream identity (``tensor_op``,
-    ``ebs_perturb``) holds literally and a float entry fails here.
+    Exact only: ``pairing[i, j] = b(e_i, f_j)`` and the factors must hold
+    exact rationals, so a float entry fails here.  The pairing and the
+    factor rows ``xs`` (the x_j) and ``ys`` (the y_j) are kept as
+    ``RationalMatrix``, ``xs`` and ``ys`` None when there are no pairs, so
+    every downstream identity (``tensor_op``, ``ebs_perturb``) holds
+    literally.
     """
 
-    pairs: tuple  # tuple of (x_j, y_j) 1-d arrays
-    pairing: np.ndarray = field(repr=False)
+    __slots__ = ("pairing", "xs", "ys")
 
-    def __post_init__(self):
-        pairing = np.asarray(self.pairing)
-        if pairing.ndim != 2:
-            raise InputError("pairing must be a matrix")
-        if pairing.dtype != object:
-            raise InputError("pairing must be an exact (Fraction, dtype=object) matrix")
-        pairing = _exact(pairing)
-        pairs = tuple((_exact(x), _exact(y)) for x, y in self.pairs)
-        for x, y in pairs:
-            if x.shape[0] != pairing.shape[0] or y.shape[0] != pairing.shape[1]:
-                raise InputError("tensor factor shapes do not match the pairing")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "pairing", pairing)
-
-    @property
-    def dim_x(self) -> int:
-        return self.pairing.shape[0]
-
-    @property
-    def dim_y(self) -> int:
-        return self.pairing.shape[1]
+    def __init__(self, pairs, pairing):
+        try:
+            pairing = RationalMatrix(pairing)
+        except (InputError, TypeError) as exc:
+            raise InputError(f"pairing must be an exact rational matrix ({exc})") from None
+        if any(len(x) != pairing.rows or len(y) != pairing.cols for x, y in pairs):
+            raise InputError("tensor factor shapes do not match the pairing")
+        self.pairing = pairing
+        self.xs = RationalMatrix([x for x, _ in pairs]) if pairs else None
+        self.ys = RationalMatrix([y for _, y in pairs]) if pairs else None
 
     def b(self, x, y):
-        return np.asarray(x) @ (self.pairing @ np.asarray(y))
+        """b(x, y), exactly."""
+        return sum(map(operator.mul, x, self.pairing @ y))
 
-    def scaled_added(self, s, extra_pairs) -> "TensorElement":
-        s = Fraction(s)
-        new = list(self.pairs) + [
-            (np.asarray([s * a for a in x], dtype=object), y) for x, y in extra_pairs
-        ]
-        return TensorElement(tuple(new), self.pairing)
-
-
-def _exact(a) -> np.ndarray:
-    """Object array of the Fractions of ``a``'s entries (InputError if inexact)."""
-    a = np.asarray(a, dtype=object)
-    return np.array([_as_fraction(v) for v in a.flat], dtype=object).reshape(a.shape)
+    def scaled_added(self, s, xs: RationalMatrix, ys: RationalMatrix) -> "TensorElement":
+        """xi + s * sum_j xs_j (x) ys_j, from the factor rows xs and ys."""
+        xs = xs * s
+        if self.xs is not None:
+            everything = slice(None)
+            xs = RationalMatrix._block([[self.xs], [xs]], everything, everything)
+            ys = RationalMatrix._block([[self.ys], [ys]], everything, everything)
+        out = TensorElement.__new__(TensorElement)
+        out.pairing, out.xs, out.ys = self.pairing, xs, ys
+        return out
 
 
 def tensor_op(xi: TensorElement):
     """Matrices of T_xi x = sum b(x, y_j) x_j and S_xi y = sum b(x_j, y) y_j."""
-    if not xi.pairs:
-        return (
-            RationalMatrix.zeros(xi.dim_x, xi.dim_x),
-            RationalMatrix.zeros(xi.dim_y, xi.dim_y),
-        )
+    b = xi.pairing
+    if xi.xs is None:
+        return RationalMatrix.zeros(b.rows, b.rows), RationalMatrix.zeros(b.cols, b.cols)
     # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T), S = Y^T (X B)
-    b = RationalMatrix(xi.pairing)
-    xs = RationalMatrix([x for x, _ in xi.pairs])
-    ys = RationalMatrix([y for _, y in xi.pairs])
-    return xs.transpose() @ (ys @ b.transpose()), ys.transpose() @ (xs @ b)
+    return xi.xs.transpose() @ (xi.ys @ b.transpose()), xi.ys.transpose() @ (xi.xs @ b)
 
 
 def graded_lex_indices(k: int, count: int) -> list[tuple[int, ...]]:

@@ -128,6 +128,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: argument" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        # 2 * box overflows; at seed 81 a Gaussian base drawn at scale box / 2
+        # does (|z| = 4.26 > 2 max_float / box)
+        ["density --box 1e308", "density --family identity --box 8.98e307 --seed 81"],
+    )
+    def test_density_box_past_the_float_range_is_rejected(self, argv, capsys):
+        """An input error, not an ``inconclusive`` verdict from inf arithmetic."""
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "float range" in captured.err
+
     def test_kerim_k_max_exp_takes_the_last_float_power(self):
         # 2^1023 is the largest power of two a float holds
         assert build_parser().parse_args(["kerim", "--k-max-exp", "1023"]).k_max_exp == 1023
@@ -447,6 +461,17 @@ class TestOutputs:
         code, out = run_cli(["volterra", "--ngrid", "512", "--n-max", "12"], capsys)
         assert code == 0
         assert load_report(out)["verdict"] == "satisfied"
+
+    @pytest.mark.parametrize("n_max", [60, 120])
+    def test_volterra_overflowed_rows_are_null(self, n_max, capsys):
+        # rows 54.. have no float distance: null, left out of the minimum,
+        # and never 0.0, which would claim f is orthogonal to h^(n)
+        code, out = run_cli(["volterra", "--n-max", str(n_max)], capsys)
+        report = json.loads(out, parse_constant=reject_constant)
+        distances = report["data"]["distances"]
+        assert code == 0 and report["verdict"] == "satisfied"
+        assert distances[54:] == [None] * (n_max - 53)
+        assert all(d > 0 for d in distances[:54])
 
     def test_same_config_same_bytes(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -216,6 +216,19 @@ class TestU3Density:
         with pytest.raises(InputError):
             NetSpec(cells=1, box=4.0)
 
+    def test_box_past_the_float_range_rejected(self):
+        # 2 * box, the net's side, must be a float
+        with pytest.raises(InputError, match="float range"):
+            NetSpec(box=1e308)
+        NetSpec(box=8.98e307)
+
+    def test_non_finite_base_rejected(self):
+        def infinite(rng, count, dim):
+            return np.full((count, dim), np.inf)
+
+        with pytest.raises(InputError, match="float range"):
+            u3_density(np.eye(2), NetSpec(), 1, pair_sampler=infinite)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
     def test_overflowing_orbit_stops_instead_of_raising(self, scale_grid):
@@ -538,6 +551,14 @@ class TestVolterraDist:
         if isinstance(distances, str):
             got = hashlib.sha256(" ".join(got).encode()).hexdigest()
         assert got == distances
+
+    def test_overflowed_distances_are_none(self):
+        # from n = 54 on at ngrid 2048, ||h^(n)||^2 leaves the float range, so
+        # no distance exists; the rows below keep their bits
+        trace = volterra_dist(2048, 0.5, n_max=60)
+        head = volterra_dist(2048, 0.5, n_max=53)
+        assert trace.distances[54:] == (None,) * 7
+        assert [d.hex() for d in trace.distances[:54]] == [d.hex() for d in head.distances]
 
     def test_no_dense_grid(self):
         # V* is applied matrix-free: the dense 2049 x 2049 grid and its

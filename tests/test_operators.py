@@ -312,6 +312,13 @@ class TestHDerivative:
         with pytest.raises(InputError):
             h_evals(-1, 16)
 
+    def test_values_past_the_float_range_are_inf(self):
+        # at ngrid 256, |h^(93)| passes the float range at two grid points;
+        # the rows below keep their bytes
+        rows = h_evals(100, 256)
+        assert np.isinf(rows[93]).sum() == 2 and not np.isinf(rows[92]).any()
+        assert [r.tobytes() for r in rows[:93]] == [r.tobytes() for r in h_evals(92, 256)]
+
 
 def _frac(rng) -> Fraction:
     return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
@@ -364,11 +371,13 @@ class TestTensorOp:
         with pytest.raises(InputError, match="shapes"):
             TensorElement(((_frac_vec(rng, 3), _frac_vec(rng, 4)),), exact_identity_pairing(3))
 
-    def test_integer_entries_are_stored_as_fractions(self):
-        # an integer numpy array is exact; its entries reach tensor_op as Fractions
-        ints = np.arange(3).astype(object)  # np.int64 entries
-        xi = TensorElement(((ints, ints),), np.eye(3, dtype=np.int64).astype(object))
-        assert all(type(v) is Fraction for v in (*xi.pairing.flat, *xi.pairs[0][0], *xi.pairs[0][1]))
+    def test_integer_entries_are_stored_exactly(self):
+        # numpy integers are exact: the pairing and the factor rows hold
+        # their values as rational matrices
+        ints = np.arange(3)  # np.int64 entries
+        xi = TensorElement(((ints, ints),), np.eye(3, dtype=np.int64))
+        assert xi.pairing == RationalMatrix.identity(3)
+        assert xi.xs == xi.ys == RationalMatrix([[0, 1, 2]])
         t, _ = tensor_op(xi)
         assert t.data[2] == (0, 2, 4)
 

@@ -1,5 +1,6 @@
 """Every public name of the package is reached by the package itself or by
-an acceptance test: code that only its own unit tests call is dead weight."""
+an acceptance test: code that only its own unit tests call is dead weight.
+And the package's defaulted parameters do not grow past a reviewed bound."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,23 @@ def test_every_public_name_is_reached():
 def test_exempt_names_exist():
     defined = {qualname for tree in _trees().values() for qualname, _ in _definitions(tree)}
     assert set(EXEMPT) <= defined
+
+
+# Defaulted parameters of every def in the package: defaults, keyword-only
+# defaults and ``**kwargs``.  A new knob raises this bound in its own diff.
+MAX_DEFAULTED_PARAMETERS = 61
+
+
+def defaulted_parameters() -> int:
+    count = 0
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults) + (args.kwarg is not None)
+                count += sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def test_defaulted_parameters_do_not_grow():
+    assert defaulted_parameters() <= MAX_DEFAULTED_PARAMETERS
