@@ -380,8 +380,9 @@ class DistanceTrace:
     ngrid: int
     cutoff: float
     adjoint_residual: float  # sup |V* h' + h| on the grid
-    distances: tuple  # d_n = |<f, h^(n)>| / ||h^(n)|| for n = 0..n_max; None
-    # where ||h^(n)|| or <f, h^(n)> leaves the float range
+    # d_n = |<f, h^(n)>| / ||h^(n)|| for n = 0..n_max; None where the norm or
+    # the inner product leaves the float range
+    distances: tuple
     f_norm: float
 
     def to_dict(self) -> dict:
@@ -452,6 +453,7 @@ def _volterra_table(ngrid: int, n_max: int) -> tuple:
     for row in hs:
         row.flags.writeable = False
     adj = float(np.max(np.abs(simpson_adjoint_apply(ngrid, hs[1]) + hs[0])))
-    with np.errstate(over="ignore", invalid="ignore"):  # read as not finite
+    # a norm past the float range is inf, and volterra_dist writes no distance
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = tuple(math.sqrt(abs(grid_inner(hn, hn, ngrid))) for hn in hs[: n_max + 1])
     return tuple(hs), adj, norms

@@ -319,6 +319,7 @@ def h_derivative(n: int) -> Poly:
 
 
 def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it leaves the float range."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -357,11 +358,7 @@ def h_evals(n_max: int, ngrid: int) -> list:
         a = acc[idx]
         logmag = ts[idx] + _log_ints(np.abs(a)) - (2 * n) * log_dens[idx]
         keep = logmag > -745.0
-        logs = logmag[keep].tolist()
-        try:
-            mags = np.fromiter(map(math.exp, logs), float, len(logs))
-        except OverflowError:  # |h^(n)| past the float range is inf there
-            mags = np.fromiter(map(_exp_or_inf, logs), float, len(logs))
+        mags = np.fromiter(map(_exp_or_inf, logmag[keep].tolist()), float, np.count_nonzero(keep))
         # den^(2n) > 0, so A_n carries the sign
         row[idx[keep]] = np.where(a[keep] > 0, mags, -mags)
         out.append(row)
