@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -850,6 +851,62 @@ def test_perturb_report_digest(key, capsys):
     code, out = run_cli(["perturb", "--dim", dim, "--trials", "1", "--seed", seed], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PERTURB_DIGESTS[key]
+
+
+# sha256 of stdout for the saan-group argvs of the exact-dense benchmark,
+# ``saan-group --k K --seed S``, keyed "K-S".  The group-law residual goes
+# through BLAS, whose bits at k = 3 depend on its thread count, so the
+# reports run in one process with one BLAS thread, as perfbench runs them;
+# the digests are those of perfbench/oracle.json.
+_SAAN_DIGESTS = {
+    "2-0": "ea7d83bcdacc62e3bf75b82e7981c476f2b4be0186e9e6883b639dcf47f98c1d",
+    "2-1": "be33ce7f3f4d2013c4d606d6551f2a7c0fef60a708b6825909a22d4f08e0428a",
+    "2-2": "060ffcf2ba7b7525d8e7005acaf77af72e2571c06ef7496f75b837531981356c",
+    "2-3": "a608d70971a13ae1cf7bc2cecb61264d990f0585114a384ad4fa7255e4bfaa7c",
+    "2-4": "5a840033c2804aff45eeea2210ec63eadbea2a4daa5b43a6f01a6385a9ee7247",
+    "2-5": "8a77484df8d4f08c4bed0d5923e561c456755fc564abfc0365b6bb9234272cb5",
+    "2-6": "b8e9e1ec90edc91e04c23454d0ed4354dad915560ad4149b1e5dc31e777d002f",
+    "2-7": "43207a963450f005d885bd2b1536c8743916dbc3b3b4cd73a319c47d94969e9e",
+    "3-0": "448232230ac1ec24003a452439c3dc940df4840cfd257621645fb46f80c8bd98",
+    "3-1": "647f00e4dbd2dfaeaff1c04df9bb3b1dbfb50f08d348cafdae94c7977b0c5554",
+    "3-2": "e91b67cbc3589ddad763a98be735f8486f2327dd06c82ea4f56d50524bc9d560",
+    "3-3": "a0a713327f95846bc104ac929d5bc0ca209c19e99e02bd770373b13ee5da5b2a",
+    "3-4": "ea01e8f11c99c090bb54e03e7c5db9942112cf87a86ebb74439521e24e2bcec5",
+    "3-5": "727acda464cd638944c8ac1b3a1fb3be3b0c1bd37e7e448e1c64c4199e62ce55",
+    "3-6": "2f3321be4f3a31efb161f684eb98fced9ee48abf49f2882c8b94bec2f1b70a2e",
+    "3-7": "5454c96e8d3e0c2e9721de7495a367ef84d5a39dda5d7396c5325ce7563bb812",
+}
+
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, shlex, sys
+from shiftlab.cli import main
+out = {}
+for argv in sys.argv[1:]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(shlex.split(argv))
+    out[argv] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def saan_digests():
+    argvs = {key: "saan-group --k {} --seed {}".format(*key.split("-")) for key in _SAAN_DIGESTS}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, *argvs.values()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        check=True,
+    )
+    got = json.loads(proc.stdout)
+    return {key: got[argv] for key, argv in argvs.items()}
+
+
+@pytest.mark.parametrize("key", sorted(_SAAN_DIGESTS))
+def test_saan_group_report_digest(key, saan_digests):
+    assert saan_digests[key] == [0, _SAAN_DIGESTS[key]]
 
 
 _CONFIG_FLAGS = {

@@ -456,6 +456,39 @@ def test_eliminations_match_fraction_references(case):
             assert m.inv().data == tuple(tuple(row) for row in ref_inv)
 
 
+# One matrix however its entries arrive: Python ints (taken as they are),
+# Fractions, decimal strings, bools and numpy integers, mixed in one row.
+_mixed_entries = st.one_of(st.integers(-(10**20), 10**20).map(Fraction), _entries)
+
+
+def _spellings(x):
+    """The ways an exact entry equal to the Fraction ``x`` may be given."""
+    out = [x, str(x)]
+    if x.denominator == 1:
+        n = int(x)
+        out.append(n)
+        if -(2**63) <= n < 2**63:
+            out.append(np.int64(n))
+        if n in (0, 1):
+            out.append(bool(n))
+    return st.sampled_from(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_construction_is_independent_of_entry_types(data):
+    rows, cols = data.draw(_dims), data.draw(_dims)
+    a = [data.draw(st.lists(_mixed_entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    spelled = [[data.draw(_spellings(x)) for x in row] for row in a]
+    m, ref = RationalMatrix(spelled), RationalMatrix(a)
+    assert m == ref and m.cleared() == ref.cleared() and hash(m) == hash(ref)
+    assert m.data == tuple(tuple(row) for row in a) and _all_fractions(m.data)
+    at = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
+    spelled[at[0]][at[1]] = float(a[at[0]][at[1]])
+    with pytest.raises(InputError):
+        RationalMatrix(spelled)
+
+
 # field laws of Poly and RationalFunction, over small rational coefficients
 _coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _polys = st.lists(_coeff, max_size=5).map(Poly)
