@@ -327,11 +327,12 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
         if n is None:
             raise DomainError("T_xi is not nilpotent")
     bmat = xi.pairing
-    # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]
-    targets = RationalMatrix([x1, x2]) @ bmat
+    # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]; both null spaces
+    # stay integer rows over their ``last`` pivot
+    xm = RationalMatrix([x1, x2])
     everything = slice(None)
-    f0 = RationalMatrix._block([[smat], [targets]], everything, everything).nullspace()
-    u0 = t.nullspace()
+    f0, fd = RationalMatrix._block([[smat], [xm @ bmat]], everything, everything)._null_ints()
+    u0, ud = t._null_ints()
     if len(f0) < 2 * n or len(u0) < 2 * n:
         raise DimensionError(
             f"need a biorthogonal system of size {2 * n}; "
@@ -340,8 +341,8 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     # Gram matrix G = U0 B F0^T.  The rref of [G | I] is [E G | E]; rows
     # i < rank of E G carry the identity at G's pivot columns p_j, so
     # u_i = (E U0)_i and f_j = f0[p_j] satisfy b(u_i, f_j) = delta_ij.
-    u0m = RationalMatrix(u0)
-    g = u0m @ (bmat @ RationalMatrix(f0).transpose())
+    u0m = RationalMatrix._from_ints(u0, ud)
+    g = u0m @ (bmat @ RationalMatrix._from_ints(f0, fd).transpose())
     eye = RationalMatrix.identity(g.rows)
     red, pivots = RationalMatrix._block([[g, eye]], everything, everything).rref()
     if len(pivots) < 2 * n or pivots[2 * n - 1] >= g.cols:
@@ -350,13 +351,16 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
             "pairing between ker T and L is too small"
         )
     p = RationalMatrix._block([[red]], slice(2 * n), slice(g.cols, None))
-    u = (p @ u0m).data
-    f = RationalMatrix([f0[c] for c in pivots[: 2 * n]])
+    um = p @ u0m
+    f = RationalMatrix._from_ints([f0[c] for c in pivots[: 2 * n]], fd)
     # eta = x1 (x) f_1 + sum_{j<n} u_j (x) f_{j+1}
-    #     + x2 (x) f_{n+1} + sum_{j<n} u_{n+j} (x) f_{n+j+1}
-    eta_xs = RationalMatrix([x1, *u[: n - 1], x2, *u[n : 2 * n - 1]])
+    #     + x2 (x) f_{n+1} + sum_{j<n} u_{n+j} (x) f_{n+j+1},
+    # its x rows picked from the stacked rows x1, x2, u_1, .., u_2n
+    stacked, den = RationalMatrix._block([[xm], [um]], everything, everything).cleared()
+    order = [0, *range(2, n + 1), 1, *range(n + 2, 2 * n + 1)]
+    eta_xs = RationalMatrix._from_ints([stacked[i] for i in order], den)
     xi_s = xi.scaled_added(s, eta_xs, f)
-    return EbsPerturbation(xi_s, s, n, u, f.data)
+    return EbsPerturbation(xi_s, s, n, um.data, f.data)
 
 
 # ---------------------------------------------------------------------------

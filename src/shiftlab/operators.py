@@ -10,7 +10,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -408,10 +407,6 @@ class TensorElement:
         self.pairing = pairing
         self.xs = RationalMatrix([x for x, _ in pairs]) if pairs else None
         self.ys = RationalMatrix([y for _, y in pairs]) if pairs else None
-
-    def b(self, x, y):
-        """b(x, y), exactly."""
-        return sum(map(operator.mul, x, self.pairing @ y))
 
     def scaled_added(self, s, xs: RationalMatrix, ys: RationalMatrix) -> "TensorElement":
         """xi + s * sum_j xs_j (x) ys_j, from the factor rows xs and ys."""

@@ -11,6 +11,7 @@ trailing zeros, so ``()`` is the zero polynomial.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -462,32 +463,41 @@ class RationalMatrix:
 
     Stored as integer rows over one positive denominator, reduced so that
     the gcd of the denominator and every entry is 1: the form is canonical,
-    so ``==`` compares integers.  Sums, products, ``pow``, ``transpose`` and
-    the eliminations (``det``, ``rref``, ``rank``, ``nullspace``, ``solve``,
-    ``inv``, all through the one fraction-free ``_eliminate``) work on these
-    integers and reduce each result once.  Fractions are made only where
-    entries leave the matrix: ``data`` (built on first use), ``[i, j]``,
-    ``to_float``, matrix-vector ``@`` (its integer kernel ``_matvec`` makes
-    none) and the vectors of ``solve`` and ``nullspace``; ``cleared`` hands
-    out the integer rows themselves.
+    so ``==`` compares integers.  The constructor takes Python ints as they
+    are; only other entries (Fractions, strings, bools, numpy integers) are
+    coerced to Fractions, and a float is refused.  Sums, products, ``pow``,
+    ``transpose`` and the eliminations (``det``, ``rref``, ``rank``,
+    ``nullspace``, ``solve``, ``inv``, all through the one fraction-free
+    ``_eliminate``) work on these integers and reduce each result once.
+    Fractions are made only where entries leave the matrix: ``data`` (built
+    on first use), ``[i, j]``, ``to_float``, matrix-vector ``@`` and the
+    vectors of ``solve`` and ``nullspace``.  Their integer kernels make
+    none: ``_matvec`` for the product, ``_null_ints`` (integer rows over one
+    pivot) for the null space; ``cleared`` hands out the integer rows
+    themselves.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_data")
 
     def __init__(self, data):
-        rows = tuple([tuple([_as_fraction(x) for x in row]) for row in data])
+        rows = [tuple(row) for row in data]
         if not rows or not rows[0]:
             raise InputError("empty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged matrix rows")
-        # over the lcm of reduced denominators the form is already canonical
-        den = math.lcm(*[x.denominator for row in rows for x in row])
+        den = 1
+        # Python ints are taken as they are; any other entry is coerced
+        if set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+            rows = [[x if type(x) is int else _as_fraction(x) for x in row] for row in rows]
+            # over the lcm of reduced denominators the form is already canonical
+            den = math.lcm(*[x.denominator for row in rows for x in row])
+            rows = [tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]
         self.rows = len(rows)
         self.cols = ncols
-        self._num = tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows])
+        self._num = tuple(rows)
         self._den = den
-        self._data = rows
+        self._data = None
 
     @classmethod
     def _from_ints(cls, num, den: int) -> "RationalMatrix":
@@ -495,7 +505,7 @@ class RationalMatrix:
         ``den``, reduced to the canonical form."""
         if not num or not num[0]:
             raise InputError("empty matrix")
-        g = _divisor((a for row in num for a in row), den)
+        g = _divisor(itertools.chain.from_iterable(num), den)
         if g != 1:
             num, den = [[a // g for a in row] for row in num], den // g
         out = cls.__new__(cls)
@@ -658,18 +668,27 @@ class RationalMatrix:
     def rank(self) -> int:
         return len(_eliminate(self._int_rows(), self.cols, forward_only=True)[0])
 
-    def nullspace(self):
-        """Basis (list of Fraction lists) for the right null space."""
+    def _null_ints(self):
+        """``(rows, last)``: a basis of the right null space as integer rows
+        over the nonzero pivot ``last``.  The row of a non-pivot column
+        ``fc`` holds ``last`` at ``fc``, minus column ``fc`` of the
+        eliminated rows (``last`` times the reduced echelon form) at the
+        pivot columns, and zero at the other free columns."""
         m = self._int_rows()
         pivots, last, _ = _eliminate(m, self.cols)
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+            v = [0] * self.cols
+            v[fc] = last
             for row, pc in zip(m, pivots):
-                v[pc] = Fraction(-row[fc], last)
+                v[pc] = -row[fc]
             basis.append(v)
-        return basis
+        return basis, last
+
+    def nullspace(self):
+        """Basis (list of Fraction lists) for the right null space."""
+        basis, last = self._null_ints()
+        return [[Fraction(a, last) for a in v] for v in basis]
 
     def solve(self, b):
         """One exact solution of A x = b, or None if inconsistent."""

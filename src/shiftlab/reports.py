@@ -166,12 +166,13 @@ def _write_rows(words: np.ndarray, out: list, nl: str):
 
 
 def trace_csv(rows: list[dict]) -> str:
-    """CSV with one column per key of the first row; plain repr values."""
+    """CSV with one column per key of the first row; plain repr values, and
+    an empty cell for a null (None) value."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     names = list(rows[0])
     writer.writerow(names)
-    writer.writerows([repr(row[n]) for n in names] for row in rows)
+    writer.writerows(["" if row[n] is None else repr(row[n]) for n in names] for row in rows)
     return buf.getvalue()
 
 

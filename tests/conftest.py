@@ -29,6 +29,11 @@ def log_abs(w, n: int):
     return np.log(np.longdouble(edge)) + (abs(n) - half) * np.log(np.longdouble(r))
 
 
+def pairing_value(xi: TensorElement, x, y):
+    """b(x, y) for the pairing of the tensor element xi, exactly."""
+    return sum(a * b for a, b in zip(x, xi.pairing @ list(y)))
+
+
 def exact_unit(i: int, dim: int, c=Fraction(1)) -> np.ndarray:
     v = np.array([Fraction(0)] * dim, dtype=object)
     v[i] = Fraction(c)

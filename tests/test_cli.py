@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import itertools
 import math
 import os
 import shlex
@@ -18,7 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import NEGATIVE_VERDICTS, TENSOR_MODES, build_parser, emit_goldens, main
+from shiftlab import operators as op
+from shiftlab.cli import (
+    NEGATIVE_VERDICTS,
+    TENSOR_MODES,
+    _all_commute,
+    build_parser,
+    emit_goldens,
+    main,
+)
+from shiftlab.rational import RationalMatrix
 from shiftlab.reports import SCHEMA_VERSION, ExperimentReport, trace_csv
 
 
@@ -413,6 +423,15 @@ class TestOutputs:
         lines = out.strip().splitlines()
         assert lines[0] == "n,d_n"
         assert len(lines) == 7
+
+    def test_csv_null_rows_are_empty_cells(self, capsys):
+        # rows 54..60 have no float distance: JSON null, an empty CSV cell
+        code, out = run_cli(["--format", "csv", "volterra", "--n-max", "60"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,d_n" and len(lines) == 62
+        assert lines[55:] == [f"{n}," for n in range(54, 61)]
+        assert all(float(line.split(",")[1]) > 0 for line in lines[1:55])
 
     def test_csv_unsupported_subcommand(self, capsys):
         code, _ = run_cli(["--format", "csv", "detan", "--max-n", "2", "--max-k", "2"], capsys)
@@ -907,6 +926,48 @@ def saan_digests():
 @pytest.mark.parametrize("key", sorted(_SAAN_DIGESTS))
 def test_saan_group_report_digest(key, saan_digests):
     assert saan_digests[key] == [0, _SAAN_DIGESTS[key]]
+
+
+def _dense_commute(a, b) -> bool:
+    return (a @ b - b @ a).is_zero()
+
+
+class TestSaanCommutators:
+    """``_all_commute`` decides the commutators on sparse integer columns;
+    the dense RationalMatrix difference is the reference."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", range(7))
+    def test_generators_match_the_dense_difference(self, k, degree):
+        count = math.comb(degree + k, k)
+        for ntrunc in sorted({1, count // 2 + 1, min(count, 45), count}):
+            mats = op.saan_generators(k, ntrunc, exact=True)
+            pairs = list(itertools.combinations(mats, 2))
+            assert all(_all_commute(pair) == _dense_commute(*pair) for pair in pairs)
+            assert all(_dense_commute(*pair) for pair in pairs) and _all_commute(mats) is True
+
+    def test_a_non_commuting_pair(self):
+        # one nonzero per column, as the generators have: AB = e_1 e_1^T
+        # and BA = e_2 e_2^T over the denominator 2
+        a = RationalMatrix([[0, Fraction(1, 2)], [0, 0]])
+        b = RationalMatrix([[0, 0], [3, 0]])
+        assert not _dense_commute(a, b)
+        assert _all_commute([a, b]) is False
+        assert _all_commute([a, a, a @ a]) is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -2, Fraction(3, 4)]), min_size=n, max_size=n),
+            min_size=2 * n,
+            max_size=2 * n,
+        )
+    ))
+    def test_any_pair_matches_the_dense_difference(self, rows):
+        n = len(rows) // 2
+        a, b = RationalMatrix(rows[:n]), RationalMatrix(rows[n:])
+        assert _all_commute([a, b]) == _dense_commute(a, b)
+        assert _all_commute([a, a @ a + a, b @ b @ b]) == _dense_commute(a, b @ b @ b)
 
 
 _CONFIG_FLAGS = {

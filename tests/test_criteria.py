@@ -13,6 +13,7 @@ from conftest import (
     exact_identity_pairing,
     exact_unit,
     log_abs,
+    pairing_value,
     shaped_nilpotent_pairs,
     shaped_nilpotent_tensor,
 )
@@ -351,11 +352,11 @@ class TestEbsPerturb:
             t, s = tensor_op(xi)
             for f in pert.f_vectors:  # f in L
                 assert all(a == 0 for a in s @ list(f))
-                assert xi.b(x1, f) == 0 and xi.b(x2, f) == 0
+                assert pairing_value(xi, x1, f) == 0 and pairing_value(xi, x2, f) == 0
             for i, u in enumerate(pert.u_vectors):  # u in ker T
                 assert all(a == 0 for a in t @ list(u))
                 for j, f in enumerate(pert.f_vectors):
-                    assert xi.b(u, f) == (i == j)
+                    assert pairing_value(xi, u, f) == (i == j)
 
     def test_dimension_error_when_pairing_rank_is_too_small(self):
         # ker T and L are the whole space, but b has rank 1 < 2n = 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_identity_pairing, exact_unit, log_abs
+from conftest import exact_identity_pairing, exact_unit, log_abs, pairing_value
 from shiftlab.errors import InputError, PreconditionError
 from shiftlab.operators import (
     TAIL_KINDS,
@@ -352,7 +352,7 @@ class TestTensorOp:
         for _ in range(20):
             x = _frac_vec(rng, 8)
             y = _frac_vec(rng, 8)
-            assert xi.b(t @ list(x), y) == xi.b(x, s @ list(y))
+            assert pairing_value(xi, t @ list(x), y) == pairing_value(xi, x, s @ list(y))
 
     def test_nilpotency_transfers(self):
         rng = np.random.default_rng(3)

@@ -456,6 +456,30 @@ def test_eliminations_match_fraction_references(case):
             assert m.inv().data == tuple(tuple(row) for row in ref_inv)
 
 
+# The integer null-space kernel: rows over ``last`` are nullspace()'s
+# vectors, in order, and null vectors on the integers themselves.
+@settings(max_examples=80, deadline=None)
+@given(_elimination_case())
+@example(([[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(1)]], [0, 0]))
+@example(([[Fraction(0)] * 3, [Fraction(0)] * 3], [0, 0]))
+def test_integer_null_space_is_nullspace_over_last(case):
+    a, _ = case
+    m = RationalMatrix(a)
+    rows, last = m._null_ints()
+    assert type(last) is int and last != 0
+    assert all(type(x) is int and len(row) == m.cols for row in rows for x in row)
+    assert [[Fraction(x, last) for x in row] for row in rows] == m.nullspace()
+    assert m.nullspace() == _reference_nullspace(a)
+    assert all(not any(m._matvec(row, 1)[0]) for row in rows)
+
+
+def test_integer_null_space_of_full_rank_and_zero_matrices():
+    assert RationalMatrix([[2, 1], [Fraction(1, 3), 1]])._null_ints()[0] == []
+    assert RationalMatrix([[1, 2, 3]]).transpose()._null_ints()[0] == []
+    rows, last = RationalMatrix.zeros(2, 3)._null_ints()
+    assert last == 1 and rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 # One matrix however its entries arrive: Python ints (taken as they are),
 # Fractions, decimal strings, bools and numpy integers, mixed in one row.
 _mixed_entries = st.one_of(st.integers(-(10**20), 10**20).map(Fraction), _entries)

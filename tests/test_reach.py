@@ -1,5 +1,6 @@
 """Every public name of the package is reached by the package itself or by
-an acceptance test: code that only its own unit tests call is dead weight.
+an acceptance test, a method only through an attribute (``x.b``): code
+that only its own unit tests call is dead weight.
 And the package's defaulted parameters do not grow past a reviewed bound."""
 
 import ast
@@ -40,15 +41,16 @@ def _definitions(tree):
 
 
 def _mentions(tree):
-    """(name, line) of every identifier, attribute and imported name."""
+    """(name, line, is_attribute) of every identifier, attribute and
+    imported name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
 def _trees() -> dict:
@@ -63,10 +65,15 @@ def unreached_names() -> list:
     for path, tree in trees.items():
         for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
+            # a method is reached only as an attribute (x.b), never through
+            # a bare local that shares its name
+            method = "." in qualname
             reached = any(
-                mention == name and not (where == path and node.lineno <= line <= node.end_lineno)
+                mention == name
+                and (is_attribute or not method)
+                and not (where == path and node.lineno <= line <= node.end_lineno)
                 for where, found in mentions.items()
-                for mention, line in found
+                for mention, line, is_attribute in found
             )
             if not reached and qualname not in EXEMPT:
                 out.append(f"{path.stem}.{qualname}")
