@@ -24,6 +24,7 @@ from shiftlab.cli import (
     NEGATIVE_VERDICTS,
     TENSOR_MODES,
     _all_commute,
+    _maps_to,
     build_parser,
     emit_goldens,
     main,
@@ -926,6 +927,16 @@ def saan_digests():
 @pytest.mark.parametrize("key", sorted(_SAAN_DIGESTS))
 def test_saan_group_report_digest(key, saan_digests):
     assert saan_digests[key] == [0, _SAAN_DIGESTS[key]]
+
+
+def test_maps_to_compares_exactly():
+    # T (0, 1/2) = (1/2, 0) = c x only for c = 1/2 at x = (1, 0)
+    t = RationalMatrix([[0, 1], [0, 0]])
+    u = (Fraction(0), Fraction(1, 2))
+    assert _maps_to(t, u, Fraction(1, 2), [1, 0])
+    assert not _maps_to(t, u, Fraction(1, 2), [1, 1])
+    assert not _maps_to(t, u, Fraction(2), [1, 0])
+    assert _maps_to(t * Fraction(-4, 3), u, Fraction(-1, 3), [2, 0])
 
 
 def _dense_commute(a, b) -> bool:
