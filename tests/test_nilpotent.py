@@ -522,6 +522,29 @@ class TestTensorApproach:
         oracle = np.kron(np.array([1.0, 0.0]), block2)
         assert np.allclose(x, oracle, atol=1e-9)
 
+    def test_targets_off_the_head_rejected(self):
+        # E is spanned by the head coordinates (0, 0) and (0, 1): flat 0 and 1
+        tt = TensorShiftTuple((1, 2))
+        z = (4.0, 4.0)
+        head = np.zeros(8)
+        head[1] = 1.0
+        for idx in (2, 4, 7):
+            off = head.copy()
+            off[idx] = 1e-3
+            with pytest.raises(InputError, match="head subspace E"):
+                tensor_approach(tt, z, {0, 1}, off, head)
+            with pytest.raises(InputError, match="head subspace E"):
+                tensor_approach(tt, z, {0, 1}, head, off)
+        # within 1e-9 max(1, |w|) of E is in E; only the head entries are read
+        want = tensor_approach(tt, z, {0, 1}, head, head)
+        near = head.copy()
+        near[4] = 1e-12
+        assert np.array_equal(tensor_approach(tt, z, {0, 1}, near, head), want)
+        big = 1e6 * head
+        big[5] = 1e-4  # 1e-10 of |big|
+        scaled = tensor_approach(tt, z, {0, 1}, 1e6 * head, head)
+        assert np.array_equal(tensor_approach(tt, z, {0, 1}, big, head), scaled)
+
     def test_stalled_sequence_rejected(self):
         tt = TensorShiftTuple((1, 1))
         u = np.zeros(4)

@@ -227,7 +227,7 @@ SIMPSON_GRIDS = [16, 17, 18, 31, 64, 257, 1024, 2048]
 
 
 class TestSimpsonAdjoint:
-    @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS[:6])
+    @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS)
     def test_matrix_matches_row_loop(self, ngrid):
         m = _simpson_adjoint(ngrid).matrix
         assert m.real.tobytes() == reference_simpson_adjoint(ngrid).tobytes()
