@@ -25,7 +25,7 @@ from . import grading as gr
 from . import nilpotent as nil
 from . import operators as op
 from .errors import InputError, ShiftlabError
-from .rational import Poly, RationalFunction, _cleared, _nearest_ratio
+from .rational import Poly, RationalFunction, _nearest_ratio
 from .reports import (
     ExperimentReport,
     canonical_json,
@@ -339,10 +339,11 @@ def _shaped_nilpotent_tensor(rng, dim: int):
     return xi, unit(dim - 3, 1), unit(dim - 2, 1)
 
 
-def _maps_to(t, u, c: Fraction, x) -> bool:
-    """Whether T u == c x, exactly: T on its cleared integers against u
-    cleared to its lcm denominator."""
-    ints, den = t._matvec(*_cleared(u))
+def _maps_to(t, u, i: int, c: Fraction, x) -> bool:
+    """Whether T u_i == c x, exactly, for row i of u: T on its cleared
+    integers against u's."""
+    rows, den = u.cleared()
+    ints, den = t._matvec(rows[i], den)
     p, q = c.numerator, c.denominator
     return all(a * q == p * b * den for a, b in zip(ints, x))
 
@@ -357,8 +358,8 @@ def cmd_perturb(args) -> ExperimentReport:
         pert = cr.ebs_perturb(xi, x1, x2, s, n=2)
         t_s, _ = op.tensor_op(pert.xi_s)
         t2 = t_s @ t_s
-        ok1 = _maps_to(t2, pert.u_n, s**2, x1)
-        ok2 = _maps_to(t2, pert.u_2n, s**2, x2)
+        ok1 = _maps_to(t2, pert.u, pert.n - 1, s**2, x1)
+        ok2 = _maps_to(t2, pert.u, 2 * pert.n - 1, s**2, x2)
         ok3 = (t2 @ t2).is_zero()
         all_exact &= ok1 and ok2 and ok3
         rows.append({"trial": trial, "chain": ok1 and ok2, "nilpotent": ok3})

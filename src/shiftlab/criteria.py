@@ -27,7 +27,7 @@ from .linalg import (
     kernel_and_image,
     span_union,
 )
-from .operators import TensorElement, TruncatedOperator, WeightSequence, tensor_op
+from .operators import TensorElement, WeightSequence, tensor_op
 from .rational import RationalMatrix
 
 VERDICT_SATISFIED = "satisfied"
@@ -44,9 +44,6 @@ class SalasCertificate:
     n_max: int = 0
     tol: float = 1e-6
     reason: str | None = None
-
-    def trace(self, m: int) -> np.ndarray:
-        return self.log_traces[m]
 
     def to_dict(self, full_traces: bool = False) -> dict:
         out = {
@@ -283,18 +280,17 @@ def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
 @dataclass(frozen=True, eq=False)
 class EbsPerturbation:
     xi_s: TensorElement
-    s: object
     n: int
-    u_vectors: tuple  # u_1..u_2n in ker T_xi
-    f_vectors: tuple  # f_1..f_2n in L
+    u: RationalMatrix  # rows u_1..u_2n in ker T_xi
+    f: RationalMatrix  # rows f_1..f_2n in L
 
     @property
-    def u_n(self):
-        return self.u_vectors[self.n - 1]
+    def u_n(self) -> list:
+        return list(self.u.data[self.n - 1])
 
     @property
-    def u_2n(self):
-        return self.u_vectors[2 * self.n - 1]
+    def u_2n(self) -> list:
+        return list(self.u.data[2 * self.n - 1])
 
 
 def _nilpotency_index(t: RationalMatrix, cap: int) -> int | None:
@@ -360,7 +356,7 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     order = [0, *range(2, n + 1), 1, *range(n + 2, 2 * n + 1)]
     eta_xs = RationalMatrix._from_ints([stacked[i] for i in order], den)
     xi_s = xi.scaled_added(s, eta_xs, f)
-    return EbsPerturbation(xi_s, s, n, um.data, f.data)
+    return EbsPerturbation(xi_s, n, um, f)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +655,7 @@ def b_symmetry_check(
     """Check b(Tu, v) = b(u, Tv) on a battery of 20 random pairs, to 1e-9;
     if it holds, verify the annihilating functional Phi(u, v) = b(x, v) -
     b(u, y) kills the orbit of (x, y) under T + T."""
-    t = as_matrix(T.matrix if isinstance(T, TruncatedOperator) else T)
+    t = as_matrix(T)
     bm = as_matrix(b)
     if not np.any(bm):
         raise InputError("the bilinear form must be nonzero")

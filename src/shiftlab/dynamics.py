@@ -20,28 +20,18 @@ from .linalg import Subspace, as_matrix, as_vector
 # unimodular_approach is bound here too: perfbench's layer test checks that
 # tracing rebinds it in this module
 from .nilpotent import _unimodular_chain, _unimodular_pair, unimodular_approach  # noqa: F401
-from .operators import (
-    TruncatedOperator,
-    grid_inner,
-    h_evals,
-    simpson_adjoint_apply,
-    trapezoid_weights,
-)
+from .operators import grid_inner, h_evals, simpson_adjoint_apply, trapezoid_weights
 
 # orbit steps u3_density iterates before it bins their points: bounds the
 # points held at once (steps x bases x scales) whatever the horizon
 _DENSITY_CHUNK = 64
 
 
-def _matrix_of(T) -> np.ndarray:
-    return as_matrix(T.matrix if isinstance(T, TruncatedOperator) else T)
-
-
 def group_law_residual(As, z, w) -> float:
     """|| e^{<z+w,A>} - e^{<z,A>} e^{<w,A>} || (no commutation check)."""
     from scipy.linalg import expm
 
-    mats = [_matrix_of(a) for a in As]
+    mats = [as_matrix(a) for a in As]
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
     ezw = expm(sum((zi + wi) * m for zi, wi, m in zip(z, w, mats)))
@@ -133,7 +123,7 @@ def u3_density(
     Bases are drawn before iteration, so coverage is monotone non-decreasing
     in the horizon for a fixed seed.
     """
-    t = _matrix_of(T)
+    t = as_matrix(T)
     if net.cells < 1:
         raise InputError("empty net")
     dim = t.shape[0]
@@ -228,7 +218,7 @@ def mixing_window(
     otherwise (and additionally, always).  Absence of hits is a report, not
     an error.
     """
-    t = _matrix_of(T)
+    t = as_matrix(T)
     dim = t.shape[0]
     u_c = as_vector(ball_u.center, dim)
     v_c = as_vector(ball_v.center, dim)
@@ -293,7 +283,7 @@ def transitivity_pair(T, u, v, k: int) -> TransitivityPair:
     pieces; raises DomainError with the offending distance when u or v is
     outside the span.
     """
-    t = _matrix_of(T)
+    t = as_matrix(T)
     dim = t.shape[0]
     u = as_vector(u, dim)
     v = as_vector(v, dim)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InputError, NumericError, PreconditionError
-from .linalg import Subspace, as_matrix, as_vector, exp_nilpotent
+from .linalg import as_matrix, as_vector, exp_nilpotent
 from .rational import RationalMatrix, _as_fraction, _cleared
 
 
@@ -352,15 +352,6 @@ class TensorShiftTuple:
     def operators(self) -> list[np.ndarray]:
         return [self.operator(j) for j in range(self.k)]
 
-    def head_subspace(self) -> Subspace:
-        """E = E_1 x ... x E_k as a subspace of the full tensor space."""
-        basis = []
-        for multi in self._head_indices():
-            v = np.zeros(self.dim, dtype=np.complex128)
-            v[self._flatten(multi)] = 1.0
-            basis.append(v)
-        return Subspace.from_vectors(basis, self.dim)
-
     def _head_indices(self):
         import itertools
 
@@ -394,9 +385,13 @@ def tensor_approach(tt: TensorShiftTuple, z_m, escaping, u, v) -> np.ndarray:
 
     u = as_vector(u, tt.dim)
     v = as_vector(v, tt.dim)
-    head = tt.head_subspace()
+    # E = E_1 x ... x E_k is spanned by the head coordinates, so the
+    # distance to E is the norm of the entries off them
+    head = tuple(slice(n) for n in tt.block_dims)
     for name, w in (("u", u), ("v", v)):
-        if not head.contains(w, 1e-9):
+        off = w.reshape([2 * n for n in tt.block_dims]).copy()
+        off[head] = 0.0
+        if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(w))):
             raise InputError(f"{name} must lie in the tensor head subspace E")
 
     # Per block j and head index q, the two elementary approach factors:

@@ -7,17 +7,15 @@ never wrapped, so nilpotent/triangular structure survives truncation.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .linalg import as_matrix
-from .rational import Poly, RationalMatrix, _cleared
+from .rational import RationalMatrix, _cleared
 
 TAIL_KINDS = ("constant", "geometric", "zero")
 
@@ -160,36 +158,7 @@ def constant_weights(value: complex = 1.0, half: int = 4) -> WeightSequence:
     return WeightSequence([value] * (2 * half + 1), "constant", c_plus=value, c_minus=value)
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """A finite matrix section plus the tag of the space it truncates."""
-
-    matrix: np.ndarray = field(repr=False)
-    ambient: str = "lp_Z_window"  # lp_Z_window | l1_Zplus | L2_grid | hardy_poly
-    params: tuple = ()
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "params", tuple(self.params))
-        expected = None
-        for key, value in self.params:
-            if key == "N":
-                expected = 2 * value + 1
-            elif key == "ngrid":
-                expected = value + 1
-        if expected is not None and m.shape != (expected, expected):
-            raise InputError(
-                f"matrix shape {m.shape} does not match the {self.ambient} "
-                f"coordinate count {expected}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def bilateral_shift(w: WeightSequence, N: int) -> TruncatedOperator:
+def bilateral_shift(w: WeightSequence, N: int) -> np.ndarray:
     """T e_n = w_n e_{n-1} compressed to the window -N..N."""
     if N < 1:
         raise InputError("window half-width must be >= 1")
@@ -198,7 +167,7 @@ def bilateral_shift(w: WeightSequence, N: int) -> TruncatedOperator:
     for n in range(-N, N + 1):
         if n - 1 >= -N:
             m[n - 1 + N, n + N] = w.value(n)
-    return TruncatedOperator(m, "lp_Z_window", (("N", N),))
+    return m
 
 
 def flip_matrix(N: int) -> np.ndarray:
@@ -208,23 +177,6 @@ def flip_matrix(N: int) -> np.ndarray:
     for n in range(-N, N + 1):
         u[-n + N, n + N] = 1.0
     return u
-
-
-def volterra(ngrid: int) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Grid sections of f -> int_0^x f and its adjoint f -> int_x^1 f.
-
-    V uses the composite trapezoid rule, so its matrix is lower triangular
-    with the operator's causal structure.  V* is ``_simpson_adjoint``.
-    """
-    vstar = _simpson_adjoint(ngrid)
-    npts = ngrid + 1
-    h = 1.0 / ngrid
-    v = np.zeros((npts, npts))
-    for i in range(1, npts):
-        v[i, 0] = h / 2.0
-        v[i, 1:i] = h
-        v[i, i] = h / 2.0
-    return TruncatedOperator(v, "L2_grid", vstar.params), vstar
 
 
 def _simpson_columns(ngrid: int) -> tuple:
@@ -257,19 +209,10 @@ def _simpson_columns(ngrid: int) -> tuple:
     return (even, odd), last
 
 
-def _simpson_adjoint(ngrid: int) -> TruncatedOperator:
-    """Grid section of V* by the rule of ``_simpson_columns``."""
-    cols, last = _simpson_columns(ngrid)
-    vs = np.zeros((ngrid + 1, ngrid + 1))
-    for j in range(ngrid):
-        vs[: j + 1, j] = cols[(ngrid - j) % 2][j::-1]
-    vs[:, ngrid] = last
-    return TruncatedOperator(vs, "L2_grid", (("ngrid", ngrid),))
-
-
 def simpson_adjoint_apply(ngrid: int, x: np.ndarray) -> np.ndarray:
-    """V* x for real x, without the matrix, bit for bit as
-    ``_simpson_adjoint(ngrid).matrix.real @ x``.
+    """V* x for real x, without the matrix, bit for bit as ``vs.real @ x``
+    for the dense complex128 section ``vs`` of V* that the weights of
+    ``_simpson_columns`` fill.
 
     That product runs numpy's non-BLAS matmul loop over the strided real
     view, which sums each row left to right from 0.0.  Accumulating column
@@ -293,28 +236,6 @@ def trapezoid_weights(ngrid: int) -> np.ndarray:
 def grid_inner(f, g, ngrid: int) -> complex:
     w = trapezoid_weights(ngrid)
     return complex(np.sum(w * np.conj(np.asarray(g)) * np.asarray(f)))
-
-
-@functools.lru_cache(maxsize=64)
-def _q_coeffs(n: int) -> tuple:
-    """Integer coefficients of Q_n, constant term first, each rung of the
-    ladder Q_{n+1}(t) = -t^2 (Q_n(t) + Q_n'(t)) built from the one below."""
-    if n == 0:
-        return (1,)
-    if n > 64:
-        _q_coeffs(n - 64)  # a cold call climbs in strides: shallow recursion
-    c = _q_coeffs(n - 1)
-    return (0, 0, *(-(c[d] + (d + 1) * c[d + 1]) for d in range(len(c) - 1)), -c[-1])
-
-
-def h_derivative(n: int) -> Poly:
-    """Exact Q_n with h^(n)(x) = h(x) Q_n(1/(x-1)) for h(x) = exp(1/(x-1)).
-
-    Q_0 = 1 and Q_{n+1}(t) = -t^2 (Q_n(t) + Q_n'(t)); integer coefficients.
-    """
-    if n < 0:
-        raise InputError("derivative order must be >= 0")
-    return Poly(_q_coeffs(n))
 
 
 def _exp_or_inf(x: float) -> float:

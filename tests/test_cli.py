@@ -932,11 +932,15 @@ def test_saan_group_report_digest(key, saan_digests):
 def test_maps_to_compares_exactly():
     # T (0, 1/2) = (1/2, 0) = c x only for c = 1/2 at x = (1, 0)
     t = RationalMatrix([[0, 1], [0, 0]])
-    u = (Fraction(0), Fraction(1, 2))
-    assert _maps_to(t, u, Fraction(1, 2), [1, 0])
-    assert not _maps_to(t, u, Fraction(1, 2), [1, 1])
-    assert not _maps_to(t, u, Fraction(2), [1, 0])
-    assert _maps_to(t * Fraction(-4, 3), u, Fraction(-1, 3), [2, 0])
+    # row 1 is (0, 1/2); the rows share the denominator 6
+    u = RationalMatrix([[Fraction(1, 3), 5], [0, Fraction(1, 2)]])
+    assert _maps_to(t, u, 1, Fraction(1, 2), [1, 0])
+    assert not _maps_to(t, u, 1, Fraction(1, 2), [1, 1])
+    assert not _maps_to(t, u, 1, Fraction(2), [1, 0])
+    assert _maps_to(t * Fraction(-4, 3), u, 1, Fraction(-1, 3), [2, 0])
+    # T (1/3, 5) = (5, 0)
+    assert _maps_to(t, u, 0, Fraction(5), [1, 0])
+    assert not _maps_to(t, u, 0, Fraction(1, 2), [1, 0])
 
 
 def _dense_commute(a, b) -> bool:

@@ -46,7 +46,7 @@ def unit(i, dim):
 def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40, pair_sampler=None):
     """The per-scalar loop u3_density is checked against: one cell lookup
     per (base, n, scale) with Python float floor division."""
-    t = np.asarray(T.matrix if hasattr(T, "matrix") else T, dtype=np.complex128)
+    t = np.asarray(T, dtype=np.complex128)
     dim = t.shape[0]
     rng = np.random.default_rng(seed)
     if pair_sampler is None:
@@ -81,7 +81,7 @@ def reference_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40
 def chunked_u3_density(T, net, horizon, seed=0, scale_grid=None, base_count=40):
     """u3_density's stacked orbit loop, copied as it stood before the loop
     learned to stop once every cell is hit: it always runs every step."""
-    t = np.asarray(T.matrix if hasattr(T, "matrix") else T, dtype=np.complex128)
+    t = np.asarray(T, dtype=np.complex128)
     dim = t.shape[0]
     rng = np.random.default_rng(seed)
     bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)

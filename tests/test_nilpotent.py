@@ -473,11 +473,6 @@ class TestTensorShiftTuple:
             assert np.linalg.norm(np.linalg.matrix_power(ops[j], 2 * n)) == 0.0
             assert np.linalg.norm(np.linalg.matrix_power(ops[j], 2 * n - 1)) > 0.0
 
-    def test_head_subspace_dimension(self):
-        tt = TensorShiftTuple((2, 3))
-        assert tt.head_subspace().dim == 6
-        assert tt.dim == 4 * 6
-
 
 class TestTensorApproach:
     def test_single_block_matches_jordan(self):

@@ -1,5 +1,6 @@
 """Weight sequences, truncated operators and generator families."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -15,7 +16,7 @@ from shiftlab.operators import (
     TAIL_KINDS,
     TensorElement,
     WeightSequence,
-    _simpson_adjoint,
+    _simpson_columns,
     bilateral_shift,
     constant_weights,
     default_alpha,
@@ -24,13 +25,11 @@ from shiftlab.operators import (
     genshi_supercyclic_weights,
     graded_lex_indices,
     grid_inner,
-    h_derivative,
     h_evals,
     saan_generators,
     simpson_adjoint_apply,
     symmetric_decay_weights,
     tensor_op,
-    volterra,
 )
 from shiftlab.rational import Poly, RationalMatrix
 
@@ -123,7 +122,8 @@ class TestWeightSequence:
 class TestBilateralShift:
     def test_unit_weights_superdiagonal(self):
         t = bilateral_shift(constant_weights(1.0, 1), 1)
-        assert np.array_equal(t.matrix.real, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        assert t.dtype == np.complex128
+        assert np.array_equal(t, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
     def test_action_on_basis(self):
         rng = np.random.default_rng(0)
@@ -132,7 +132,7 @@ class TestBilateralShift:
         t = bilateral_shift(w, n)
         e0 = np.zeros(2 * n + 1)
         e0[n] = 1.0  # index 0 of the window
-        out = t.matrix @ e0
+        out = t @ e0
         expected = np.zeros(2 * n + 1, dtype=complex)
         expected[n - 1] = w.value(0)
         assert np.allclose(out, expected)
@@ -140,7 +140,7 @@ class TestBilateralShift:
     def test_column_sums_bounded_by_sup(self):
         w = genshi_supercyclic_weights()
         t = bilateral_shift(w, 6)
-        sums = np.abs(t.matrix).sum(axis=0)
+        sums = np.abs(t).sum(axis=0)
         # sup |w_n|: the largest weight of the window and of the constant tails
         sup = max(*map(abs, w.window), abs(w.c_plus), abs(w.c_minus))
         assert np.all(sums <= sup + 1e-12)
@@ -149,51 +149,15 @@ class TestBilateralShift:
         # U^-1 T'_w U = T_w' exactly on a symmetric window
         w = WeightSequence([0.3, 1.5, 0.7, 2.0, 1.1], "constant", c_plus=1.0, c_minus=0.5)
         n = 5
-        t = bilateral_shift(w, n).matrix
+        t = bilateral_shift(w, n)
         u = flip_matrix(n)
         lhs = np.linalg.inv(u) @ t.T @ u
-        rhs = bilateral_shift(w.dual(), n).matrix
+        rhs = bilateral_shift(w.dual(), n)
         assert np.array_equal(lhs, rhs)
 
 
-class TestVolterra:
-    def test_v_on_constants(self):
-        v, _ = volterra(256)
-        xs = np.arange(257) / 256
-        assert np.max(np.abs(v.matrix.real @ np.ones(257) - xs)) <= 1e-10
-
-    def test_vstar_on_constants(self):
-        _, vs = volterra(256)
-        xs = np.arange(257) / 256
-        assert np.max(np.abs(vs.matrix.real @ np.ones(257) - (1 - xs))) <= 1e-10
-
-    def test_lower_and_upper_triangular(self):
-        v, vs = volterra(32)
-        assert np.allclose(v.matrix, np.tril(v.matrix))
-        assert np.allclose(vs.matrix, np.triu(vs.matrix))
-
-    def test_adjoint_identity_second_order(self):
-        def err(n):
-            v, vs = volterra(n)
-            xs = np.arange(n + 1) / n
-            f = np.sin(2 * np.pi * xs) + 0.3
-            g = np.cos(3 * np.pi * xs)
-            return abs(
-                grid_inner(v.matrix.real @ f, g, n) - grid_inner(f, vs.matrix.real @ g, n)
-            )
-
-        e1, e2 = err(128), err(256)
-        assert 3.0 <= e1 / e2 <= 5.0  # Richardson halving: O(1/ngrid^2)
-
-    def test_minimum_grid(self):
-        with pytest.raises(InputError):
-            volterra(8)
-        with pytest.raises(InputError):
-            simpson_adjoint_apply(15, np.ones(16))
-
-
 def reference_simpson_adjoint(ngrid: int) -> np.ndarray:
-    """The row loop _simpson_adjoint is checked against: per row, one leading
+    """The dense grid section of V* as a row loop: per row, one leading
     trapezoid cell when the interval count is odd, then composite Simpson."""
     npts = ngrid + 1
     h = 1.0 / ngrid
@@ -216,6 +180,56 @@ def reference_simpson_adjoint(ngrid: int) -> np.ndarray:
     return vs
 
 
+def volterra(ngrid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense grid sections of f -> int_0^x f and its adjoint f -> int_x^1 f.
+
+    V is the composite trapezoid rule, lower triangular with the operator's
+    causal structure; V* is the row loop ``reference_simpson_adjoint``.
+    """
+    npts = ngrid + 1
+    h = 1.0 / ngrid
+    v = np.zeros((npts, npts))
+    for i in range(1, npts):
+        v[i, 0] = h / 2.0
+        v[i, 1:i] = h
+        v[i, i] = h / 2.0
+    return v, reference_simpson_adjoint(ngrid)
+
+
+class TestVolterra:
+    def test_v_on_constants(self):
+        v, _ = volterra(256)
+        xs = np.arange(257) / 256
+        assert np.max(np.abs(v @ np.ones(257) - xs)) <= 1e-10
+
+    def test_vstar_on_constants(self):
+        _, vs = volterra(256)
+        xs = np.arange(257) / 256
+        assert np.max(np.abs(vs @ np.ones(257) - (1 - xs))) <= 1e-10
+
+    def test_lower_and_upper_triangular(self):
+        v, vs = volterra(32)
+        assert np.array_equal(v, np.tril(v))
+        assert np.array_equal(vs, np.triu(vs))
+
+    def test_adjoint_identity_second_order(self):
+        def err(n):
+            v, vs = volterra(n)
+            xs = np.arange(n + 1) / n
+            f = np.sin(2 * np.pi * xs) + 0.3
+            g = np.cos(3 * np.pi * xs)
+            return abs(
+                grid_inner(v @ f, g, n) - grid_inner(f, vs @ g, n)
+            )
+
+        e1, e2 = err(128), err(256)
+        assert 3.0 <= e1 / e2 <= 5.0  # Richardson halving: O(1/ngrid^2)
+
+    def test_minimum_grid(self):
+        with pytest.raises(InputError):
+            simpson_adjoint_apply(15, np.ones(16))
+
+
 def wide_exponent_vector(n: int, seed: int) -> np.ndarray:
     """Random signs and mantissas with binary exponents in [-300, 300]: sums
     of such terms round differently in every other order."""
@@ -229,9 +243,14 @@ SIMPSON_GRIDS = [16, 17, 18, 31, 64, 257, 1024, 2048]
 class TestSimpsonAdjoint:
     @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS)
     def test_matrix_matches_row_loop(self, ngrid):
-        m = _simpson_adjoint(ngrid).matrix
-        assert m.real.tobytes() == reference_simpson_adjoint(ngrid).tobytes()
-        assert not m.imag.any()
+        # the column layout simpson_adjoint_apply reads: column j < ngrid is
+        # cols[(ngrid - j) % 2][j::-1] from row 0 down, column ngrid is last
+        cols, last = _simpson_columns(ngrid)
+        m = np.zeros((ngrid + 1, ngrid + 1))
+        for j in range(ngrid):
+            m[: j + 1, j] = cols[(ngrid - j) % 2][j::-1]
+        m[:, ngrid] = last
+        assert m.tobytes() == reference_simpson_adjoint(ngrid).tobytes()
 
     @pytest.mark.parametrize("ngrid", SIMPSON_GRIDS)
     def test_matrix_free_product_matches_matrix_bits(self, ngrid):
@@ -239,7 +258,7 @@ class TestSimpsonAdjoint:
         # certificate took it: numpy's non-BLAS matmul loop, each row summed
         # left to right from 0.0
         x = wide_exponent_vector(ngrid + 1, seed=ngrid)
-        want = _simpson_adjoint(ngrid).matrix.real @ x
+        want = np.asarray(reference_simpson_adjoint(ngrid), dtype=np.complex128).real @ x
         got = simpson_adjoint_apply(ngrid, x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -250,6 +269,16 @@ def _log_int(n: int) -> float:
         return math.log(n)
     shift = n.bit_length() - 512
     return math.log(n >> shift) + shift * math.log(2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def h_derivative(n: int) -> Poly:
+    """Exact Q_n with h^(n)(x) = h(x) Q_n(1/(x-1)) for h(x) = exp(1/(x-1)),
+    by the integer ladder Q_0 = 1, Q_{n+1}(t) = -t^2 (Q_n(t) + Q_n'(t))."""
+    c = (1,)  # constant term first
+    for _ in range(n):
+        c = (0, 0, *(-(c[d] + (d + 1) * c[d + 1]) for d in range(len(c) - 1)), -c[-1])
+    return Poly(c)
 
 
 def reference_h_eval(n: int, ngrid: int) -> np.ndarray:
