@@ -141,18 +141,23 @@ class TestExitCodes:
         assert "error: argument" in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
-        # 2 * box overflows; at seed 81 a Gaussian base drawn at scale box / 2
-        # does (|z| = 4.26 > 2 max_float / box)
-        ["density --box 1e308", "density --family identity --box 8.98e307 --seed 81"],
+        "argv, message",
+        # 2 * box overflows; at seeds 81, 13 and 30 a Gaussian base drawn at
+        # scale box / 2 does (at 81, |z| = 4.26 > 2 max_float / box)
+        [
+            ("density --box 1e308", "2 * box leaves the float range"),
+            ("density --family identity --box 8.98e307 --seed 81", "a base vector leaves the float range"),
+            ("density --box 8.98e307 --seed 13", "a base vector leaves the float range"),
+            ("density --box 8.98e307 --seed 30", "a base vector leaves the float range"),
+        ],
     )
-    def test_density_box_past_the_float_range_is_rejected(self, argv, capsys):
+    def test_density_box_past_the_float_range_is_rejected(self, argv, message, capsys):
         """An input error, not an ``inconclusive`` verdict from inf arithmetic."""
         code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "float range" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_kerim_k_max_exp_takes_the_last_float_power(self):
         # 2^1023 is the largest power of two a float holds

@@ -275,6 +275,23 @@ class TestU3Density:
         assert got == chunked_u3_density(t, net, **kwargs)
         assert got.hit_cells < got.total_cells
 
+    def test_cell_of_matches_scalar_floor_division(self):
+        # side 1.0: integer coordinates sit on cell edges, +-4 on the box
+        # edges, and 9 / -7 lie off the net
+        net = NetSpec(cells=8, box=4.0)
+        us = [9.0, -7.0, -4.0, 4.0, 0.0, 3.0, -1.0, 2.5]
+        vs = [a * y for y in (1.0, 2.0, -4.0, 4.0, 3.0, -3.0, 8.0, -0.5) for a in (1.0, -1.0, 2.0, -2.0, 0.0)]
+        side = 2.0 * net.box / net.cells
+        want = []
+        for u in us:
+            for v in vs:
+                iu, iv = int((u + net.box) // side), int((v + net.box) // side)
+                on = 0 <= iu < net.cells and 0 <= iv < net.cells
+                want.append(iu * net.cells + iv if on else -1)
+        got = net.cell_of(np.array(us)[:, None], np.array(vs)[None, :])
+        assert got.ravel().tolist() == want
+        assert -1 in want and max(want) >= 0
+
     def test_bases_outside_the_box_and_on_cell_edges_match_reference(self):
         # side 1.0: integer coordinates sit on cell edges, +-4 on the box
         # edges, and 9 / -7 put the input coordinate outside the net
@@ -487,6 +504,19 @@ class TestTransitivityPair:
         with pytest.raises(DomainError) as err:
             transitivity_pair(t, unit(3, 4), unit(0, 4), 16)
         assert "distance" in str(err.value)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [4, 25, 256])
+    def test_equivariant_under_unitary_conjugation(self, n, k):
+        # for Q T Q*, Q u and Q v the construction gives Q x; residual_v is
+        # not compared: at k = 256 the conjugated T^k loses it to cancellation
+        rng = np.random.default_rng(9)
+        t = np.eye(2 * n) + backward_shift(2 * n)
+        q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n)))
+        u, v = unit(0, 2 * n), unit(1, 2 * n)
+        x = transitivity_pair(t, u, v, k).x
+        y = transitivity_pair(q @ t @ q.conj().T, q @ u, q @ v, k).x
+        assert np.linalg.norm(y - q @ x) <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
 class TestVolterraDist:

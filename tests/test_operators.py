@@ -558,6 +558,12 @@ class TestSaanGenerators:
                 assert g.data == w.data
                 assert (g.rows, g.cols) == (ntrunc, ntrunc)
 
+    def test_default_alpha_meets_the_growth_condition(self):
+        # alpha_{m+1} = 2^(m+1) alpha_m >= 2^m alpha_m, so no default alpha
+        # can violate the growth condition
+        for m in range(64):
+            assert default_alpha(m + 1) == 2 ** (m + 1) * default_alpha(m)
+
     def test_growth_condition_enforced(self):
         with pytest.raises(PreconditionError):
             saan_generators(2, 10, alpha=lambda m: Fraction(1))
