@@ -802,7 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_subspaces)
 
     p = sub_parser("perturb", help="exact nilpotent tensor perturbation identities")
-    p.add_argument("--dim", type=_positive_int, default=10)
+    # the shaped tensor's size-4 ladder needs 10 coordinates: below that its
+    # units wrap (dim < 5) or the ladder is infeasible
+    p.add_argument("--dim", type=_int_at_least(10), default=10)
     p.add_argument("--s", type=_fraction, default="1/2", help="exact rational scale")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--seed", type=_nonneg_int, default=0)

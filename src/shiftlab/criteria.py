@@ -40,9 +40,9 @@ class SalasCertificate:
     verdict: str
     variant: str  # "hypercyclic" or "supercyclic"
     log_traces: np.ndarray = field(repr=False)  # shape (m_max+1, n_max), natural logs
-    m_max: int = 0
-    n_max: int = 0
-    tol: float = 1e-6
+    m_max: int
+    n_max: int
+    tol: float
     reason: str | None = None
 
     def to_dict(self, full_traces: bool = False) -> dict:
@@ -140,7 +140,7 @@ def _salas(
 
 
 def salas_hypercyclic(
-    w: WeightSequence, m_max: int = 8, n_max: int = 2**14, tol: float = 1e-6
+    w: WeightSequence, m_max: int, n_max: int, tol: float = 1e-6
 ) -> SalasCertificate:
     """Finite-horizon evaluation of the hypercyclicity weight-product criterion.
 
@@ -150,7 +150,7 @@ def salas_hypercyclic(
 
 
 def salas_supercyclic(
-    w: WeightSequence, m_max: int = 8, n_max: int = 2**14, tol: float = 1e-6
+    w: WeightSequence, m_max: int, n_max: int, tol: float = 1e-6
 ) -> SalasCertificate:
     """Supercyclicity variant: trace log wt(m-n+1, m) - log wt(m+1, m+n)."""
     return _salas(w, m_max, n_max, tol, "supercyclic")
@@ -176,7 +176,7 @@ def ker_dagger(T, tol: float = 1e-9) -> Subspace:
         if piece.dim:
             pieces.append(piece)
     if not pieces:
-        return Subspace.zero(dim, tol)
+        return Subspace.zero(dim)
     return span_union(pieces, dim, tol)
 
 
@@ -222,7 +222,7 @@ def lambda_t(T, tol: float = 1e-9) -> Subspace:
     t = as_matrix(T)
     spaces = [sp for _, _, sp in unimodular_chain_spaces(t, tol)]
     if not spaces:
-        return Subspace.zero(t.shape[0], tol)
+        return Subspace.zero(t.shape[0])
     return span_union(spaces, t.shape[0], tol)
 
 
@@ -253,7 +253,7 @@ def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
 
     pieces = []
     for n_tuple in itertools.product(range(1, dim + 1), repeat=len(mats)):
-        common = Subspace.full(dim, tol)
+        common = Subspace.full(dim)
         for m, nj in zip(mats, n_tuple):
             kernel, _ = kernel_and_image(np.linalg.matrix_power(m, 2 * nj), tol)
             common = intersect(common, kernel, tol)
@@ -269,7 +269,7 @@ def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
         if sp.dim:
             pieces.append(sp)
     if not pieces:
-        return Subspace.zero(dim, tol)
+        return Subspace.zero(dim)
     return span_union(pieces, dim, tol)
 
 
@@ -293,16 +293,7 @@ class EbsPerturbation:
         return list(self.u.data[2 * self.n - 1])
 
 
-def _nilpotency_index(t: RationalMatrix, cap: int) -> int | None:
-    power = RationalMatrix.identity(t.rows)
-    for n in range(1, cap + 1):
-        power = power @ t
-        if power.is_zero():
-            return n
-    return None
-
-
-def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPerturbation:
+def ebs_perturb(xi: TensorElement, x1, x2, s, n: int) -> EbsPerturbation:
     """Perturb a nilpotent xi so that x1, x2 land in ker-dagger of T_{xi_s}.
 
     Exact only (``TensorElement`` holds rational matrices; x1, x2 and s are
@@ -310,7 +301,7 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     biorthogonal ladder u_1..u_2n in ker T_xi against functionals f_1..f_2n
     in L, the null space of S_xi and of b(x1, .), b(x2, .); then
     T_{xi_s}^n u_n = s^n x1, T_{xi_s}^n u_2n = s^n x2 and T_{xi_s}^(2n) = 0
-    hold exactly.  ``n`` defaults to the nilpotency index of T_xi.
+    hold exactly.
     """
     if s == 0:
         raise InputError("the perturbation scale s must be nonzero")
@@ -318,10 +309,6 @@ def ebs_perturb(xi: TensorElement, x1, x2, s, n: int | None = None) -> EbsPertur
     t, smat = tensor_op(xi)
     x1 = [Fraction(v) for v in x1]
     x2 = [Fraction(v) for v in x2]
-    if n is None:
-        n = _nilpotency_index(t, t.rows)
-        if n is None:
-            raise DomainError("T_xi is not nilpotent")
     bmat = xi.pairing
     # L = null space of rows [S_xi ; b(x1, .) ; b(x2, .)]; both null spaces
     # stay integer rows over their ``last`` pivot
@@ -373,7 +360,7 @@ class RegionPredicate:
 
     name: str
     inside: object = field(repr=False)  # elementwise: (re, im) float ndarrays -> bool ndarray
-    bbox: tuple = (-1.0, 1.0, -1.0, 1.0)  # (re_min, re_max, im_min, im_max)
+    bbox: tuple  # (re_min, re_max, im_min, im_max)
 
     def contains(self, z):
         """Membership of a complex point, or of each point of a complex ndarray."""
@@ -465,9 +452,9 @@ class RegionVerdict:
 
 def gs_region_verdict(
     region: RegionPredicate,
-    transform: str = "identity",
-    samples: int = 10**5,
-    seed: int = 0,
+    transform: str,
+    samples: int,
+    seed: int,
 ) -> RegionVerdict:
     """Locate the transformed region against the unit circle.
 
@@ -560,9 +547,9 @@ def _poly_of_matrix(coeffs, mat: np.ndarray) -> np.ndarray:
 def symmetry_obstruction(
     w: WeightSequence,
     p_coeffs,
-    trials: int = 100,
-    horizon: int = 50,
-    seed: int = 0,
+    trials: int,
+    horizon: int,
+    seed: int,
 ) -> SymmetryReport:
     """Orbit-orthogonality obstruction for modulus-symmetric weights.
 

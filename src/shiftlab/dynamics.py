@@ -25,6 +25,8 @@ from .operators import grid_inner, h_evals, simpson_adjoint_apply, trapezoid_wei
 # orbit steps u3_density iterates before it bins their points: bounds the
 # points held at once (steps x bases x scales) whatever the horizon
 _DENSITY_CHUNK = 64
+# random probe directions mixing_window draws per step the center misses
+_PROBES = 32
 
 
 def group_law_residual(As, z, w) -> float:
@@ -88,7 +90,6 @@ class CoverageReport:
     total_cells: int
     horizon: int
     seed: int
-    params: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +98,7 @@ class CoverageReport:
             "total_cells": self.total_cells,
             "horizon": self.horizon,
             "seed": self.seed,
-            "params": list(self.params),
+            "params": [],
         }
 
 
@@ -114,29 +115,24 @@ def u3_density(
     seed: int = 0,
     scale_grid=None,
     base_count: int = 40,
-    pair_sampler=None,
 ) -> CoverageReport:
     """Coverage of the pair set {(x, a T^n x)} on the projected product net.
 
     The family is indexed by (n <= horizon, a in scale_grid); base vectors
-    come from ``pair_sampler(rng, count, dim)`` (seeded Gaussian by default).
-    Bases are drawn before iteration, so coverage is monotone non-decreasing
-    in the horizon for a fixed seed.
+    are seeded Gaussians.  Bases are drawn before iteration, so coverage is
+    monotone non-decreasing in the horizon for a fixed seed.
     """
     t = as_matrix(T)
     if net.cells < 1:
         raise InputError("empty net")
     dim = t.shape[0]
     rng = np.random.default_rng(seed)
-    if pair_sampler is None:
-        # stratify the projected coordinate so every input column of the net
-        # sees samples regardless of seed; the rest stays Gaussian
-        with np.errstate(over="ignore"):  # checked below
-            bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
-        strata = (np.arange(base_count) % net.cells + rng.uniform(size=base_count))
-        bases[:, net.x_coord] = strata / net.cells * 2.0 * net.box - net.box
-    else:
-        bases = np.asarray(pair_sampler(rng, base_count, dim))
+    # stratify the projected coordinate so every input column of the net
+    # sees samples regardless of seed; the rest stays Gaussian
+    with np.errstate(over="ignore"):  # checked below
+        bases = rng.normal(size=(base_count, dim)) * (net.box / 2.0)
+    strata = (np.arange(base_count) % net.cells + rng.uniform(size=base_count))
+    bases[:, net.x_coord] = strata / net.cells * 2.0 * net.box - net.box
     if not np.isfinite(bases).all():
         raise InputError(f"a base vector leaves the float range at net box {net.box}")
     scales = [1.0] if scale_grid is None else list(scale_grid)
@@ -208,15 +204,14 @@ def mixing_window(
     ball_u: Ball,
     ball_v: Ball,
     horizon: int,
-    probe_budget: int = 32,
     seed: int = 0,
 ) -> HitReport:
     """Per n: did some probe x in U land with T^n x in V?
 
     Probes come from the twisted approach-pair construction when both ball
     centers lie in the unimodular chain span, and from random sampling of U
-    otherwise (and additionally, always).  Absence of hits is a report, not
-    an error.
+    (_PROBES directions per step) otherwise (and additionally, always).
+    Absence of hits is a report, not an error.
     """
     t = as_matrix(T)
     dim = t.shape[0]
@@ -252,7 +247,7 @@ def mixing_window(
             # an imaginary part per probe, and stacked matmul makes the same
             # BLAS call per probe as one probe at a time, so every norm keeps
             # its bits and a hit by any probe is the per-probe loop's hit
-            parts = np.random.default_rng((seed, n)).normal(size=(probe_budget, 2, dim))
+            parts = np.random.default_rng((seed, n)).normal(size=(_PROBES, 2, dim))
             eta = parts[:, 0] + 1j * parts[:, 1]
             eta /= _cnorms(eta)[:, None]
             xs = u_c + reaches[:, None, None] * eta  # (frac, probe, dim)
@@ -395,25 +390,22 @@ def bump_function(ngrid: int, cutoff: float) -> np.ndarray:
     return out
 
 
-def volterra_dist(
-    ngrid: int, cutoff: float, f=None, n_max: int = 40
-) -> DistanceTrace:
+def volterra_dist(ngrid: int, cutoff: float, n_max: int, f=None) -> DistanceTrace:
     """Distance trace from f to the orthocomplements of the h-derivatives.
 
-    Also verifies the defining identity V* h' = -h on the grid.  ``f`` must
-    vanish on [cutoff, 1] at grid resolution; the default is the canonical
-    bump on (0, cutoff).
+    Also verifies the defining identity V* h' = -h on the grid.  ``f``, the
+    ngrid + 1 grid values of a function, must vanish on [cutoff, 1] at grid
+    resolution; the default is the canonical bump on (0, cutoff).
     """
     if not 0.0 < cutoff < 1.0:
         raise InputError("cutoff must lie in (0, 1)")
-    xs = np.arange(ngrid + 1) / ngrid
     if f is None:
         fvals = bump_function(ngrid, cutoff)
     else:
-        fvals = np.asarray([f(x) for x in xs]) if callable(f) else np.asarray(f, dtype=float)
+        fvals = np.asarray(f, dtype=float)
         if fvals.shape[0] != ngrid + 1:
             raise InputError("f grid length mismatch")
-        if np.any(np.abs(fvals[xs >= cutoff]) > 0):
+        if np.any(np.abs(fvals[np.arange(ngrid + 1) / ngrid >= cutoff]) > 0):
             raise InputError(f"f must vanish on [{cutoff}, 1] at grid resolution")
 
     hs, adj, norms = _volterra_table(ngrid, n_max)

@@ -270,7 +270,7 @@ def monomial_intersection(generators, d: int):
     return _monomial_intersection(basis, d, den, k)
 
 
-def random_rational_function(rng, max_deg: int = 4) -> RationalFunction:
+def random_rational_function(rng, max_deg: int) -> RationalFunction:
     """num/den with integer coefficients drawn uniformly from -9..9."""
     num = Poly([int(rng.integers(-9, 10)) for _ in range(max_deg + 1)])
     den = Poly()
@@ -281,6 +281,6 @@ def random_rational_function(rng, max_deg: int = 4) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def random_graded_vector(rng, k: int = 2, max_deg: int = 3) -> GradedVector:
+def random_graded_vector(rng, k: int, max_deg: int) -> GradedVector:
     comps = [random_rational_function(rng, max_deg) for _ in range(k)]
     return GradedVector(comps)

@@ -37,23 +37,22 @@ def as_vector(v, dim=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Span given by orthonormal basis rows, with the tolerance that built it."""
+    """Span given by orthonormal basis rows."""
 
     ambient: int
     basis: np.ndarray = field(repr=False)  # shape (dim, ambient), orthonormal rows
-    tol: float = 1e-9
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
     @classmethod
-    def zero(cls, ambient: int, tol: float = 1e-9) -> "Subspace":
-        return cls(ambient, np.zeros((0, ambient), dtype=np.complex128), tol)
+    def zero(cls, ambient: int) -> "Subspace":
+        return cls(ambient, np.zeros((0, ambient), dtype=np.complex128))
 
     @classmethod
-    def full(cls, ambient: int, tol: float = 1e-9) -> "Subspace":
-        return cls(ambient, np.eye(ambient, dtype=np.complex128), tol)
+    def full(cls, ambient: int) -> "Subspace":
+        return cls(ambient, np.eye(ambient, dtype=np.complex128))
 
     @classmethod
     def from_vectors(cls, vectors, ambient=None, tol: float = 1e-9) -> "Subspace":
@@ -62,8 +61,7 @@ class Subspace:
             if not vecs:
                 raise InputError("cannot infer ambient dimension from no vectors")
             ambient = vecs[0].shape[0]
-        basis = orthonormal_rows(vecs, ambient, tol)
-        return cls(ambient, basis, tol)
+        return cls(ambient, orthonormal_rows(vecs, ambient, tol))
 
     def project(self, v) -> np.ndarray:
         x = as_vector(v, self.ambient)
@@ -76,15 +74,14 @@ class Subspace:
         x = as_vector(v, self.ambient)
         return float(np.linalg.norm(x - self.project(x)))
 
-    def contains(self, v, tol=None) -> bool:
+    def contains(self, v, tol: float) -> bool:
         x = as_vector(v, self.ambient)
-        t = self.tol if tol is None else tol
-        return self.distance(x) <= t * max(1.0, float(np.linalg.norm(x)))
+        return self.distance(x) <= tol * max(1.0, float(np.linalg.norm(x)))
 
-    def contains_subspace(self, other: "Subspace", tol=None) -> bool:
+    def contains_subspace(self, other: "Subspace", tol: float) -> bool:
         return all(self.contains(row, tol) for row in other.basis)
 
-    def same_space(self, other: "Subspace", tol=None) -> bool:
+    def same_space(self, other: "Subspace", tol: float) -> bool:
         return (
             self.ambient == other.ambient
             and self.dim == other.dim
@@ -126,8 +123,8 @@ def kernel_and_image(A, tol: float = 1e-9):
     u, s, vh = np.linalg.svd(m)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
-    kernel = Subspace(m.shape[1], vh[rank:].conj(), tol)
-    image = Subspace(m.shape[0], u[:, :rank].T, tol)
+    kernel = Subspace(m.shape[1], vh[rank:].conj())
+    image = Subspace(m.shape[0], u[:, :rank].T)
     return kernel, image
 
 
@@ -137,24 +134,19 @@ def intersect(U: Subspace, V: Subspace, tol: float = 1e-9) -> Subspace:
         raise InputError(f"ambient mismatch: {U.ambient} != {V.ambient}")
     n = U.ambient
     if U.dim == 0 or V.dim == 0:
-        return Subspace.zero(n, tol)
+        return Subspace.zero(n)
     eye = np.eye(n, dtype=np.complex128)
     pu = U.basis.T @ U.basis.conj()
     pv = V.basis.T @ V.basis.conj()
     stacked = np.vstack([eye - pu, eye - pv])
     kernel, _ = kernel_and_image(stacked, tol)
-    return Subspace(n, kernel.basis, tol)
+    return kernel
 
 
-def span_union(spaces, ambient=None, tol: float = 1e-9) -> Subspace:
-    """Span of the union of the given subspaces."""
-    spaces = list(spaces)
-    if ambient is None:
-        if not spaces:
-            raise InputError("no subspaces given and no ambient dimension")
-        ambient = spaces[0].ambient
+def span_union(spaces, ambient: int, tol: float = 1e-9) -> Subspace:
+    """Span of the union of the given subspaces of K^ambient."""
     rows = [row for sp in spaces for row in sp.basis]
-    return Subspace.from_vectors(rows, ambient, tol) if rows else Subspace.zero(ambient, tol)
+    return Subspace.from_vectors(rows, ambient, tol) if rows else Subspace.zero(ambient)
 
 
 def exp_nilpotent(A, z) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .rational import RationalMatrix, _cleared
 
 TAIL_KINDS = ("constant", "geometric", "zero")
@@ -148,10 +148,10 @@ def genshi_supercyclic_weights(c: float = 2.0, m0: int = 3) -> WeightSequence:
     return WeightSequence(window, "constant", c_plus=c, c_minus=c / 2.0)
 
 
-def symmetric_decay_weights(half: int = 8, base: float = 2.0) -> WeightSequence:
-    """w_n = base^{-|n|} with the matching geometric tail."""
-    window = [base ** (-abs(n)) for n in range(-half, half + 1)]
-    return WeightSequence(window, "geometric", ratio=1.0 / base)
+def symmetric_decay_weights() -> WeightSequence:
+    """w_n = 2^{-|n|} on the window -8..8, with the geometric tail of ratio 1/2."""
+    window = [2.0 ** (-abs(n)) for n in range(-8, 9)]
+    return WeightSequence(window, "geometric", ratio=0.5)
 
 
 def constant_weights(value: complex = 1.0, half: int = 4) -> WeightSequence:
@@ -372,14 +372,14 @@ def saan_generators(
     k: int,
     ntrunc: int,
     phi: list[tuple[int, ...]] | None = None,
-    alpha=None,
     exact: bool = False,
 ):
     """The k commuting truncated generators on coordinates x_n = e_n of l1.
 
     A_j e_{phi(m)} = (alpha_{|m|-1}/alpha_{|m|}) e_{phi(m - e_j)} when
-    m_j >= 1, else 0.  The coordinate functionals make every eps_m = 1, so
-    the growth condition reads alpha_{m+1} >= 2^m alpha_m.
+    m_j >= 1, else 0, for alpha = ``default_alpha``.  The coordinate
+    functionals make every eps_m = 1, so the growth condition reads
+    alpha_{m+1} >= 2^m alpha_m, which alpha_{m+1} = 2^(m+1) alpha_m meets.
     """
     if k < 1 or ntrunc < 1:
         raise InputError("k and ntrunc must be >= 1")
@@ -388,14 +388,7 @@ def saan_generators(
         raise InputError("phi must enumerate distinct multi-indices")
     pos = {m: i for i, m in enumerate(indices)}
     max_deg = max(sum(m) for m in indices)
-    alpha_fn = default_alpha if alpha is None else alpha
-    alphas = [Fraction(alpha_fn(m)) for m in range(max_deg + 1)]
-    for m in range(max_deg):
-        if alphas[m + 1] < 2**m * alphas[m]:
-            raise PreconditionError(
-                f"alpha violates the growth condition at m={m}: "
-                f"alpha_{m + 1} < 2^{m} alpha_{m}"
-            )
+    alphas = [default_alpha(m) for m in range(max_deg + 1)]
     # a column of degree s carries alpha_{s-1}/alpha_s, whichever j acts
     ratios = [None] + [alphas[s - 1] / alphas[s] for s in range(1, max_deg + 1)]
     # the exact matrices are integer rows over the ratios' common denominator

@@ -1,5 +1,6 @@
 """End-to-end runner tests: exit codes, schema, golden stability."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,8 +25,10 @@ from shiftlab import operators as op
 from shiftlab.cli import (
     NEGATIVE_VERDICTS,
     TENSOR_MODES,
+    WEIGHT_FAMILIES,
     _all_commute,
     _maps_to,
+    _positive_ints,
     build_parser,
     emit_goldens,
     main,
@@ -114,6 +118,8 @@ class TestExitCodes:
             "density --box nan",
             "jordan --seed -1",
             "perturb --s 1/0",
+            "perturb --dim 1",
+            "perturb --dim 9",
             "salas --tol 0",
             "density --threshold -1",
             "density --threshold 0",
@@ -1135,3 +1141,67 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "recurrence = direct"
+
+
+# The CLI contract under arbitrary options: every argv of a subcommand ends in
+# exit 0, 1 or 2, with no traceback and no warning.  Each subparser's options
+# come from build_parser() itself, so a new option is fuzzed as it lands.
+# Number-typed options draw these texts: non-finite, signed zero, subnormal,
+# huge and comma-separated values.
+_SPECIAL_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "-0.0", "0.5", "3", "64", "1e-320", "1e308", "1e9", "1,0", "0,0")
+_SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option_texts(action):
+    """(strategy for the texts after ``action``'s flag, whether it is a
+    size), or None to leave the option out."""
+    if action.dest == "help" or (action.type is None and action.dest != "weights" and not action.choices):
+        return None  # --help, and the paths --out, --f-file and --out-dir
+    if action.nargs == 0:
+        return st.just([]), False  # a switch such as --full-traces
+    if action.choices:
+        return st.sampled_from(sorted(action.choices)).map(lambda text: [text]), False
+    if action.dest == "weights":
+        return st.sampled_from([*WEIGHT_FAMILIES, "file:missing.json"]).map(lambda text: [text]), False
+    # sizes are small; subspaces --which ebsk sweeps (prod 2 d_j)^k exponent
+    # tuples, seconds already at --dims 3,3
+    if action.type is _positive_ints:
+        texts = st.lists(st.integers(0, 2).map(str), min_size=1, max_size=2).map(",".join)
+        return texts.map(lambda text: [text]), True
+    if isinstance(action.default, int):
+        return st.integers(-1, 6).map(lambda value: [str(value)]), True
+    return st.sampled_from(_SPECIAL_NUMBERS).map(lambda text: [text]), False
+
+
+def _argv(name):
+    """Strategy for ``name`` followed by all of its sizes or none, and any
+    subset of its other options.  A default size beside a drawn one can
+    cost minutes: saan-group --k 6 at the default --degree 8 exponentiates
+    3003 x 3003 matrices."""
+    sizes, others = {}, {}
+    for action in _SUBPARSERS[name]._actions:
+        drawn = _option_texts(action) if action.option_strings else None
+        if drawn is not None:
+            texts, size = drawn
+            (sizes if size else others)[action.option_strings[0]] = texts
+    parts = st.tuples(
+        st.one_of(st.just({}), st.fixed_dictionaries(sizes)), st.fixed_dictionaries({}, optional=others)
+    )
+    return parts.map(
+        lambda pair: [name, *(part for chosen in pair for flag, rest in chosen.items() for part in (flag, *rest))]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(set(_SUBPARSERS) - {"emit-goldens"}))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_argv_ends_in_an_exit_code(name, data):
+    argv = data.draw(_argv(name), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []

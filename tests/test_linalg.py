@@ -29,8 +29,8 @@ def unit(i, dim):
 class TestKernelAndImage:
     def test_backward_shift_k4(self):
         kernel, image = kernel_and_image(backward_shift(4))
-        assert kernel.same_space(Subspace.from_vectors([unit(0, 4)]))
-        assert image.same_space(Subspace.from_vectors([unit(i, 4) for i in range(3)]))
+        assert kernel.same_space(Subspace.from_vectors([unit(0, 4)]), 1e-9)
+        assert image.same_space(Subspace.from_vectors([unit(i, 4) for i in range(3)]), 1e-9)
 
     def test_identity_and_zero(self):
         kernel, image = kernel_and_image(np.eye(5))
@@ -57,11 +57,11 @@ class TestIntersect:
         u = Subspace.from_vectors([unit(0, 4), unit(1, 4)])
         v = Subspace.from_vectors([unit(1, 4), unit(2, 4)])
         w = intersect(u, v)
-        assert w.same_space(Subspace.from_vectors([unit(1, 4)]))
+        assert w.same_space(Subspace.from_vectors([unit(1, 4)]), 1e-9)
 
     def test_self_intersection(self):
         u = Subspace.from_vectors([unit(0, 3), unit(2, 3)])
-        assert intersect(u, u).same_space(u)
+        assert intersect(u, u).same_space(u, 1e-9)
 
     def test_general_position_dimension_count(self):
         rng = np.random.default_rng(7)
@@ -149,7 +149,7 @@ def test_complex_subspace_projection_uses_hermitian_inner_product():
     assert sp.distance(inside) <= 1e-12
     assert sp.distance(outside) >= 0.9
     met = intersect(sp, Subspace.from_vectors([q @ unit(1, 4), q @ unit(2, 4)]))
-    assert met.dim == 1 and met.contains(q @ unit(1, 4))
+    assert met.dim == 1 and met.contains(q @ unit(1, 4), 1e-9)
 
 
 def test_cluster_points_groups_nearby():
