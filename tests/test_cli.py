@@ -1152,25 +1152,28 @@ _SPECIAL_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "-0.0", "0.5", "3", "64", "
 _SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _is_size(action) -> bool:
+    return action.type is _positive_ints or (action.nargs != 0 and type(action.default) is int)
+
+
 def _option_texts(action):
-    """(strategy for the texts after ``action``'s flag, whether it is a
-    size), or None to leave the option out."""
+    """Strategy for the text after ``action``'s flag (None for a switch), or
+    None to leave the option out."""
     if action.dest == "help" or (action.type is None and action.dest != "weights" and not action.choices):
         return None  # --help, and the paths --out, --f-file and --out-dir
     if action.nargs == 0:
-        return st.just([]), False  # a switch such as --full-traces
+        return st.none()  # a switch such as --full-traces
     if action.choices:
-        return st.sampled_from(sorted(action.choices)).map(lambda text: [text]), False
+        return st.sampled_from(sorted(action.choices))
     if action.dest == "weights":
-        return st.sampled_from([*WEIGHT_FAMILIES, "file:missing.json"]).map(lambda text: [text]), False
-    # sizes are small; subspaces --which ebsk sweeps (prod 2 d_j)^k exponent
-    # tuples, seconds already at --dims 3,3
+        return st.sampled_from([*WEIGHT_FAMILIES, "file:missing.json"])
     if action.type is _positive_ints:
-        texts = st.lists(st.integers(0, 2).map(str), min_size=1, max_size=2).map(",".join)
-        return texts.map(lambda text: [text]), True
-    if isinstance(action.default, int):
-        return st.integers(-1, 6).map(lambda value: [str(value)]), True
-    return st.sampled_from(_SPECIAL_NUMBERS).map(lambda text: [text]), False
+        # subspaces --which ebsk sweeps (prod 2 d_j)^k exponent tuples: it
+        # takes seconds already at --dims 3,3
+        return st.lists(st.integers(0, 2).map(str), min_size=1, max_size=2).map(",".join)
+    if _is_size(action):
+        return st.integers(-1, 6).map(str)
+    return st.sampled_from(_SPECIAL_NUMBERS)
 
 
 def _argv(name):
@@ -1180,15 +1183,14 @@ def _argv(name):
     3003 x 3003 matrices."""
     sizes, others = {}, {}
     for action in _SUBPARSERS[name]._actions:
-        drawn = _option_texts(action) if action.option_strings else None
-        if drawn is not None:
-            texts, size = drawn
-            (sizes if size else others)[action.option_strings[0]] = texts
+        texts = _option_texts(action) if action.option_strings else None
+        if texts is not None:
+            (sizes if _is_size(action) else others)[action.option_strings[0]] = texts
     parts = st.tuples(
         st.one_of(st.just({}), st.fixed_dictionaries(sizes)), st.fixed_dictionaries({}, optional=others)
     )
     return parts.map(
-        lambda pair: [name, *(part for chosen in pair for flag, rest in chosen.items() for part in (flag, *rest))]
+        lambda pair: [name, *(p for chosen in pair for flag, text in chosen.items() for p in (flag, text) if p is not None)]
     )
 
 
