@@ -940,6 +940,93 @@ def test_saan_group_report_digest(key, saan_digests):
     assert saan_digests[key] == [0, _SAAN_DIGESTS[key]]
 
 
+# sha256 of stdout, with the exit code, for
+# ``mixing --n N --seed S --radius R --horizon 60``, keyed "N-S-R": they pin
+# the chain spans and pair plans of I + S on K^(2n) for n = 1..8
+_MIXING_DIGESTS = {
+    "1-0-0.25": (2, "5553fec5a6c723c65f968dad2c3375aaa9f2e484b217dcc5a83699f7dccb89d2"),
+    "1-0-0.05": (2, "8e9c48dad2000564bd5b20c097b6adbf445db94b7839f07dabe5125c1f7e6211"),
+    "1-0-0.01": (2, "0e8efff6e2efd3f7fbdb2879a26f781909dfc85f3968c890d4b924e2ce5d1cc0"),
+    "1-1-0.25": (2, "1a7704e82f5e2f0c5e5f2faeae3011e5abf3874d98ee54ba6cdca07be18144b2"),
+    "1-1-0.05": (2, "99c98971af7ec12c56f598f5008249653c1731c4255f12211109a08ffcef58ac"),
+    "1-1-0.01": (2, "c2610c4a5b4bad3c33645dfd0db08488294a63d572d46133683d9a395d833b07"),
+    "1-2-0.25": (2, "98d7454b8a39624c584f326212ab4ee832cef223d410cf855bbd7bbcc7189aac"),
+    "1-2-0.05": (2, "ff7f27f21ef1250beea7291a818c94fac1421fefa81493826a7d268f57bc11e8"),
+    "1-2-0.01": (2, "8cc4cc4e99b5337c7e21c7f187a6db970d12e4e328c60a6d5e54a9129a38690a"),
+    "2-0-0.25": (0, "154bbf62b9a6a3ddd6d96a42c0395a8e7df64be3d5afac5263592f32d3a26b9e"),
+    "2-0-0.05": (2, "515d2053b1bccffb907ddd69a911732b9724ff6c8acf0c68d4b5a6cd627c778d"),
+    "2-0-0.01": (2, "fa5006f8d839c4ec068890950b3be22a6c70bca4719de7fe7f2f142d2e88a775"),
+    "2-1-0.25": (0, "d15ee8944cb1c819a9dceb34038ef38bbbeb1eb5b419ba13ab800043e0817310"),
+    "2-1-0.05": (2, "358c0bfa7de709559e05891ee0f28eb1d1be674aa7316c99b64d9077473f5906"),
+    "2-1-0.01": (2, "5f996ca287312c19c839fb2079d085854eaf0476aa62f38b1114df51fb270094"),
+    "2-2-0.25": (0, "ed17528c439bcbca408d9b07270805d573f1af715a41e0c1b1cff6348037d6a4"),
+    "2-2-0.05": (2, "25bef1f68c2505cd34ebabb578687bfbdab889014e82c154a8c7ed4ae749421b"),
+    "2-2-0.01": (2, "9d84e764b54b864b8e4444447cf463cbca1b126574a351862de0d824c9139735"),
+    "3-0-0.25": (0, "c75a8e4931f177d91989e01de50e50245cd6da0b8f2b52d850a153a4f81262b5"),
+    "3-0-0.05": (2, "3a6f2227234f45ecdff3e8ec5d1666ca30b79db2d872b1b245903d4ffcb6a1c8"),
+    "3-0-0.01": (2, "dbdd82955f640d8a7854809af51f16bd833504594ab570ad687430e4c7406445"),
+    "3-1-0.25": (0, "faa30b254652d13a17409e221d1d04182cc846709e4cc1220ad24ef99598192b"),
+    "3-1-0.05": (2, "8ad2d12d93791cbc6df8ceff603bc796db590b4da9ded04c10edfde4bb62a5cd"),
+    "3-1-0.01": (2, "7784b0116af5b1e06eb70769242df8440481dbab467ed163b57b5a6f34868806"),
+    "3-2-0.25": (0, "ea032b8bba67855091acaf891d54b4abf296ec088732fb83d081717953ce305a"),
+    "3-2-0.05": (2, "10ca76605b580208a893df88d0e0c7e01db168777cc33dc5095d26f549123391"),
+    "3-2-0.01": (2, "6828782bea9643eb9701a90f10193be770fc8a5ca6e724d82478cf38452e5379"),
+    "4-0-0.25": (0, "0bf0d3f67ddb44d9ace224fecb592baec3055527faf856f931dbfe12ba3a4bcb"),
+    "4-0-0.05": (2, "44468070f4b1d53518b61b78df8b48cb2b2d634a82c5776a1c714388063b91d3"),
+    "4-0-0.01": (2, "f7fd54b7273af6cfde859084faae6be07d8121d26e63e2dd2b8fd1f978e40868"),
+    "4-1-0.25": (0, "c894baf83c4dd1a2b5f58998ee158c967cb54cb0ce8ad3e93c96369a2f7a5a9c"),
+    "4-1-0.05": (2, "7346756f4e9d5e152a1243b72bbfa6ad24e9e498354a9b9bf9ceef1d14e08d3a"),
+    "4-1-0.01": (2, "87c2dd489605e7101fa316c5f2fd2000a6d2646b595d3f886e6e46e6a669e3dd"),
+    "4-2-0.25": (0, "52711d4825d6c97b5971577364e319b5ff156f02f4402da3bf41094689f8fe4c"),
+    "4-2-0.05": (2, "49f0addbbe09c91d6a142dac503a88bdc23e129db0faf021c1a898ca0b8f6afc"),
+    "4-2-0.01": (2, "c4da72a7b4f092384a7944f9a8eb8eaf3e9a3e14dbabd548f5950e7ca2a1e977"),
+    "5-0-0.25": (0, "5fa7c94fe327df55b3c71faacfa7be76df977609da76a1a401e941ebdd07273b"),
+    "5-0-0.05": (2, "15ed0a705d587c137f48dd348f829e511e236ffa514894428e76b467129bf6b5"),
+    "5-0-0.01": (2, "885a0c1abf32ec0c4ae1c31cba80226b39cd45f816c82247db38f7199211a7cf"),
+    "5-1-0.25": (0, "82e95a60eb34018362e2aeb884be22cac4dfb84f488855b979230c3d947caed6"),
+    "5-1-0.05": (2, "aa72934d1d3ef1bb5e5e17188089219b3a3cbc552f1b9b8b6599ea8958568cd2"),
+    "5-1-0.01": (2, "dc34c4dc6a53f06fba3c819788bae4258a6deec2dda14e4ba2b9c869664d4c87"),
+    "5-2-0.25": (0, "9eab76bb63f6414be71b318e040517ce6b53d4e44557748e451bf5a32e1f2076"),
+    "5-2-0.05": (2, "f06ab4347d8d1a54613dbd9b5345af943700fedb37a669b1b066dea1cf82aa58"),
+    "5-2-0.01": (2, "102808c049ce4e28b2e9f6e39bb31f3997aa2d3c3df0ab2608062027a9274829"),
+    "6-0-0.25": (0, "86ca669de4ab6f0e9dd5702821863cf20c7956257a901b72ebed1165429db88f"),
+    "6-0-0.05": (2, "ec35b0c762d5d4f062af959a964984fbbb07adb88041143a8411e0d940be0801"),
+    "6-0-0.01": (2, "c15a9a1ac7b030ad2b469fcba16c75417b9e4d38e756d2b6d0cdb24fcd843315"),
+    "6-1-0.25": (0, "add54a37e908c414ed473460681d0e4b50d094224baf6025625ec32d5aec2289"),
+    "6-1-0.05": (2, "f9dcbf7947c63fa7f2e7af160e8cf4d1c257329b5783c6d3a805c8c6ee426c18"),
+    "6-1-0.01": (2, "01dd819f83932816d666569a1c831a6eff9b077db0cab95640ea51b381d2e7ca"),
+    "6-2-0.25": (0, "bf6f57f46a24542491e129ba4444d193c2ccb761b15b3d21e680e8f9259e83b2"),
+    "6-2-0.05": (2, "4f5a585f4e5ada7e0ddfcaaf952fa1391cc97877b76bd8c90b2582c310cf2821"),
+    "6-2-0.01": (2, "cc6f503fd20b64bfd44c80f8df97efd0350460f26bfb34221245379a9e9c3f90"),
+    "7-0-0.25": (0, "83f7190f71698e8c327d3f393f77130e253f18f7ab9de102ae26fc5014b82f35"),
+    "7-0-0.05": (2, "8bb7573dce664a6398ce8e89d947c0b48815eeadd5870a2194c45cfe399e9f74"),
+    "7-0-0.01": (2, "1e91d19ab19b23af9cf6522c6cea32b03f551d2ce97a026fddc0f19bca4dd552"),
+    "7-1-0.25": (0, "68e6095128f7e6e29f564a5785621468350481c1cf8c85fa009e12d4f9f3bc0d"),
+    "7-1-0.05": (2, "30c0c7e2adad0df25928d2d1543662fffa3a11f9fb805cf1ee7bc0c4ff8698b0"),
+    "7-1-0.01": (2, "44561dbdbb77e6656bc1d7ab03b64a54d4e99eaa87b518e973346776f3b5e4cf"),
+    "7-2-0.25": (0, "605f672024206fb35fd3607e75019178d29db5319f199e8de6ffd50107f544bf"),
+    "7-2-0.05": (2, "1dd83f5b4b8e25d644d94a34c12ce0a8e4e226937972cb81f44a98f3458bd673"),
+    "7-2-0.01": (2, "3167f189eb6026d29383c57e7ad39036b06d088d6551adf055fb50c0103aae95"),
+    "8-0-0.25": (0, "ddca038ccf82a9041dcdf35f1176168fbf04933d3741d60b6978477881fe5ab4"),
+    "8-0-0.05": (2, "e00978e07bbe7d145bb413bce14673e09e90c5904ef1a53350f093e9fcbd82cf"),
+    "8-0-0.01": (2, "f1ff0805da2fbf66de2afc4c3f68fc964247e225d3de96d440944dda6f809df8"),
+    "8-1-0.25": (0, "5f6b8ca5992ca0e2ac0b9afc5a37de92f1a22e99ba59feb330f67690d7b9fc6b"),
+    "8-1-0.05": (2, "99802d5ed0c27b0c5659d220819bdd06917425249b9c5f9f420084c313e5b288"),
+    "8-1-0.01": (2, "48a99a921b2bfa44b91e27e691dd39d6271304390562b7d87f79bdbdc3239bf1"),
+    "8-2-0.25": (0, "02f5e9bbd24b698b5b3dc0e043521d59192e2312bfe8bc25a8193f66b1c74c9b"),
+    "8-2-0.05": (2, "65d70a80c3877990cf086ec896a30cf1917825032068b1b28f2543c6d2eb837b"),
+    "8-2-0.01": (2, "78f2da0f268600ad17bc7c52de17f6fbc2a97401332ad6f6c098e18fa23ac826"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_MIXING_DIGESTS))
+def test_mixing_report_digest(key, capsys):
+    n, seed, radius = key.split("-")
+    argv = ["mixing", "--n", n, "--seed", seed, "--radius", radius, "--horizon", "60"]
+    code, out = run_cli(argv, capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _MIXING_DIGESTS[key]
+
+
 def test_maps_to_compares_exactly():
     # T (0, 1/2) = (1/2, 0) = c x only for c = 1/2 at x = (1, 0)
     t = RationalMatrix([[0, 1], [0, 0]])
