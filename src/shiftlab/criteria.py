@@ -156,28 +156,35 @@ def salas_supercyclic(
     return _salas(w, m_max, n_max, tol, "supercyclic")
 
 
+def _chain_span(b: np.ndarray, steps: int, tol: float) -> Subspace:
+    """Span over n = 1..steps of image(B^n) ∩ ker(B^n).
+
+    Stops at the first n where B^n is numerically zero
+    (||B^n|| <= tol max(1, ||B||)) or where its kernel or image is {0}:
+    kernels only grow and images only shrink with n, so every later piece
+    is {0} too.
+    """
+    dim = b.shape[0]
+    pieces = []
+    power = np.eye(dim, dtype=np.complex128)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    for _ in range(steps):
+        power = power @ b
+        if float(np.linalg.norm(power)) <= tol * scale:
+            break
+        kernel, image = kernel_and_image(power, tol)
+        if kernel.dim == 0 or image.dim == 0:
+            break
+        pieces.append(intersect(image, kernel, tol))
+    return span_union(pieces, dim, tol)
+
+
 def ker_dagger(T, tol: float = 1e-9) -> Subspace:
     """Span over n of image(T^n) ∩ ker(T^n)."""
     t = as_matrix(T)
     if t.shape[0] != t.shape[1]:
         raise InputError("square matrix required")
-    dim = t.shape[0]
-    pieces = []
-    power = np.eye(dim, dtype=np.complex128)
-    scale = max(1.0, float(np.linalg.norm(t)))
-    for _ in range(1, dim + 1):
-        power = power @ t
-        if float(np.linalg.norm(power)) <= tol * scale:
-            break  # T^n = 0: the intersection is {0} from here on
-        kernel, image = kernel_and_image(power, tol)
-        if kernel.dim == 0 or image.dim == 0:
-            continue
-        piece = intersect(image, kernel, tol)
-        if piece.dim:
-            pieces.append(piece)
-    if not pieces:
-        return Subspace.zero(dim)
-    return span_union(pieces, dim, tol)
+    return _chain_span(t, t.shape[0], tol)
 
 
 def unimodular_chain_spaces(T, tol: float = 1e-9):
@@ -199,21 +206,9 @@ def unimodular_chain_spaces(T, tol: float = 1e-9):
             continue
         z = z / abs(z)
         mult = len(members)
-        b = t - z * np.eye(dim, dtype=np.complex128)
-        pieces = []
-        power = np.eye(dim, dtype=np.complex128)
-        for _ in range(1, mult + 1):
-            power = power @ b
-            kernel, image = kernel_and_image(power, tol)
-            if kernel.dim == 0:
-                break
-            if image.dim == 0:
-                break
-            piece = intersect(image, kernel, tol)
-            if piece.dim:
-                pieces.append(piece)
-        if pieces:
-            out.append((complex(z), mult, span_union(pieces, dim, tol)))
+        space = _chain_span(t - z * np.eye(dim, dtype=np.complex128), mult, tol)
+        if space.dim:
+            out.append((complex(z), mult, space))
     return out
 
 
@@ -234,7 +229,12 @@ def commutator_residual(a, b) -> float:
 
 
 def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
-    """Span of T_1^{n_1}...T_k^{n_k}(∩_j ker T_j^{2 n_j}) over 1 <= n_j <= dim."""
+    """Span of T_1^{n_1}...T_k^{n_k}(∩_j ker T_j^{2 n_j}) over 1 <= n_j <= dim.
+
+    Each exponent n_j runs only below T_j's first numerically zero power
+    (||T_j^n|| <= tol max(1, ||T_j||)): from there on the term is {0}.  Each
+    operator's powers and the kernels of T_j^(2 n_j) are built once.
+    """
     mats = [as_matrix(t) for t in Ts]
     if not mats:
         raise InputError("empty tuple")
@@ -251,25 +251,31 @@ def ebs_tuple_kernel(Ts, tol: float = 1e-9) -> Subspace:
                 )
     import itertools
 
+    tables = []  # per operator: (T^n, ker T^(2n)) for each nonzero T^n, n <= dim
+    for m in mats:
+        powers = []  # T, T^2, .. up to T^(2 dim), while nonzero
+        power = m
+        scale = max(1.0, float(np.linalg.norm(m)))
+        while len(powers) < 2 * dim and float(np.linalg.norm(power)) > tol * scale:
+            powers.append(power)
+            power = power @ m
+        kernels = [kernel_and_image(p, tol)[0] for p in powers[1::2]]
+        kernels += [Subspace.full(dim)] * (dim - len(kernels))
+        tables.append(list(zip(powers[:dim], kernels)))
+
     pieces = []
-    for n_tuple in itertools.product(range(1, dim + 1), repeat=len(mats)):
+    for choice in itertools.product(*tables):
         common = Subspace.full(dim)
-        for m, nj in zip(mats, n_tuple):
-            kernel, _ = kernel_and_image(np.linalg.matrix_power(m, 2 * nj), tol)
+        for _, kernel in choice:
             common = intersect(common, kernel, tol)
             if common.dim == 0:
                 break
         if common.dim == 0:
             continue
         prod = np.eye(dim, dtype=np.complex128)
-        for m, nj in zip(mats, n_tuple):
-            prod = prod @ np.linalg.matrix_power(m, nj)
-        vectors = [prod @ row for row in common.basis]
-        sp = Subspace.from_vectors(vectors, dim, tol)
-        if sp.dim:
-            pieces.append(sp)
-    if not pieces:
-        return Subspace.zero(dim)
+        for power, _ in choice:
+            prod = prod @ power
+        pieces.append(Subspace.from_vectors([prod @ row for row in common.basis], dim, tol))
     return span_union(pieces, dim, tol)
 
 

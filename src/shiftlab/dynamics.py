@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import unimodular_chain_spaces
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, InputError, NumericError, PreconditionError
 from .linalg import Subspace, as_matrix, as_vector
 # unimodular_approach is bound here too: perfbench's layer test checks that
 # tracing rebinds it in this module
@@ -225,7 +225,7 @@ def mixing_window(
         if lam.contains(u_c, 1e-7) and lam.contains(v_c, 1e-7):
             try:
                 plan = _pair_plan(t, u_c, v_c, pieces)
-            except (DomainError, PreconditionError):
+            except (DomainError, NumericError, PreconditionError):
                 pass  # the plan does not depend on n: no step has a pair
 
     # the random probes' radii, each the float product radius * frac

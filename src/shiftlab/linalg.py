@@ -1,9 +1,10 @@
 """Dense small-matrix routines and tolerant subspace arithmetic.
 
 The floating flavor keeps every subspace basis orthonormal (rows of
-``Subspace.basis``); rank decisions use a relative singular-value threshold
-``tol * sigma_max``.  Matrices are plain complex numpy arrays; the exact
-flavor lives in :mod:`shiftlab.rational`.
+``Subspace.basis``); every rank decision, the span of given vectors
+included, is one SVD in ``kernel_and_image`` with the relative
+singular-value threshold ``tol * sigma_max``.  Matrices are plain complex
+numpy arrays; the exact flavor lives in :mod:`shiftlab.rational`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, ambient=None, tol: float = 1e-9) -> "Subspace":
-        vecs = [as_vector(v) for v in vectors]
+        """Span of the vectors: the image of their columns, by ``kernel_and_image``."""
+        vecs = list(vectors)
         if ambient is None:
             if not vecs:
                 raise InputError("cannot infer ambient dimension from no vectors")
-            ambient = vecs[0].shape[0]
-        return cls(ambient, orthonormal_rows(vecs, ambient, tol))
+            ambient = as_vector(vecs[0]).shape[0]
+        if not vecs:
+            return cls.zero(ambient)
+        columns = np.column_stack([as_vector(v, ambient) for v in vecs])
+        return kernel_and_image(columns, tol)[1]
 
     def project(self, v) -> np.ndarray:
         x = as_vector(v, self.ambient)
@@ -88,31 +93,6 @@ class Subspace:
             and self.contains_subspace(other, tol)
             and other.contains_subspace(self, tol)
         )
-
-
-def orthonormal_rows(vectors, ambient: int, tol: float = 1e-9) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Vectors whose residual after projection falls below ``tol * scale`` are
-    dropped; ``scale`` is the largest input vector norm.
-    """
-    rows = []
-    vecs = [as_vector(v, ambient) for v in vectors]
-    norms = [float(np.linalg.norm(v)) for v in vecs]
-    scale = max(norms, default=0.0)
-    if scale == 0.0:
-        return np.zeros((0, ambient), dtype=np.complex128)
-    for v in vecs:
-        w = v.copy()
-        for _ in range(2):  # re-orthogonalize once for stability
-            for b in rows:
-                w = w - b * (b.conj() @ w)
-        nw = float(np.linalg.norm(w))
-        if nw > tol * scale:
-            rows.append(w / nw)
-    if not rows:
-        return np.zeros((0, ambient), dtype=np.complex128)
-    return np.array(rows)
 
 
 def kernel_and_image(A, tol: float = 1e-9):
@@ -145,8 +125,7 @@ def intersect(U: Subspace, V: Subspace, tol: float = 1e-9) -> Subspace:
 
 def span_union(spaces, ambient: int, tol: float = 1e-9) -> Subspace:
     """Span of the union of the given subspaces of K^ambient."""
-    rows = [row for sp in spaces for row in sp.basis]
-    return Subspace.from_vectors(rows, ambient, tol) if rows else Subspace.zero(ambient)
+    return Subspace.from_vectors([row for sp in spaces for row in sp.basis], ambient, tol)
 
 
 def exp_nilpotent(A, z) -> np.ndarray:

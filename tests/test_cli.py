@@ -324,6 +324,31 @@ class TestExitCodes:
         assert code == 0
         assert load_report(out)["data"]["dim"] == 3
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_subspaces_dims_have_their_closed_form(self, n, capsys):
+        # S is the backward shift on K^(2n): ker-dagger of S and Lambda of
+        # I + S are span{e_0..e_(n-1)}; I + S is invertible, S has no
+        # unimodular eigenvalue and the unitary diagonal on K^n no Jordan
+        # chain, so their spans are {0}
+        for which, op_name, dim in (
+            ("kerdagger", "shift", n),
+            ("kerdagger", "unipotent", 0),
+            ("kerdagger", "diag", 0),
+            ("lambda", "unipotent", n),
+            ("lambda", "shift", 0),
+            ("lambda", "diag", 0),
+        ):
+            code, out = run_cli(["subspaces", "--which", which, "--op", op_name, "--n", str(n)], capsys)
+            assert (code, load_report(out)["data"]["dim"]) == (0, dim), (which, op_name)
+
+    @pytest.mark.parametrize("dims", [(d,) for d in range(1, 5)] + list(itertools.product(range(1, 5), repeat=2)))
+    def test_subspaces_ebsk_dim_is_the_number_of_heads(self, dims, capsys):
+        # the EBS span of the tensor shifts is spanned by the head coordinates
+        # (q_1, .., q_k) with q_j < d_j
+        argv = ["subspaces", "--which", "ebsk", "--dims", ",".join(map(str, dims))]
+        code, out = run_cli(argv, capsys)
+        assert (code, load_report(out)["data"]["dim"]) == (0, math.prod(dims))
+
 
 class TestParserReuse:
     """main builds its parser once per process; one report's flags must not
@@ -1255,9 +1280,9 @@ def _option_texts(action):
     if action.dest == "weights":
         return st.sampled_from([*WEIGHT_FAMILIES, "file:missing.json"])
     if action.type is _positive_ints:
-        # subspaces --which ebsk sweeps (prod 2 d_j)^k exponent tuples: it
-        # takes seconds already at --dims 3,3
-        return st.lists(st.integers(0, 2).map(str), min_size=1, max_size=2).map(",".join)
+        # subspaces --which ebsk sweeps prod (2 d_j - 1) exponent tuples on
+        # K^(prod 2 d_j): --dims 4,4 takes a fraction of a second
+        return st.lists(st.integers(0, 4).map(str), min_size=1, max_size=2).map(",".join)
     if _is_size(action):
         return st.integers(-1, 6).map(str)
     return st.sampled_from(_SPECIAL_NUMBERS)

@@ -1,6 +1,7 @@
 """Decision procedures: Salas certificates, chain subspaces, perturbations,
 region verdicts, symmetry obstructions."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from shiftlab.criteria import (
     unimodular_chain_spaces,
 )
 from shiftlab.errors import DimensionError, InputError, PreconditionError
-from shiftlab.linalg import Subspace
+from shiftlab.linalg import Subspace, intersect, kernel_and_image, span_union
 from shiftlab.nilpotent import TensorShiftTuple, backward_shift
 from shiftlab.operators import (
     TensorElement,
@@ -209,6 +210,14 @@ class TestSalasTraces:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _block_sum():
+    """S on K^4 beside an invertible 2 x 2 block: T^6 != 0."""
+    t = np.zeros((6, 6), dtype=complex)
+    t[:4, :4] = backward_shift(4)
+    t[4:, 4:] = [[2.0, 1.0], [0.0, 3.0]]
+    return t
+
+
 class TestKerDagger:
     def test_backward_shift_k4(self):
         space = ker_dagger(backward_shift(4))
@@ -220,10 +229,7 @@ class TestKerDagger:
         assert ker_dagger(t).dim == 0
 
     def test_block_sum(self):
-        t = np.zeros((6, 6), dtype=complex)
-        t[:4, :4] = backward_shift(4)
-        t[4:, 4:] = [[2.0, 1.0], [0.0, 3.0]]
-        space = ker_dagger(t)
+        space = ker_dagger(_block_sum())
         assert space.same_space(Subspace.from_vectors([unit(0, 6), unit(1, 6)]), 1e-9)
 
 
@@ -259,7 +265,42 @@ class TestLambda:
         assert abs(z - 1.0) < 1e-6 and mult == 4 and sp.dim == 2
 
 
+def reference_ebs_tuple_kernel(mats, tol=1e-9):
+    """The span as its definition states it: every exponent tuple in
+    1..dim, with each power and kernel computed afresh."""
+    dim = mats[0].shape[0]
+    pieces = []
+    for n_tuple in itertools.product(range(1, dim + 1), repeat=len(mats)):
+        common = Subspace.full(dim)
+        for m, nj in zip(mats, n_tuple):
+            kernel, _ = kernel_and_image(np.linalg.matrix_power(m, 2 * nj), tol)
+            common = intersect(common, kernel, tol)
+            if common.dim == 0:
+                break
+        prod = np.eye(dim)
+        for m, nj in zip(mats, n_tuple):
+            prod = prod @ np.linalg.matrix_power(m, nj)
+        pieces.append(Subspace.from_vectors([prod @ row for row in common.basis], dim, tol))
+    return span_union(pieces, dim, tol)
+
+
 class TestEbsTupleKernel:
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 1, 1)])
+    def test_bounded_sweep_matches_the_full_sweep(self, dims):
+        # the sweep stops each exponent at its operator's first zero power
+        mats = TensorShiftTuple(dims).operators()
+        got = ebs_tuple_kernel(mats)
+        assert got.dim == math.prod(dims)
+        assert got.same_space(reference_ebs_tuple_kernel(mats), 1e-9)
+
+    def test_a_non_nilpotent_operator_matches_the_full_sweep(self):
+        # no power of T vanishes, so every exponent up to dim is swept and
+        # every kernel ker T^(2n) is computed
+        t = _block_sum()
+        got = ebs_tuple_kernel([t])
+        assert got.dim == 2
+        assert got.same_space(reference_ebs_tuple_kernel([t]), 1e-9)
+
     def test_single_operator_matches_ker_dagger(self):
         t = backward_shift(6)
         a = ebs_tuple_kernel([t])

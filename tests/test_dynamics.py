@@ -27,7 +27,7 @@ from shiftlab.dynamics import (
     volterra_dist,
 )
 from shiftlab.criteria import unimodular_chain_spaces
-from shiftlab.errors import DomainError, InputError, PreconditionError
+from shiftlab.errors import DomainError, InputError, NumericError, PreconditionError
 from shiftlab.linalg import Subspace
 from shiftlab.nilpotent import backward_shift
 from shiftlab.operators import (
@@ -137,7 +137,7 @@ def reference_mixing_window(t, ball_u, ball_v, horizon, probes, seed, decided=No
                     float(np.linalg.norm(x - u_c)) <= ball_u.radius
                     and float(np.linalg.norm(power @ x - v_c)) <= ball_v.radius
                 )
-            except (DomainError, PreconditionError):
+            except (DomainError, NumericError, PreconditionError):
                 hit = False
         if not hit and float(np.linalg.norm(power @ u_c - v_c)) <= ball_v.radius:
             hit = True
@@ -366,17 +366,19 @@ class TestMixingWindow:
             fracs |= {frac for _, _, frac in decided}
         assert fracs == {1.0, 0.5, 0.25}
 
-    def test_chain_seed_domain_error_matches_reference(self):
+    def test_chain_seed_error_matches_reference(self):
         # an eigenvalue 1e-7 off the unit circle is snapped onto it, so both
-        # centers lie in the chain span, but (T/z - I)^n e_0 never reaches
-        # e_0's seed: every step's pair raises DomainError
+        # centers lie in the chain span, but T/z - I = 1e-7 I + S is not
+        # nilpotent: the seed's Jordan chain is numerically degenerate, and
+        # every step's pair raises NumericError
         t = (1 + 1e-7) * np.eye(4) + backward_shift(4)
         (z, _, sp), = unimodular_chain_spaces(t)
         u_c, v_c = sp.basis[0], sp.basis[-1]
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericError):
             transitivity_pair(t, u_c, v_c, 8)
-        # at radius 1.2 only a pair probe x = 0 would hit: |0 - e_0| = |0 - e_1|
-        # = 1, while the center probe misses by |e_0 - e_1| = 1.41
+        # the centers are e_0 and e_1 up to sign; at radius 1.2 only a pair
+        # probe x = 0 would hit: |0 - e_0| = |0 - e_1| = 1, while the center
+        # probe misses by |e_0 - e_1| = 1.41
         for radius in (0.05, 0.5, 1.2):
             args = (t, Ball(u_c, radius), Ball(v_c, radius), 30)
             assert mixing_window(*args, 2) == reference_mixing_window(*args, 32, 2)

@@ -13,7 +13,6 @@ from shiftlab.linalg import (
     exp_nilpotent,
     intersect,
     kernel_and_image,
-    orthonormal_rows,
     span_union,
 )
 from shiftlab.nilpotent import backward_shift
@@ -159,11 +158,33 @@ def test_cluster_points_groups_nearby():
     assert sizes == [2, 2]
 
 
-def test_orthonormal_rows_drops_dependent():
-    rows = orthonormal_rows([[1, 0, 0], [2, 0, 0], [0, 1, 0]], 3)
-    assert rows.shape == (2, 3)
-    gram = rows @ rows.conj().T
+def test_from_vectors_drops_dependent():
+    sp = Subspace.from_vectors([[1, 0, 0], [2, 0, 0], [0, 1, 0]])
+    assert sp.basis.shape == (2, 3)
+    gram = sp.basis @ sp.basis.conj().T
     assert np.allclose(gram, np.eye(2), atol=1e-12)
+    assert sp.same_space(Subspace.from_vectors([unit(0, 3), unit(1, 3)]), 1e-12)
+
+
+def test_from_vectors_of_nothing_needs_an_ambient():
+    assert Subspace.from_vectors([], 3).dim == 0
+    with pytest.raises(InputError):
+        Subspace.from_vectors([])
+
+
+@pytest.mark.parametrize("vectors", [[[1, 0, 0], [0, 1]], [[1, 0], [0, 1, 0]]])
+def test_from_vectors_rejects_ragged_vectors(vectors):
+    with pytest.raises(InputError):
+        Subspace.from_vectors(vectors)
+
+
+def test_from_vectors_decides_rank_by_the_relative_singular_value_cutoff():
+    # a second vector 1e-12 off the first is dependent at tol 1e-9 whatever
+    # the scale, and independent once the cutoff lies below its singular value
+    for scale in (1e-6, 1.0, 1e6):
+        vecs = [scale * unit(0, 3), scale * (unit(0, 3) + 1e-12 * unit(1, 3))]
+        assert Subspace.from_vectors(vecs).dim == 1
+        assert Subspace.from_vectors(vecs, 3, 1e-14).dim == 2
 
 
 def test_det_exact_agrees_with_float_promotion():
