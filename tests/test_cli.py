@@ -1052,6 +1052,49 @@ def test_mixing_report_digest(key, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _MIXING_DIGESTS[key]
 
 
+# sha256 of stdout, with the exit code, for kerim and mixing past the
+# benchmark's sizes: both reports start from the similarity J on K^(2n)
+_SIMILARITY_DIGESTS = {
+    "kerim --n 4 --z 1": (0, "9d1ab403a92e6d0fbd2e5553a4604583ffcd80cdcf7af53f2f14a1febf1a098d"),
+    "kerim --n 4 --z 1j": (0, "5d16a655a35812b5ba30080fc5da15dd2bdde5e222d4148d06a53b63a644ab41"),
+    "kerim --n 4 --z -1": (0, "f62ecf973d6995a791d7326b826c7779eede78f902b37816bd6c5e0ea2ede1d5"),
+    "kerim --n 5 --z 1": (0, "91bd53c17c3c00ef6bb9a80137a2313e21b7e11e4d040da033260323c2d8dddc"),
+    "kerim --n 5 --z 1j": (0, "bbbc3a56bcb456dc648eeea2d8a7583e0b894cfb73fdfe558d88c611e8c9fe99"),
+    "kerim --n 5 --z -1": (0, "626947ca1dba2378f4ec18c13ab9de482f7eae6019364b080baccbebec8926b5"),
+    "kerim --n 6 --z 1": (0, "680a6f2eeb535fb490be6df2e10c7d0c76a1a14e36a75250dbc0f18269879a50"),
+    "kerim --n 6 --z 1j": (0, "96345bae0cbfcf31b58d1d930939750e51c20d613ab97fe3f3309c8f74ce7ca5"),
+    "kerim --n 6 --z -1": (0, "5380da9214931918e360e6687c1b88e140d3721d5077f8d98c7283f242cbf42c"),
+    "kerim --n 7 --z 1": (0, "e6fec023485e8fc50178e702b6a75319988e81b13498c2d95b5439fc2dc766ac"),
+    "kerim --n 7 --z 1j": (0, "6c7cc5bed078698482fb1f01cb32f0636c9e66569d8d793e3b046e7e3fe860dd"),
+    "kerim --n 7 --z -1": (0, "38968dfeae238281038f24df78b33f0f9e2a9d6c4fe9a6a490881252d118e605"),
+    "kerim --n 8 --z 1": (0, "07eaffe79cdef965da625de385bd6295a4a6fc7d3fa186e45f2a48d3498cfd6c"),
+    "kerim --n 8 --z 1j": (0, "0b069b7d188bb2c339a8cb60eaa2ea12c9499586c9c89f7074cfab7a203ba113"),
+    "kerim --n 8 --z -1": (0, "e4680c69e066e3d3e22f3a2c2f267bf73c357e96399f860da12452d275d86673"),
+    "kerim --n 9 --z 1": (0, "f439994ac127c9ce7298b6bf60468003e4b2577e918cd919490e8b355d2cff84"),
+    "kerim --n 9 --z 1j": (0, "4009ed9205c39349686d713fd20fbdf119d108527f2113917e914800ac18321c"),
+    "kerim --n 9 --z -1": (0, "6b407e97d03c685e26dbd133a657ebebcd4593099fb9bc565793b30a34f52491"),
+    "kerim --n 10 --z 1": (0, "49a0134028883a02790e7da5a803056c9ca388faf64ef4c1d5c1ec61891093d2"),
+    "kerim --n 10 --z 1j": (0, "0df04283a3cd4b8979958157d6c9b1f8301ef9450f4d08cb44a575a8293c7c4a"),
+    "kerim --n 10 --z -1": (0, "d5550c96e2a1bb248ec89d19fdf5f4f73369f3d1b4b1ace7d1809a7e9f1a38f9"),
+    "kerim --n 11 --z 1": (2, "365ea1fbc51e9b615e46c38a7a8f67fdcb6b7f899d23dcd7402f44da07c2c53c"),
+    "kerim --n 11 --z 1j": (2, "6efc137ab33e30b1c10080ca208585b360a2c5d438bd3501af8d0df8376ba830"),
+    "kerim --n 11 --z -1": (2, "2e761faabce78e79f002eb4d125ec58af629ece543e2a4196bc9efbe0074c2a4"),
+    "kerim --n 12 --z 1": (0, "a1934be9b1689294d153276c5b056be9dbb0a4aae588e8590201809c9ea5b13e"),
+    "kerim --n 12 --z 1j": (0, "60a72d4d4af9f6ce1642d6b1b30da49ed4138892a61bdd3274347f0045f392a4"),
+    "kerim --n 12 --z -1": (0, "2ca80e3980712b0f5b8e194fd5f5f49650263fd9a43da2fd5f4b14098bcd0f14"),
+    "mixing --n 9 --seed 0": (0, "6f986345a2e69170ca7624dd30dcb54b61722768329225a79dbd13dd3da9e111"),
+    "mixing --n 10 --seed 0": (0, "527149b1d7cbd37f01d9cdc895c3e21c7b875c8b37b3db5d79d4be2a26c0fd09"),
+    "mixing --n 11 --seed 0": (0, "c013d1d66727640242706f48522b2d89d492a2ce509de4bb6de9f95582b38f9d"),
+    "mixing --n 12 --seed 0": (0, "e058fbd1bd76ecd56a7943e69889273721e0758051da63d4b253e3c47f7b0c24"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_SIMILARITY_DIGESTS))
+def test_similarity_report_digest(argv, capsys):
+    code, out = run_cli(shlex.split(argv), capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _SIMILARITY_DIGESTS[argv]
+
+
 def test_maps_to_compares_exactly():
     # T (0, 1/2) = (1/2, 0) = c x only for c = 1/2 at x = (1, 0)
     t = RationalMatrix([[0, 1], [0, 0]])

@@ -12,6 +12,7 @@ from shiftlab.errors import DomainError, InputError, PreconditionError
 from shiftlab.nilpotent import (
     TensorShiftTuple,
     _approach_map,
+    _similarity_j_inverse,
     backward_shift,
     backward_shift_exact,
     build_anz_exact,
@@ -300,7 +301,33 @@ class TestApproachMapCache:
         assert _approach_map(n, z) is by_fraction
 
 
+def _reference_similarity_j(n):
+    """J built column by column on Fractions: J e_0 = e_0, and J e_(c+1)
+    is the solution x of N x = J e_c with x_0 = 0, N = e^S - I.  N is
+    strictly upper triangular with a unit superdiagonal, so row i of
+    N x = b fixes x_(i+1) by back substitution."""
+    dim = 2 * n
+    nmat = (exp_shift_exact(dim) - RationalMatrix.identity(dim)).data
+    cols = [[Fraction(1)] + [Fraction(0)] * (dim - 1)]
+    for _ in range(1, dim):
+        b = cols[-1]
+        assert b[-1] == 0  # the zero last row of N
+        x = [Fraction(0)] * dim
+        for i in range(dim - 2, -1, -1):
+            x[i + 1] = b[i] - sum(nmat[i][c] * x[c] for c in range(i + 2, dim))
+        cols.append(x)
+    return RationalMatrix(list(zip(*cols)))
+
+
 class TestSimilarity:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_column_by_column_reference(self, n):
+        want = _reference_similarity_j(n)
+        got = similarity_j(n)
+        assert got == want and got.cleared() == want.cleared()
+        inv, want_inv = _similarity_j_inverse(n), want.inv()
+        assert inv == want_inv and inv.cleared() == want_inv.cleared()
+
     def test_identity_at_2n2(self):
         assert similarity_j(1) == RationalMatrix.identity(2)
 
