@@ -269,27 +269,41 @@ def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:
     return math.sqrt(r1 / (d * d)), math.sqrt(r2 / (d * d))
 
 
+def _stirling_over_factorials(dim: int, weight) -> RationalMatrix:
+    """The dim x dim matrix with entry (i, j) = i! t(j, i) / j!, on integers
+    over (dim - 1)!, where t(0, 0) = 1, t(0, b) = 0 for b > 0 and
+    t(a, b) = t(a-1, b-1) + weight(a, b) t(a-1, b)."""
+    table = [[1] + [0] * (dim - 1)]
+    for a in range(1, dim):
+        prev = table[-1]
+        table.append([(prev[b - 1] if b else 0) + weight(a, b) * prev[b] for b in range(dim)])
+    fact = [math.factorial(i) for i in range(dim)]
+    big = fact[-1]
+    return RationalMatrix._from_ints(
+        [[fact[i] * table[j][i] * (big // fact[j]) for j in range(dim)] for i in range(dim)],
+        big,
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def similarity_j(n: int) -> RationalMatrix:
     """Upper-triangular invertible J on K^(2n) with J S = (e^S - I) J exactly.
 
-    Built column by column: J e_1 = e_1, then J e_j = N.solve(J e_{j-1})
-    with N = e^S - I.  N is strictly upper triangular with a unit
-    superdiagonal, so column 0 is its only free variable; ``solve`` sets
-    it to 0, so J e_j has first coordinate 0 for j > 1 and the diagonal
-    stays identically 1.
+    Read e_k as x^k/k!: S is d/dx and e^S - I the forward difference, so
+    J sends x^j/j! to the binomial polynomial C(x, j) = sum_i s(j, i) x^i/j!
+    and J[i][j] = i! s(j, i)/j!, s the signed Stirling numbers of the first
+    kind, s(a, b) = s(a-1, b-1) - (a-1) s(a-1, b) (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, 6.1).  The diagonal is 1.
     """
-    dim = 2 * n
-    nmat = exp_shift_exact(dim) - RationalMatrix.identity(dim)
-    cols = [[Fraction(1)] + [Fraction(0)] * (dim - 1)]
-    for _ in range(1, dim):
-        cols.append(nmat.solve(cols[-1]))
-    return RationalMatrix(list(zip(*cols)))
+    return _stirling_over_factorials(2 * n, lambda a, b: 1 - a)
 
 
 @functools.lru_cache(maxsize=64)
 def _similarity_j_inverse(n: int) -> RationalMatrix:
-    return similarity_j(n).inv()
+    """The exact inverse of ``similarity_j(n)``: x^j/j! = sum_i S(j, i) i!/j!
+    C(x, i), so J^-1[i][j] = i! S(j, i)/j!, S the Stirling numbers of the
+    second kind, S(a, b) = S(a-1, b-1) + b S(a-1, b)."""
+    return _stirling_over_factorials(2 * n, lambda a, b: b)
 
 
 @functools.lru_cache(maxsize=64)

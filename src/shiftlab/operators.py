@@ -368,24 +368,18 @@ def default_alpha(m: int) -> Fraction:
     return Fraction(2) ** (m * (m + 1) // 2)
 
 
-def saan_generators(
-    k: int,
-    ntrunc: int,
-    phi: list[tuple[int, ...]] | None = None,
-    exact: bool = False,
-):
+def saan_generators(k: int, ntrunc: int, exact: bool = False):
     """The k commuting truncated generators on coordinates x_n = e_n of l1.
 
-    A_j e_{phi(m)} = (alpha_{|m|-1}/alpha_{|m|}) e_{phi(m - e_j)} when
+    phi enumerates the first ``ntrunc`` multi-indices in graded-lex order,
+    and A_j e_{phi(m)} = (alpha_{|m|-1}/alpha_{|m|}) e_{phi(m - e_j)} when
     m_j >= 1, else 0, for alpha = ``default_alpha``.  The coordinate
     functionals make every eps_m = 1, so the growth condition reads
     alpha_{m+1} >= 2^m alpha_m, which alpha_{m+1} = 2^(m+1) alpha_m meets.
     """
     if k < 1 or ntrunc < 1:
         raise InputError("k and ntrunc must be >= 1")
-    indices = graded_lex_indices(k, ntrunc) if phi is None else list(phi)[:ntrunc]
-    if len(set(indices)) != len(indices):
-        raise InputError("phi must enumerate distinct multi-indices")
+    indices = graded_lex_indices(k, ntrunc)
     pos = {m: i for i, m in enumerate(indices)}
     max_deg = max(sum(m) for m in indices)
     alphas = [default_alpha(m) for m in range(max_deg + 1)]
@@ -399,10 +393,9 @@ def saan_generators(
         for m, col in pos.items():
             if m[j] < 1:
                 continue
+            # a graded-lex prefix holds every index of lower degree
             target = tuple(x - (1 if idx == j else 0) for idx, x in enumerate(m))
-            row = pos.get(target)
-            if row is not None:  # graded-lex never drops targets; custom phi might
-                entries[row, col] = sum(m)
+            entries[pos[target], col] = sum(m)
         if exact:
             num = [[0] * ntrunc for _ in range(ntrunc)]
             for (r, c), s in entries.items():

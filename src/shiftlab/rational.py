@@ -690,23 +690,6 @@ class RationalMatrix:
         basis, last = self._null_ints()
         return [[Fraction(a, last) for a in v] for v in basis]
 
-    def solve(self, b):
-        """One exact solution of A x = b, or None if inconsistent."""
-        vec = [_as_fraction(x) for x in b]
-        if len(vec) != self.rows:
-            raise InputError("rhs length mismatch")
-        rhs, db = _cleared(vec)
-        den = math.lcm(self._den, db)
-        fa, fb = den // self._den, den // db
-        m = [[a * fa for a in row] + [bi * fb] for row, bi in zip(self._num, rhs)]
-        pivots, last, _ = _eliminate(m, self.cols)
-        if any(row[-1] for row in m[len(pivots) :]):
-            return None
-        x = [Fraction(0)] * self.cols
-        for row, pc in zip(m, pivots):
-            x[pc] = Fraction(row[-1], last)
-        return x
-
     def inv(self) -> "RationalMatrix":
         """``[num | den I]`` reduces to ``last [I | A^-1]``."""
         if self.rows != self.cols:

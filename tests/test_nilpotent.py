@@ -332,7 +332,7 @@ class TestSimilarity:
         assert similarity_j(1) == RationalMatrix.identity(2)
 
     def test_intertwining_exact(self):
-        for n in range(1, 6):
+        for n in range(1, 25):
             j = similarity_j(n)
             s = backward_shift_exact(2 * n)
             lhs = j @ s
@@ -340,10 +340,11 @@ class TestSimilarity:
             assert lhs == rhs
 
     def test_invertible_unit_diagonal(self):
-        for n in range(1, 6):
+        for n in range(1, 25):
             j = similarity_j(n)
             assert all(j[i, i] == 1 for i in range(2 * n))
             assert j.det() == 1
+            assert j @ _similarity_j_inverse(n) == RationalMatrix.identity(2 * n)
 
     def test_upper_triangular(self):
         j = similarity_j(3)

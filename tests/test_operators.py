@@ -512,22 +512,17 @@ class TestSaanGenerators:
 
     def test_float_generators_are_the_exact_ones_rounded(self):
         # each float entry is its exact coefficient rounded once, byte for byte
-        phi = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 1)]  # (2, 1) -> (2, 0) is dropped
-        for k, count, kw in (
-            (2, 15, {}),
-            (3, 20, {}),
-            (2, len(phi), {"phi": phi}),
-        ):
-            floats = saan_generators(k, count, **kw)
-            exact = saan_generators(k, count, exact=True, **kw)
+        for k, count in ((2, 15), (3, 20)):
+            floats = saan_generators(k, count)
+            exact = saan_generators(k, count, exact=True)
             for f, e in zip(floats, exact):
                 want = np.array([[complex(float(x)) for x in row] for row in e.data])
                 assert f.dtype == np.complex128 and f.tobytes() == want.tobytes()
 
     @staticmethod
-    def _reference_exact(k, ntrunc, phi=None):
+    def _reference_exact(k, ntrunc):
         """The exact generators built entry by entry from Fractions."""
-        indices = graded_lex_indices(k, ntrunc) if phi is None else list(phi)[:ntrunc]
+        indices = graded_lex_indices(k, ntrunc)
         pos = {m: i for i, m in enumerate(indices)}
         mats = []
         for j in range(k):
@@ -543,16 +538,13 @@ class TestSaanGenerators:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("ntrunc", [1, 2, 45, 56])
     def test_exact_generators_match_fraction_reference(self, k, ntrunc):
-        # every other graded-lex index, reversed: some targets fall outside
-        phi = graded_lex_indices(k, 2 * ntrunc + 2)[::-2]
-        for kw in ({}, {"phi": phi}):
-            got = saan_generators(k, ntrunc, exact=True, **kw)
-            want = self._reference_exact(k, ntrunc, **kw)
-            assert len(got) == k
-            for g, w in zip(got, want):
-                assert g == w
-                assert g.data == w.data
-                assert (g.rows, g.cols) == (ntrunc, ntrunc)
+        got = saan_generators(k, ntrunc, exact=True)
+        want = self._reference_exact(k, ntrunc)
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert g == w
+            assert g.data == w.data
+            assert (g.rows, g.cols) == (ntrunc, ntrunc)
 
     def test_default_alpha_meets_the_growth_condition(self):
         # alpha_{m+1} = 2^(m+1) alpha_m >= 2^m alpha_m, so no default alpha
