@@ -815,6 +815,114 @@ def test_detan_report_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _DETAN_DIGESTS[argv]
 
 
+# exit code and sha256 of stdout for grading's random families at degrees
+# 1-3 and seeds 0-31 (the exact-sweep benchmark draws degree 2)
+_GRADING_DIGESTS = {
+    "grading --preset random --degree 1 --seed 0": (0, "c4464b71f48f8bade9b2bce662903dbfc1b64bcf066fa34f300b36079047e055"),
+    "grading --preset random --degree 1 --seed 1": (0, "05012473ab5bc1a255e71397d271e458f510d5d2031ef5f83589e6aa5169adf8"),
+    "grading --preset random --degree 1 --seed 2": (0, "f1f233f482e1106b1457e65cb1e8e9166b0e5b457eb5555d5e6fefcf33a83569"),
+    "grading --preset random --degree 1 --seed 3": (0, "83f7fefdd0dce03424ed1384b7dcd601560834a663985ea4e51956f6c19bd228"),
+    "grading --preset random --degree 1 --seed 4": (0, "122a30a3fd2bffb738ac0020da458b07093d9555df243c2b664ec95de7fd9a0e"),
+    "grading --preset random --degree 1 --seed 5": (0, "b699e74972833f1b01356adbb83b9cc002f54e6a42ab46f3eb6f90bfe359b6e3"),
+    "grading --preset random --degree 1 --seed 6": (0, "df749aa6cc326c4f703dea04d2f3823581e82808f356aaa3676a9a2db957f11b"),
+    "grading --preset random --degree 1 --seed 7": (0, "a43d891e6ea0922ee63895697a51c5d263ed39f3837e364aee4d2bb846ce289b"),
+    "grading --preset random --degree 1 --seed 8": (0, "47a89f2d03ca03401b6a3412f9b735a8d4ff81a3d0be9d61ef72944b74104aa4"),
+    "grading --preset random --degree 1 --seed 9": (0, "befd28fd51f46d58e5d94bc8a91597e63bb9dc25e902954a7bda3dcddde697e4"),
+    "grading --preset random --degree 1 --seed 10": (0, "6bd8ba51d3ae70d381ea8dc685b1d2ce8cf0aac182b1f538a0b96d7e1f10bbf6"),
+    "grading --preset random --degree 1 --seed 11": (0, "1782e0b081155354ff960dfee25e12e982e38ebbec6c45bcc684dc04b1de31b6"),
+    "grading --preset random --degree 1 --seed 12": (0, "acd2c417570f407f20490853542bf84d3f1e59d58b5ed03d548a7289c0e029fd"),
+    "grading --preset random --degree 1 --seed 13": (0, "a8388b29695e5a1d7065c39fc9443323c1254782673700414db763f754747917"),
+    "grading --preset random --degree 1 --seed 14": (0, "3ea44da601feef004674a3898ece4b7b41a9b8c1b84b6dc47efc34e429ad422d"),
+    "grading --preset random --degree 1 --seed 15": (0, "1e2ecf65cf440bfd3fd2ad52dbedc5456413c864291a49d2c5b4eadc888e60c0"),
+    "grading --preset random --degree 1 --seed 16": (0, "7c54fff7d76697798ba371f4479764eb5c067d6042b7ef0be1f8d0f7db588a39"),
+    "grading --preset random --degree 1 --seed 17": (0, "9653c90367ff88fff78b6a5b868d5c29bdfea16573f773d5d973a3208c406bfe"),
+    "grading --preset random --degree 1 --seed 18": (0, "57cd88a428bec32e1d02ed4b67cbf02f14ed33f3b8050284324a83b6f71f554e"),
+    "grading --preset random --degree 1 --seed 19": (0, "4368f3c08f34273d895be23a5ec66db679bd36b0d1bbc0b4741f684f9f18c197"),
+    "grading --preset random --degree 1 --seed 20": (0, "d16a77efe859622c71004e1e5833bc29e1c441b2479f95b014dbae1fbf1276b8"),
+    "grading --preset random --degree 1 --seed 21": (0, "0b56394dbeb58ccd060adc93b3c48244cdb87b9295ffb688a992d036b4545178"),
+    "grading --preset random --degree 1 --seed 22": (0, "844280701f3fccb8eb53fd5bf69ad5dc6e5fd54371299888beaa991deaca8b4d"),
+    "grading --preset random --degree 1 --seed 23": (0, "00e637e817fda2a6b664ad6cebe2568bb65dd3e22ca6c7c882f5fed6252c3caf"),
+    "grading --preset random --degree 1 --seed 24": (0, "8bcfa81e76e5f6f2cdc5b39cf5e3cb3f5ebcf78c0c4463ba7cbbe93dba969348"),
+    "grading --preset random --degree 1 --seed 25": (0, "a086c777d2751741f7254ab379a8188c6fdf646ea7135efb6dcf9800bea4517c"),
+    "grading --preset random --degree 1 --seed 26": (0, "c0a87ef5b675c970edf93a80dc507db12dbec5f98f2b8622b7e53037f3a5ed33"),
+    "grading --preset random --degree 1 --seed 27": (0, "39ecc8ccd41d3c04e484342efb5023d7a4d7d09c09914e54ad379df8e3205131"),
+    "grading --preset random --degree 1 --seed 28": (0, "e3e668b751a0f89cecf6a64719dff91f196c3becce619387b0e33d632d93c087"),
+    "grading --preset random --degree 1 --seed 29": (0, "d4fc6ffbfd5b7cbbb7969a36cb547789d22d21d60bb5d6451113cf016330d920"),
+    "grading --preset random --degree 1 --seed 30": (0, "a2584975008f7151597358454c5dd9ec22d74846bcf2280c11a3f3eaec0f6922"),
+    "grading --preset random --degree 1 --seed 31": (0, "1102ad09a856592c45f0eb42a3a509c0350b3827dac601948cccf663b550bb81"),
+    "grading --preset random --degree 2 --seed 0": (0, "acc03f20f102ed71b7815633c05ef1c4231eb73d65c8ea31c2f90dd80450578a"),
+    "grading --preset random --degree 2 --seed 1": (0, "36ab5996d170a495707a8a093567a60eb6cd4976778d20933a0c5c9cefef9d7f"),
+    "grading --preset random --degree 2 --seed 2": (0, "d5d291afabeb1db719f2aea670c2d491e911ab24343b1d97c8c5ab44fcafbd4b"),
+    "grading --preset random --degree 2 --seed 3": (0, "31fa2ef7d63e09629b1426fa9546741737d6ba4cb1524445185782ff0097da89"),
+    "grading --preset random --degree 2 --seed 4": (0, "87c8adfec7fbcd7cbb655fd6c129d4ba027a69a065b13475a27487efc22bf53e"),
+    "grading --preset random --degree 2 --seed 5": (0, "01c3852f0ce8b80d7ef7eb55c6750a8edb77bead7db941733e34861038b6117e"),
+    "grading --preset random --degree 2 --seed 6": (0, "9bb221be1c4db45becfaa7e969d9b8ec1448eb1c5472c92108937127b41eb8d4"),
+    "grading --preset random --degree 2 --seed 7": (0, "85569228d9ac3873016cb7fbd226ffd032fd1184c650340c5d429ce8b34a84d2"),
+    "grading --preset random --degree 2 --seed 8": (0, "3c30e122e8cf227a230ccaab50a953ace697e78b070bdcb3d361547974b90a6f"),
+    "grading --preset random --degree 2 --seed 9": (0, "8764a5e48dc4b104ecd019665be6b6f31465e126ae56a0902607eaccc65043f0"),
+    "grading --preset random --degree 2 --seed 10": (0, "41ce7008ebbd103c6ae4ccf073349a3f09f9ceeea324c72611b7fcb452a17eef"),
+    "grading --preset random --degree 2 --seed 11": (0, "bd47d789dec3db0a045e1f8732eab15dc952506feb433386d1af3f6c4f7a88b6"),
+    "grading --preset random --degree 2 --seed 12": (0, "1db99c7cd5910774310fdb06fab80b59fccf8d5e71d2136b208fe589c764db25"),
+    "grading --preset random --degree 2 --seed 13": (0, "3dda6c3e9af8a0ff4500822129fd9966c9da63e24871fc98cbce357fa7a3f59e"),
+    "grading --preset random --degree 2 --seed 14": (0, "ca4fddb4aac28246f119bbb6dd89686f156b7fedf567ffad0ef26dac60aaf687"),
+    "grading --preset random --degree 2 --seed 15": (0, "210683728b5f4f8164a9cb02afcd72875eb56e92b18ee655cb39bf23c01eea03"),
+    "grading --preset random --degree 2 --seed 16": (0, "ed41660cd20ed4de9f73473e58327db105956b7cd1694d3281c6831aebc7491e"),
+    "grading --preset random --degree 2 --seed 17": (0, "9c4fe4f99b0ccf7ac4267cee38277bdea790922b13a0e0e30749885155c3e38f"),
+    "grading --preset random --degree 2 --seed 18": (0, "100d55187cceb3b9155fc4f1652a6317f16e9d7178a3b452268c688e27efa62e"),
+    "grading --preset random --degree 2 --seed 19": (0, "a6e61f21e64e39683f5414adaae5cb142aae847a0507512539de4da3fee3468e"),
+    "grading --preset random --degree 2 --seed 20": (0, "cccac6eb7d9988d6f9ffaf276207e3c612e210f3d17a29c64678030235789b37"),
+    "grading --preset random --degree 2 --seed 21": (0, "23edc8d309c6feb8d04b6cfb9b8f7b3ed60cd702a33145ef47af55d7e0766db6"),
+    "grading --preset random --degree 2 --seed 22": (0, "af4160cabd7abfcc84bf24b43d91c85999827b4f8f914bdf5ffba10f586edccb"),
+    "grading --preset random --degree 2 --seed 23": (0, "f0f6319a1e10b36b2960b580c01bd0d5a9deb6fbb2caa42c97713de41abce7f9"),
+    "grading --preset random --degree 2 --seed 24": (0, "25dd85216652976509b5b859ae70f7ec0d09c2aa3d748f57efb1a2b4a67c0142"),
+    "grading --preset random --degree 2 --seed 25": (0, "ae7f4ef14b2808b14287f3832ccf0af76173e5a59c940582e554a71a5f93d046"),
+    "grading --preset random --degree 2 --seed 26": (0, "863783277dc08c040cd4eee897da7eca92b784b3d68b750bc23397714c25f6dc"),
+    "grading --preset random --degree 2 --seed 27": (0, "99a46cdf36001c99e321d1092cec79e948555bff51c4036c837585fb2e814515"),
+    "grading --preset random --degree 2 --seed 28": (0, "39f76e6af1bce3f4f77543665c79b8970490d05f51b13e2899869a9baba36021"),
+    "grading --preset random --degree 2 --seed 29": (0, "ac83181370a7cfb2f57bc8c96656f8b8399b7f05a785a0e8813776c95876bd9a"),
+    "grading --preset random --degree 2 --seed 30": (0, "690bea0954d4c2ff30d2d0b0cfd90b5c13c76d89c1fcb7d44cd57407e69ea8fc"),
+    "grading --preset random --degree 2 --seed 31": (0, "d9d58dc8dafc4d3c5cd77f96047b7f62d258f3c39d824f448096cc81c7af7069"),
+    "grading --preset random --degree 3 --seed 0": (0, "472c0a54a4b9f0cfd7a87457b02032987e774ae5c80ca9dd321c9776532d7ae2"),
+    "grading --preset random --degree 3 --seed 1": (0, "bc2a8a9c550498936d8620d8d57d70eea70d37ff8c77c4c83f50f7615a4201d9"),
+    "grading --preset random --degree 3 --seed 2": (0, "971772ca5c375ba99ed3c3cf15b315a2ea877408e9e18091e6419f93f63f696a"),
+    "grading --preset random --degree 3 --seed 3": (0, "e65d75ab6a2029fb8b7d03813694c802af622c1f73c655397789421a28550a40"),
+    "grading --preset random --degree 3 --seed 4": (0, "71e1df148b84387ed67ae4fbb78cc825de273ddbfa5515fa33d634b7befa89fe"),
+    "grading --preset random --degree 3 --seed 5": (0, "b8abe56f4b03c81b96c101a40c804867d036e12f7592308a23d8086647c24389"),
+    "grading --preset random --degree 3 --seed 6": (0, "61e8cfe7697f76e03680195aa0d605a456f1b84c6e22d5cc2cc09a657e9721f7"),
+    "grading --preset random --degree 3 --seed 7": (0, "164b92cd57c52c8b597004e09ec18b2a12c31367bf35402968da5ce97e3bddda"),
+    "grading --preset random --degree 3 --seed 8": (0, "a31148c744038fcf4f1d4fa1fa7b3522e7e5eb1efb0ae18f7827ce7d43103f3b"),
+    "grading --preset random --degree 3 --seed 9": (0, "810298b95c33610033dcd2e5a8906eb633d51428dba6d084d1b2eab096c2f06c"),
+    "grading --preset random --degree 3 --seed 10": (0, "715436c2935d4d5353e655470e820380f8de71aaf0b88ff74ac34e144486f769"),
+    "grading --preset random --degree 3 --seed 11": (0, "20214de6a6d1a1901da35719c15d7de04a44a5e6835f7049c0a2288c351ce48a"),
+    "grading --preset random --degree 3 --seed 12": (0, "21c82ae7402870a2377207826a9a9f0bc340308d29436bed7a5c453fbb0e58bb"),
+    "grading --preset random --degree 3 --seed 13": (0, "312b51e8c947999fb9862b992e64310f53f2a27eb9bf7f1cf4e4257135621e53"),
+    "grading --preset random --degree 3 --seed 14": (0, "527f8d9fc7f7f3b15af2fe0f0705ff24f46f2dd8375d474700845b2b0357a969"),
+    "grading --preset random --degree 3 --seed 15": (0, "465a80f0aef5d5b155c6c95983e1e708656556be0d15efd12367bb0dfab875e8"),
+    "grading --preset random --degree 3 --seed 16": (0, "3e2ac0cdb83aafe85046bec3ffe64cb52587dd8a2db122bead1b3d2351659742"),
+    "grading --preset random --degree 3 --seed 17": (0, "9320d77513d8b78a1b0a012d263fbc66058723950206a4f0a9176eaef480ccf7"),
+    "grading --preset random --degree 3 --seed 18": (0, "99ffb2c37e94d88cfca3f0f4bd5269da73a0b3e29c710451cbd9e9ea6a9f1ad8"),
+    "grading --preset random --degree 3 --seed 19": (0, "56ed6610708cefb3ba1358f5a0cb022d59df673f3305338a21a63c6538389119"),
+    "grading --preset random --degree 3 --seed 20": (0, "e4a7f0adf07341f2c07ed4838c7dbfa7954189ca33eef15ccf4800ec2628140e"),
+    "grading --preset random --degree 3 --seed 21": (0, "e5385de3bf29b1a8fc534ea74f2528d3055da122d73eecdea688de8b14b77ef2"),
+    "grading --preset random --degree 3 --seed 22": (0, "eeb78bd5911178919c684f7052ecef788d740506b8815e64fba0122f7fda35b6"),
+    "grading --preset random --degree 3 --seed 23": (0, "04c8c3c3d8891a9d6628b0e39cf842e05ead4d2d1f3cd83dc5b3be21dab6fb52"),
+    "grading --preset random --degree 3 --seed 24": (0, "db53b69f0051592ea104a53ea1afad557ba0105d031bfadd609fd894e8f77567"),
+    "grading --preset random --degree 3 --seed 25": (0, "262b34553616c83708da7dd56fbaf0b8e7b7e16f7f18bb88625755478e822fe5"),
+    "grading --preset random --degree 3 --seed 26": (0, "3ebde621140602337dd95ed8ea0f762d7641940fe1f37099350322729a3f4ff6"),
+    "grading --preset random --degree 3 --seed 27": (0, "6186ff3988b14e951f514571985f0ea02a392a8ec59d70f91f8fd4422a8d25e2"),
+    "grading --preset random --degree 3 --seed 28": (0, "1663b24f23b89a9364d005ace18baa6fa720858c3813dcc7703609efcfb5968e"),
+    "grading --preset random --degree 3 --seed 29": (0, "a7bfba2173c6c97a3f025acc98e67c092aad4467d55401fb91b160a5d50efd19"),
+    "grading --preset random --degree 3 --seed 30": (0, "e74edb25586a277855b0249591bcaa8297ef2c3f55a2288694750b4f675eeda9"),
+    "grading --preset random --degree 3 --seed 31": (0, "cdd3a9e61507dceea916c44b08e2782e488a032a05dc75209c1b35210f9dc199"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GRADING_DIGESTS))
+def test_grading_report_digest(argv, capsys):
+    code, out = run_cli(argv.split(), capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GRADING_DIGESTS[argv]
+
+
 # sha256 of stdout for the perturb argvs of the exact-dense benchmark,
 # ``perturb --dim D --trials 1 --seed S``, keyed "D-S"
 _PERTURB_DIGESTS = {

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import _random_grading_family
 from shiftlab.errors import DomainError, InputError
@@ -14,6 +16,7 @@ from shiftlab.grading import (
     _meets,
     _monomial_intersection,
     _reduced_basis,
+    _shifted_system,
     deg,
     DegreeBoundReport,
     monomial_intersection,
@@ -316,6 +319,59 @@ def test_meets_agrees_with_the_null_space(name):
     basis, _, den, k = _reduced_basis(gens)
     for d in range(0, n0_bound(gens).n0 + 4):
         assert _meets(basis, d) == (_monomial_intersection(basis, d, den, k) is not None)
+
+
+def _pivot(v):
+    """The first monomial of ``v`` in ``_reduced_basis``'s column order:
+    highest degree, then lowest component."""
+    return max(v, key=lambda m: (m[0], -m[1]))
+
+
+@st.composite
+def _basis_and_shift(draw):
+    """``(basis, d, forced)``: the reduced integer basis of the span of one
+    to four integer polynomial vectors with k <= 3 components of degree
+    <= 6, and a shift d in 0..8.  Two draws in three force two leading
+    monomials of the shifted system to coincide (``forced`` true): either
+    d is the gap between the pivot degrees of two basis vectors with the
+    same pivot component, or the family holds g and z^d g, so that
+    z^d L ∩ L is nonzero (``forced == "meets"``)."""
+    k = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["free", "pivot-gap", "shifted-copy"]))
+    shift = draw(st.integers(1, 3)) if mode == "shifted-copy" else 0
+    poly = st.lists(st.integers(-3, 3), min_size=1, max_size=7 - shift)
+    gens = draw(st.lists(st.lists(poly, min_size=k, max_size=k), min_size=1, max_size=4))
+    if mode == "shifted-copy":
+        assume(any(map(any, gens[0])))
+        gens.append([[0] * shift + c for c in gens[0]])
+    vectors = [GradedVector([RationalFunction(Poly(c)) for c in g]) for g in gens]
+    assume(any(not v.is_zero() for v in vectors))
+    basis = _reduced_basis(vectors)[0]
+    if mode == "free":
+        return basis, draw(st.integers(0, 8)), False
+    if mode == "shifted-copy":
+        return basis, shift, "meets"
+    pivots = [_pivot(v) for v in basis]
+    gaps = sorted(
+        {a[0] - b[0] for a in pivots for b in pivots if a[1] == b[1] and 0 < a[0] - b[0] <= 8}
+    )
+    assume(gaps)
+    return basis, draw(st.sampled_from(gaps)), True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_basis_and_shift())
+def test_meets_is_a_rank_deficit_of_the_shifted_system(case):
+    basis, d, forced = case
+    vecs, monomials = _shifted_system(basis, d)
+    rows = [[v.get(m, 0) for m in monomials] for v in vecs]
+    deficit = RationalMatrix(rows).rank() < 2 * len(basis)
+    assert _meets(basis, d) == deficit
+    if forced:
+        pivots = [_pivot(v) for v in vecs]
+        assert len(set(pivots)) < len(pivots)
+    if forced == "meets":
+        assert deficit
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))

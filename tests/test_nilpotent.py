@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from shiftlab.errors import DomainError, InputError, PreconditionError
 from shiftlab.nilpotent import (
     TensorShiftTuple,
+    _an1_inverse,
     _approach_map,
+    _head_cross_terms,
+    _jordan_ints,
     _similarity_j_inverse,
     backward_shift,
     backward_shift_exact,
@@ -299,6 +302,44 @@ class TestApproachMapCache:
         by_fraction = _approach_map(n, Fraction(z))
         assert by_int == by_fraction
         assert _approach_map(n, z) is by_fraction
+
+
+def _reference_approach_map(n, z):
+    """A_{n,z}^-1 [-H | R] by an exact inverse of A_{n,z} at each z."""
+    z = Fraction(z)
+    h_cols = [_head_cross_terms(n, z, [int(i == k) for i in range(n)]) for k in range(n)]
+    rhs = [[-col[j] for col in h_cols] + [int(k == n - 1 - j) for k in range(n)] for j in range(n)]
+    return build_anz_exact(n, z).inv() @ RationalMatrix(rhs)
+
+
+class TestApproachMapMatchesTheInverseAtEachZ:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_map(self, n):
+        for z in (2, Fraction(-3, 7), 1024):
+            ref = _reference_approach_map(n, z)
+            got = _approach_map(n, z)
+            assert got == ref
+            assert got.cleared() == ref.cleared()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_float_inverse_of_a_n1(self, n):
+        want = build_anz_exact(n, 1).inv().to_float()
+        assert np.array_equal(_an1_inverse(n).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_head_rows_of_the_exponential_give_the_head_of_the_product(n):
+    """The first n rows of e^{zS} times the exact pair x are the first n
+    entries of the full product, over the same denominator."""
+    rng = np.random.default_rng(100 + n)
+    for z in (*(2**e for e in range(1, 11)), Fraction(-3, 7)):
+        heads = [int(a) for a in rng.integers(-(2**20), 2**20, 2 * n)]
+        dh = int(rng.integers(1, 2**20))
+        x, d = _jordan_ints(n, z, heads, dh)
+        rows, de = exp_shift_exact(2 * n, z).cleared()
+        head = [sum(a * b for a, b in zip(row, x)) for row in rows[:n]]
+        full, dd = exp_shift_exact(2 * n, z)._matvec(x, d)
+        assert (head, de * d) == (full[:n], dd)
 
 
 def _reference_similarity_j(n):
