@@ -175,14 +175,15 @@ def cmd_jordan(args) -> ExperimentReport:
             for e in range(1, args.z_max_exp + 1):
                 # z = 2^e as an int: the caches key it equal to Fraction(2) ** e
                 x, d = nil._jordan_ints(n, 1 << e, heads, dh)
-                ex, de = nil.exp_shift_exact(2 * n, 1 << e)._matvec(x, d)
-                # each squared residual s / dd^2, rounded once as float(Fraction) is
+                # each squared residual s / dd^2, rounded once as float(Fraction)
+                # is; s = 0 rounds to 0.0, which leaves the worst one as it is
                 for s, dd in (
                     nil._squared_distance(x, d, heads[:n], dh),
-                    nil._squared_distance(ex, de, heads[n:], dh),
+                    nil._head_residual(n, 1 << e, x, d, heads[n:], dh),
                 ):
-                    exact_zero = exact_zero and s == 0
-                    worst_exact = max(worst_exact, s / (dd * dd))
+                    if s:
+                        exact_zero = False
+                        worst_exact = max(worst_exact, s / (dd * dd))
                 tail = x[n:]  # over d > 0
                 if e == 1:
                     # data at |z| = 2 underestimates the uniform constant;
@@ -356,7 +357,7 @@ def cmd_perturb(args) -> ExperimentReport:
     for trial in range(args.trials):
         xi, x1, x2 = _shaped_nilpotent_tensor(rng, args.dim)
         pert = cr.ebs_perturb(xi, x1, x2, s, n=2)
-        t_s, _ = op.tensor_op(pert.xi_s)
+        t_s = op.tensor_t(pert.xi_s)
         t2 = t_s @ t_s
         ok1 = _maps_to(t2, pert.u, pert.n - 1, s**2, x1)
         ok2 = _maps_to(t2, pert.u, 2 * pert.n - 1, s**2, x2)

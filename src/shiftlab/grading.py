@@ -219,14 +219,28 @@ def _shifted_system(basis, d: int):
     return vecs, sorted(set().union(*vecs))
 
 
+def _pivot(v) -> tuple:
+    """The leading monomial of a coefficient dict in ``_reduced_basis``'s
+    column order: highest degree, then lowest component."""
+    return max(v, key=lambda m: (m[0], -m[1]))
+
+
 def _meets(basis, d: int) -> bool:
     """Whether z^d L ∩ L is nonzero, for ``basis`` a reduced basis of D L.
 
     Both halves of the shifted system are independent (see
     ``_monomial_intersection``), so the 2r vectors are dependent, i.e. of
-    rank below 2r, exactly when the intersection is nonzero.  The rank is
-    one forward elimination on the vectors as integer rows.
+    rank below 2r, exactly when the intersection is nonzero.  Vectors with
+    pairwise distinct leading monomials are independent (in a nonzero
+    combination the largest leading monomial occurs once), so then the
+    answer is no, with no matrix built; shifting by z^d keeps the order,
+    and at d >= n0 every shifted vector leads in a degree above all of L.
+    Otherwise the rank is one forward elimination on the vectors as
+    integer rows.
     """
+    pivots = [_pivot(v) for v in basis]
+    if len({*pivots, *((e + d, j) for e, j in pivots)}) == 2 * len(pivots):
+        return False
     vecs, monomials = _shifted_system(basis, d)
     rows = [[v.get(m, 0) for m in monomials] for v in vecs]
     return RationalMatrix._from_ints(rows, 1).rank() < len(vecs)

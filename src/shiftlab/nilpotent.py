@@ -108,8 +108,13 @@ def det_mnk(n: int, k: int):
 
 
 @functools.lru_cache(maxsize=64)
+def _an1_inverse_exact(n: int) -> RationalMatrix:
+    return build_anz_exact(n, 1).inv()
+
+
+@functools.lru_cache(maxsize=64)
 def _an1_inverse(n: int) -> np.ndarray:
-    return build_anz_exact(n, 1).inv().to_float()
+    return _an1_inverse_exact(n).to_float()
 
 
 def _head_part(w, n: int) -> np.ndarray:
@@ -172,11 +177,25 @@ def _approach_map(n: int, z) -> RationalMatrix:
     the tail A_{n,z}^{-1} (R v - H u) of the exact solve, with R reversing
     a vector, is linear in (u, v).  Column k of H is the cross terms of e_k.
     z is coerced first, so an int z and its Fraction share one cache entry.
+    A_{n,z}^{-1} comes from the one exact inverse of A_{n,1} through the
+    scaling identity A_{n,z} = z D A_{n,1} D, D = diag(z^0..z^(n-1)):
+    entry (j, k) is that of A_{n,1}^{-1} over z^(j+k+1), 0-based.  With
+    z = p/q and m = 2n - 1, that is its integer times q^s p^(m-s),
+    s = j + k + 1, over its denominator times p^m.
     """
     z = Fraction(z)
+    if z == 0:
+        raise DomainError("A_{n,z} is singular at z = 0")
     h_cols = [_head_cross_terms(n, z, [int(i == k) for i in range(n)]) for k in range(n)]
     rhs = [[-col[j] for col in h_cols] + [int(k == n - 1 - j) for k in range(n)] for j in range(n)]
-    return build_anz_exact(n, z).inv() @ RationalMatrix(rhs)
+    ints, den = _an1_inverse_exact(n).cleared()
+    p, q, m = z.numerator, z.denominator, 2 * n - 1
+    scale = [q**s * p ** (m - s) for s in range(m + 1)]
+    inv = RationalMatrix._from_ints(
+        [[a * scale[j + k + 1] for k, a in enumerate(row)] for j, row in enumerate(ints)],
+        den * p**m,
+    )
+    return inv @ RationalMatrix(rhs)
 
 
 def _jordan_ints(n: int, z, heads, dh: int) -> tuple[list[int], int]:
@@ -216,18 +235,17 @@ def jordan_residuals_exact(n: int, z, u, v, x) -> tuple[Fraction, Fraction]:
     denominators; useful because the floating evaluation of the second
     condition loses about |z|^(n-1) eps of absolute accuracy to
     cancellation.  x, u and v are cleared once each and the integer
-    kernel ``_squared_distance`` does the rest.
+    kernels ``_squared_distance`` and ``_head_residual`` do the rest.
     """
+    if len(x) != 2 * n:
+        raise InputError(f"x must have length {2 * n}")
     xs, dx = _cleared([_as_fraction(a) for a in x])
-    ex, de = exp_shift_exact(2 * n, _as_fraction(z))._matvec(xs, dx)
-    out = []
-    for ints, den, head in ((xs, dx, u), (ex, de, v)):
-        hs, dh = _cleared([_as_fraction(a) for a in head[:n]])
-        if len(hs) != n:
-            raise InputError(f"head vectors must have length at least {n}")
-        s, d = _squared_distance(ints, den, hs, dh)
-        out.append(Fraction(s, d * d))
-    return out[0], out[1]
+    (hu, du), (hv, dv) = (_cleared([_as_fraction(a) for a in h[:n]]) for h in (u, v))
+    if len(hu) != n or len(hv) != n:
+        raise InputError(f"head vectors must have length at least {n}")
+    r1 = _squared_distance(xs, dx, hu, du)
+    r2 = _head_residual(n, _as_fraction(z), xs, dx, hv, dv)
+    return Fraction(r1[0], r1[1] ** 2), Fraction(r2[0], r2[1] ** 2)
 
 
 def _squared_distance(ints, den: int, hs, dh: int) -> tuple[int, int]:
@@ -236,6 +254,16 @@ def _squared_distance(ints, den: int, hs, dh: int) -> tuple[int, int]:
     d = math.lcm(den, dh)
     fa, fb = d // den, d // dh
     return sum((a * fa - b * fb) ** 2 for a, b in zip(ints, hs)), d
+
+
+def _head_residual(n: int, z, x, dx: int, hs, dh: int) -> tuple[int, int]:
+    """``_squared_distance`` of head(e^{zS} x) from ``hs / dh``, for x =
+    ``x / dx`` on K^(2n): only the first n rows of the cached e^{zS} are
+    multiplied, each from its diagonal on (the matrix is upper
+    triangular)."""
+    rows, de = exp_shift_exact(2 * n, z).cleared()
+    head = [sum(map(operator.mul, rows[i][i:], x[i:])) for i in range(n)]
+    return _squared_distance(head, de * dx, hs, dh)
 
 
 def discrete_pair_errors_exact(n: int, j: int, u, v) -> tuple[float, float]:

@@ -341,13 +341,22 @@ class TensorElement:
         return out
 
 
-def tensor_op(xi: TensorElement):
-    """Matrices of T_xi x = sum b(x, y_j) x_j and S_xi y = sum b(x_j, y) y_j."""
+def tensor_t(xi: TensorElement) -> RationalMatrix:
+    """Matrix of T_xi x = sum b(x, y_j) x_j."""
     b = xi.pairing
     if xi.xs is None:
-        return RationalMatrix.zeros(b.rows, b.rows), RationalMatrix.zeros(b.cols, b.cols)
-    # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T), S = Y^T (X B)
-    return xi.xs.transpose() @ (xi.ys @ b.transpose()), xi.ys.transpose() @ (xi.xs @ b)
+        return RationalMatrix.zeros(b.rows, b.rows)
+    # rows of xs / ys are the x_j / y_j: T = X^T (Y B^T)
+    return xi.xs.transpose() @ (xi.ys @ b.transpose())
+
+
+def tensor_op(xi: TensorElement):
+    """Matrices of T_xi (``tensor_t``) and of S_xi y = sum b(x_j, y) y_j."""
+    b = xi.pairing
+    if xi.xs is None:
+        return tensor_t(xi), RationalMatrix.zeros(b.cols, b.cols)
+    # S = Y^T (X B)
+    return tensor_t(xi), xi.ys.transpose() @ (xi.xs @ b)
 
 
 def graded_lex_indices(k: int, count: int) -> list[tuple[int, ...]]:

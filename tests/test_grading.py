@@ -3,10 +3,11 @@
 import hashlib
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.cli import _random_grading_family
@@ -321,6 +322,28 @@ def test_meets_agrees_with_the_null_space(name):
         assert _meets(basis, d) == (_monomial_intersection(basis, d, den, k) is not None)
 
 
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_meets_runs_no_elimination_from_n0_on(name, monkeypatch):
+    # at d >= n0 every shifted pivot has a degree above all of L, so the
+    # distinct pivots decide the rank
+    gens = [g for g in _PRESETS[name] if not g.is_zero()]
+    n0 = n0_bound(gens).n0
+    basis = _reduced_basis(gens)[0]
+    calls = []
+    rank = RationalMatrix.rank
+
+    def counted(self):
+        calls.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(RationalMatrix, "rank", counted)
+    for d in range(n0, n0 + 9):
+        assert not _meets(basis, d)
+    assert calls == []
+    # d = 0 always meets, and only an elimination can say so
+    assert _meets(basis, 0) and len(calls) == 1
+
+
 def _pivot(v):
     """The first monomial of ``v`` in ``_reduced_basis``'s column order:
     highest degree, then lowest component."""
@@ -372,6 +395,21 @@ def test_meets_is_a_rank_deficit_of_the_shifted_system(case):
         assert len(set(pivots)) < len(pivots)
     if forced == "meets":
         assert deficit
+
+
+@settings(max_examples=100, deadline=None)
+@given(_basis_and_shift())
+@example(([{(0, 0): 1, (0, 2): 1}, {(0, 1): 1, (0, 2): 1}], 0, False))
+def test_meets_runs_no_elimination_from_n0_on_any_basis(case):
+    # also with three components, where two basis vectors can share their
+    # largest (degree, component) monomial, as in the example, but never
+    # their pivot
+    basis = case[0]
+    degrees = [max(e for e, _ in v) for v in basis]
+    n0 = max(degrees) - min(degrees) + 1
+    with mock.patch.object(RationalMatrix, "rank", side_effect=AssertionError("eliminated")):
+        for d in range(n0, n0 + 4):
+            assert not _meets(basis, d)
 
 
 @pytest.mark.parametrize("name", sorted(_PRESETS))

@@ -14,7 +14,9 @@ from shiftlab.nilpotent import (
     _an1_inverse,
     _approach_map,
     _head_cross_terms,
+    _head_residual,
     _jordan_ints,
+    _squared_distance,
     _similarity_j_inverse,
     backward_shift,
     backward_shift_exact,
@@ -340,6 +342,8 @@ def test_head_rows_of_the_exponential_give_the_head_of_the_product(n):
         head = [sum(a * b for a, b in zip(row, x)) for row in rows[:n]]
         full, dd = exp_shift_exact(2 * n, z)._matvec(x, d)
         assert (head, de * d) == (full[:n], dd)
+        want = _squared_distance(full, dd, heads[n:], dh)
+        assert _head_residual(n, z, x, d, heads[n:], dh) == want
 
 
 def _reference_similarity_j(n):
