@@ -16,6 +16,7 @@ from shiftlab.grading import (
     GradedVector,
     _meets,
     _monomial_intersection,
+    _pivot,
     _reduced_basis,
     _shifted_system,
     deg,
@@ -342,12 +343,6 @@ def test_meets_runs_no_elimination_from_n0_on(name, monkeypatch):
     assert calls == []
     # d = 0 always meets, and only an elimination can say so
     assert _meets(basis, 0) and len(calls) == 1
-
-
-def _pivot(v):
-    """The first monomial of ``v`` in ``_reduced_basis``'s column order:
-    highest degree, then lowest component."""
-    return max(v, key=lambda m: (m[0], -m[1]))
 
 
 @st.composite
