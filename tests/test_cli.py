@@ -1073,6 +1073,68 @@ def test_saan_group_report_digest(key, saan_digests):
     assert saan_digests[key] == [0, _SAAN_DIGESTS[key]]
 
 
+# sha256 of stdout for ``saan-group --k K --degree D --seed S``, keyed
+# "K-D-S": degrees from an empty box (D = 0) to bases of 165 vectors, on
+# both sides of 45 basis vectors, run like ``saan_digests`` with one BLAS
+# thread.  Every one exits 0.
+_SAAN_DEGREE_DIGESTS = {
+    "1-0-0": "841c4cba2a6d5f0f2dba784da38b38d24c99d0d15d61c4eaa4c8eb2688ba3042",
+    "1-0-1": "56c6dcc96b566a6360f10c31a29e49a5b335feb796ad4979ffca4ee2ef99e3e2",
+    "1-3-0": "638eb2d85440225ad1ef9373b86dad2e99d09bcd22dd73676288787a51cda12b",
+    "1-3-1": "e92ef39ed40a6f09d1a28f307a876a1682f557e90f5ae19b33fbdd8b7b00bc2e",
+    "1-12-0": "fe46a3e3cf9f0727e03903ed7885be800fed7ce2e2f71e5e94db3d4a3f076209",
+    "1-12-1": "4ad98081641c9a425d3db48c3004ba239611f7eaf9d3286816f7988ba90177b3",
+    "2-0-0": "362485a71ab22d3bcd527e7a77d3a24802595ffce1c95e12b79e821a4d6e1072",
+    "2-0-1": "33bd338da520b0d0a4cb35ccc74320b3387c02603d886388d38e6f4d96c2ca70",
+    "2-1-0": "3753b0d2fe2b2e39b6ad14f1c986a36abe738f8f19b72f4e50a953c9bcf99e5c",
+    "2-1-1": "364455a63b65a941c696c2f2778524e6cc310302f88cedffa7b82e88dd621a30",
+    "2-9-0": "a9fc7f0c5e492e3c066a3e07d4d9fb511e3ad7fabf5801c56ae6157caec06a39",
+    "2-9-1": "639cb1d1ff97a859fe6191d1f0ee7e0027dae07b5847ffc97b71ca1b1daa1e84",
+    "2-10-0": "d4a96b55709b2c1f2970b2e9cf95263055a4e14b0f57fec2638e83ef21806a94",
+    "2-10-1": "cdddda8aa5bd2fd62059dc78200902b0bfe98fc0890d63900ad059f76c9ecb4c",
+    "2-12-0": "0bcbb79108d1d9662274b0592ff9c01f16880f7ad1136656f5ed022606434789",
+    "2-12-1": "931ec30dd28c3fea769cdbb0661c8ef1f67f9a883eaa3fbce95d659325aba8f4",
+    "3-2-0": "a498e491cd2ad741ac63187c439659a072bcb1bede4d6a029a784aff79ac5b0a",
+    "3-2-1": "cc2185cb9ba329819abf58ab60a5c99072e0875152862b823fe981838adff713",
+    "3-5-0": "9db566a401a803949443382258e2b689d64c1656f7ac9fa0daf9d749cce20d0e",
+    "3-5-1": "affe7eb1bcf1bb2c996c333f65c408c690d9f05369a1886e3b5407a664fdb808",
+    "3-6-0": "1e0a27482821f710b5e5f719f4d3205f89cbd30c4811a16bb0f1ec0ec254cd4c",
+    "3-6-1": "95a7181ba97db4bf0164f2624dd1867ed58e54bf59d3f7e2cc899a353bced787",
+    "3-8-0": "448232230ac1ec24003a452439c3dc940df4840cfd257621645fb46f80c8bd98",
+    "3-8-1": "647f00e4dbd2dfaeaff1c04df9bb3b1dbfb50f08d348cafdae94c7977b0c5554",
+    "4-1-0": "25339c603f4d7eb9e0f8caafbeb72e00fd89f1d5f82087474e6333a0850deb63",
+    "4-1-1": "a25bacb10593dffe40472f959ff6fa2f058d040cc3fd190bf6429e9dd025615b",
+    "4-3-0": "197f63e395a6ec18bea851da3502f6a243f3ac4b3f061faad1e342008bc5f281",
+    "4-3-1": "8845b5175d977d66366775adeab403456f5847b73bf396a6d5e9b069f1ba5509",
+    "4-4-0": "8656b3a465ddfb76474386b47ffd1e64a210417717172ff78e9a544f45c845d5",
+    "4-4-1": "27d3eea069622d5e01c1d32e28d5dc887d32a353053084a9f1d24a552cf3e641",
+    "4-5-0": "93859803fd5e63427db393eeeca964aa84975ef6c1a1e8af2de77c2c1534e9d6",
+    "4-5-1": "44fbfdc3851fae4a93a73a4f1979e7168c2d7e4f4345e5f5ff97bbe6175ffa69",
+}
+
+
+@pytest.fixture(scope="module")
+def saan_degree_digests():
+    argvs = {
+        key: "saan-group --k {} --degree {} --seed {}".format(*key.split("-"))
+        for key in _SAAN_DEGREE_DIGESTS
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, *argvs.values()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        check=True,
+    )
+    got = json.loads(proc.stdout)
+    return {key: got[argv] for key, argv in argvs.items()}
+
+
+@pytest.mark.parametrize("key", list(_SAAN_DEGREE_DIGESTS))
+def test_saan_group_degree_digest(key, saan_degree_digests):
+    assert saan_degree_digests[key] == [0, _SAAN_DEGREE_DIGESTS[key]]
+
+
 # sha256 of stdout, with the exit code, for
 # ``mixing --n N --seed S --radius R --horizon 60``, keyed "N-S-R": they pin
 # the chain spans and pair plans of I + S on K^(2n) for n = 1..8

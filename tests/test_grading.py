@@ -202,6 +202,19 @@ class TestDeltaGrading:
     def test_delta_of_zero(self):
         assert GradedVector([ZERO, ZERO]).delta() == NEG_INF
 
+    def test_equality_and_hash_follow_the_components(self):
+        # equal components, however they were spelled, give equal vectors
+        # with equal hashes, which dedupe in a set
+        a = GradedVector([rf([0, 2, 2], [0, 2]), ZERO])  # (z + 1, 0)
+        b = GradedVector([rf([1, 1]), 0])
+        c = GradedVector([rf([1, 1]), ONE])
+        assert a == b and hash(a) == hash(b)
+        assert a != c and not (a == c)
+        assert len({a, b, c}) == 2
+        assert GradedVector([Z]) != GradedVector([Z, ZERO])
+        for other in (None, 1, (rf([1, 1]), ZERO), a.components, object()):
+            assert (a == other) is False and (a != other) is True
+
 
 # Reference for n0_bound and monomial_intersection: clear the common
 # denominator, row-reduce the coefficient matrix over monomials z^d e_j

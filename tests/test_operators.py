@@ -535,6 +535,19 @@ class TestSaanGenerators:
             mats.append(RationalMatrix(rows))
         return mats
 
+    @pytest.mark.parametrize(
+        "k, ntrunc",
+        sorted({(k, n) for k in (1, 2, 3, 4) for n in (1, 2, 45, 56)}
+               | {(k, math.comb(8 + k, k)) for k in (1, 2, 3)}),
+    )
+    def test_float_generators_are_the_fraction_reference_rounded_once(self, k, ntrunc):
+        got = saan_generators(k, ntrunc)
+        want = self._reference_exact(k, ntrunc)
+        assert len(got) == len(want) == k
+        for g, w in zip(got, want):
+            rounded = np.array([[complex(float(x)) for x in row] for row in w.data])
+            assert g.dtype == np.complex128 and g.tobytes() == rounded.tobytes()
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("ntrunc", [1, 2, 45, 56])
     def test_exact_generators_match_fraction_reference(self, k, ntrunc):
