@@ -54,10 +54,10 @@ class NetSpec:
     output-side one; the net covers [-box, box]^2 with cells^2 cells.
     """
 
-    cells: int = 8
-    box: float = 4.0
-    x_coord: int = 0
-    y_coord: int = 0
+    cells: int
+    box: float
+    x_coord: int
+    y_coord: int
 
     def __post_init__(self):
         if self.cells < 2 or self.box <= 0:
@@ -175,7 +175,7 @@ def u3_density(
 @dataclass(frozen=True, eq=False)
 class Ball:
     center: np.ndarray = field(repr=False)
-    radius: float = 1.0
+    radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))

@@ -53,12 +53,6 @@ class GradedVector:
             [a + b for a, b in zip(self.components, other.components)]
         )
 
-    def __sub__(self, other):
-        self._match(other)
-        return GradedVector(
-            [a - b for a, b in zip(self.components, other.components)]
-        )
-
     def scale(self, r) -> "GradedVector":
         r = RationalFunction._coerce(r)
         return GradedVector([r * c for c in self.components])
@@ -70,12 +64,6 @@ class GradedVector:
     def _match(self, other):
         if self.k != other.k:
             raise InputError("component count mismatch")
-
-    def __eq__(self, other):
-        return isinstance(other, GradedVector) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
 
 def _common_denominator(vectors) -> Poly:

@@ -377,42 +377,43 @@ def default_alpha(m: int) -> Fraction:
     return Fraction(2) ** (m * (m + 1) // 2)
 
 
-def saan_generators(k: int, ntrunc: int, exact: bool = False):
-    """The k commuting truncated generators on coordinates x_n = e_n of l1.
+def _saan_columns(k: int, ntrunc: int):
+    """The Saan generators as sparse integer columns over one denominator:
+    ``(gens, den)``, where column ``col`` of A_j is ``gens[j][col]``, a
+    ``{row: numerator}`` dict over ``den``, empty for a zero column.
 
     phi enumerates the first ``ntrunc`` multi-indices in graded-lex order,
     and A_j e_{phi(m)} = (alpha_{|m|-1}/alpha_{|m|}) e_{phi(m - e_j)} when
-    m_j >= 1, else 0, for alpha = ``default_alpha``.  The coordinate
-    functionals make every eps_m = 1, so the growth condition reads
-    alpha_{m+1} >= 2^m alpha_m, which alpha_{m+1} = 2^(m+1) alpha_m meets.
+    m_j >= 1, else 0, for alpha = ``default_alpha``: one nonzero per column
+    at most.
     """
     if k < 1 or ntrunc < 1:
         raise InputError("k and ntrunc must be >= 1")
     indices = graded_lex_indices(k, ntrunc)
     pos = {m: i for i, m in enumerate(indices)}
-    max_deg = max(sum(m) for m in indices)
-    alphas = [default_alpha(m) for m in range(max_deg + 1)]
+    alphas = [default_alpha(s) for s in range(sum(indices[-1]) + 1)]
     # a column of degree s carries alpha_{s-1}/alpha_s, whichever j acts
-    ratios = [None] + [alphas[s - 1] / alphas[s] for s in range(1, max_deg + 1)]
-    # the exact matrices are integer rows over the ratios' common denominator
-    nums, den = _cleared(ratios[1:])
-    mats = []
-    for j in range(k):
-        entries = {}  # (row, col) -> degree of the column
-        for m, col in pos.items():
-            if m[j] < 1:
-                continue
-            # a graded-lex prefix holds every index of lower degree
-            target = tuple(x - (1 if idx == j else 0) for idx, x in enumerate(m))
-            entries[pos[target], col] = sum(m)
-        if exact:
-            num = [[0] * ntrunc for _ in range(ntrunc)]
-            for (r, c), s in entries.items():
-                num[r][c] = nums[s - 1]
-            mats.append(RationalMatrix._from_ints(num, den))
-        else:
-            a = np.zeros((ntrunc, ntrunc), dtype=np.complex128)
-            for rc, s in entries.items():
-                a[rc] = float(ratios[s])
-            mats.append(a)
+    nums, den = _cleared([alphas[s - 1] / alphas[s] for s in range(1, len(alphas))])
+    # a graded-lex prefix holds every index of lower degree
+    gens = [
+        [{pos[m[:j] + (m[j] - 1,) + m[j + 1 :]]: nums[sum(m) - 1]} if m[j] else {} for m in indices]
+        for j in range(k)
+    ]
+    return gens, den
+
+
+def saan_generators(k: int, ntrunc: int):
+    """The k commuting truncated generators on coordinates x_n = e_n of l1,
+    as complex matrices: ``_saan_columns`` with each entry rounded once.
+
+    The coordinate functionals make every eps_m = 1, so the growth condition
+    reads alpha_{m+1} >= 2^m alpha_m, which alpha_{m+1} = 2^(m+1) alpha_m
+    meets.
+    """
+    gens, den = _saan_columns(k, ntrunc)
+    mats = [np.zeros((ntrunc, ntrunc), dtype=np.complex128) for _ in gens]
+    for a, cols in zip(mats, gens):
+        for col, entries in enumerate(cols):
+            for row, num in entries.items():
+                a[row, col] = num / den  # correctly rounded, as float(Fraction) is
     return mats

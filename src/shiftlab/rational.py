@@ -215,23 +215,6 @@ class Poly:
         other = self._coerce(other)
         return Poly._from_ints(_int_mul(self._num, other._num), self._den * other._den)
 
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        out, base, k = [1], self._num, n
-        while k:
-            if k & 1:
-                out = _int_mul(out, base)
-            base = _int_mul(base, base) if k > 1 else base
-            k >>= 1
-        return Poly._from_ints(out, self._den**n)
-
     def divmod(self, other: "Poly"):
         other = self._coerce(other)
         b = other._num
@@ -250,9 +233,6 @@ class Poly:
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd over Q; zero only when both are zero."""
@@ -329,9 +309,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, (RationalFunction, Poly, int, Fraction)):
             return NotImplemented
@@ -349,30 +326,9 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise DomainError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     @staticmethod
     def _coerce(other):
@@ -467,14 +423,13 @@ class RationalMatrix:
     are; only other entries (Fractions, strings, bools, numpy integers) are
     coerced to Fractions, and a float is refused.  Sums, products, ``pow``,
     ``transpose`` and the eliminations (``det``, ``rref``, ``rank``,
-    ``nullspace``, ``solve``, ``inv``, all through the one fraction-free
+    ``nullspace``, ``inv``, all through the one fraction-free
     ``_eliminate``) work on these integers and reduce each result once.
     Fractions are made only where entries leave the matrix: ``data`` (built
     on first use), ``[i, j]``, ``to_float``, matrix-vector ``@`` and the
-    vectors of ``solve`` and ``nullspace``.  Their integer kernels make
-    none: ``_matvec`` for the product, ``_null_ints`` (integer rows over one
-    pivot) for the null space; ``cleared`` hands out the integer rows
-    themselves.
+    vectors of ``nullspace``.  Their integer kernels make none: ``_matvec``
+    for the product, ``_null_ints`` (integer rows over one pivot) for the
+    null space; ``cleared`` hands out the integer rows themselves.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den", "_data")
@@ -600,8 +555,6 @@ class RationalMatrix:
         return RationalMatrix._from_ints(
             [[p * a for a in row] for row in self._num], self._den * s.denominator
         )
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, RationalMatrix):

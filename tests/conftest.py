@@ -1,5 +1,6 @@
-"""Shared builders for the exact tensor-perturbation tests, and a scalar
-reference for the vectorized weight logs."""
+"""Shared builders for the exact tensor-perturbation tests, a scalar
+reference for the vectorized weight logs, and the dense form of sparse
+integer columns."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftlab.operators import TensorElement
+from shiftlab.rational import RationalMatrix
 
 
 def log_abs(w, n: int):
@@ -27,6 +29,12 @@ def log_abs(w, n: int):
     if edge == 0 or r == 0:
         return None
     return np.log(np.longdouble(edge)) + (abs(n) - half) * np.log(np.longdouble(r))
+
+
+def dense_columns(cols: list, den: int) -> RationalMatrix:
+    """The square matrix whose columns are the sparse integer columns
+    ``{row: numerator}`` over ``den``."""
+    return RationalMatrix([[Fraction(col.get(r, 0), den) for col in cols] for r in range(len(cols))])
 
 
 def pairing_value(xi: TensorElement, x, y):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_columns
 from shiftlab import operators as op
 from shiftlab.cli import (
     NEGATIVE_VERDICTS,
@@ -1283,6 +1284,12 @@ def _dense_commute(a, b) -> bool:
     return (a @ b - b @ a).is_zero()
 
 
+def _columns(m: RationalMatrix) -> list:
+    """The sparse integer columns ``{row: numerator}`` of m over its
+    denominator."""
+    return [{i: a for i, a in enumerate(col) if a} for col in zip(*m.cleared()[0])]
+
+
 class TestSaanCommutators:
     """``_all_commute`` decides the commutators on sparse integer columns;
     the dense RationalMatrix difference is the reference."""
@@ -1292,10 +1299,29 @@ class TestSaanCommutators:
     def test_generators_match_the_dense_difference(self, k, degree):
         count = math.comb(degree + k, k)
         for ntrunc in sorted({1, count // 2 + 1, min(count, 45), count}):
-            mats = op.saan_generators(k, ntrunc, exact=True)
-            pairs = list(itertools.combinations(mats, 2))
-            assert all(_all_commute(pair) == _dense_commute(*pair) for pair in pairs)
-            assert all(_dense_commute(*pair) for pair in pairs) and _all_commute(mats) is True
+            gens, den = op._saan_columns(k, ntrunc)
+            mats = [dense_columns(cols, den) for cols in gens]
+            for (a, b), (ma, mb) in zip(itertools.combinations(gens, 2), itertools.combinations(mats, 2)):
+                assert _all_commute([a, b]) == _dense_commute(ma, mb) is True
+            assert _all_commute(gens) is True
+
+    def test_saan_group_checks_the_full_basis(self, capsys, monkeypatch):
+        # at --k 3 --degree 8 every product reads all 165 columns of both
+        # generators, pair by pair in both orders
+        from shiftlab import cli
+
+        reads = []
+        product = cli._sparse_product
+
+        def counted(a, b):
+            reads.append((len(a), len(b)))
+            return product(a, b)
+
+        monkeypatch.setattr(cli, "_sparse_product", counted)
+        code, out = run_cli(["saan-group", "--k", "3", "--degree", "8"], capsys)
+        assert code == 0 and load_report(out)["data"]["commutators_exact_zero"] is True
+        assert load_report(out)["params"]["basis"] == 165
+        assert reads == [(165, 165)] * 6
 
     def test_a_non_commuting_pair(self):
         # one nonzero per column, as the generators have: AB = e_1 e_1^T
@@ -1303,8 +1329,8 @@ class TestSaanCommutators:
         a = RationalMatrix([[0, Fraction(1, 2)], [0, 0]])
         b = RationalMatrix([[0, 0], [3, 0]])
         assert not _dense_commute(a, b)
-        assert _all_commute([a, b]) is False
-        assert _all_commute([a, a, a @ a]) is True
+        assert _all_commute([_columns(a), _columns(b)]) is False
+        assert _all_commute([_columns(m) for m in (a, a, a @ a)]) is True
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -1317,8 +1343,10 @@ class TestSaanCommutators:
     def test_any_pair_matches_the_dense_difference(self, rows):
         n = len(rows) // 2
         a, b = RationalMatrix(rows[:n]), RationalMatrix(rows[n:])
-        assert _all_commute([a, b]) == _dense_commute(a, b)
-        assert _all_commute([a, a @ a + a, b @ b @ b]) == _dense_commute(a, b @ b @ b)
+        assert _all_commute([_columns(a), _columns(b)]) == _dense_commute(a, b)
+        assert _all_commute([_columns(m) for m in (a, a @ a + a, b @ b @ b)]) == _dense_commute(
+            a, b @ b @ b
+        )
 
 
 _CONFIG_FLAGS = {

@@ -211,20 +211,20 @@ class TestU3Density:
 
     def test_empty_net_rejected(self):
         with pytest.raises(InputError):
-            NetSpec(cells=1, box=4.0)
+            NetSpec(cells=1, box=4.0, x_coord=0, y_coord=0)
 
     def test_box_past_the_float_range_rejected(self):
         # 2 * box, the net's side, must be a float
         with pytest.raises(InputError, match="float range"):
-            NetSpec(box=1e308)
-        NetSpec(box=8.98e307)
+            NetSpec(cells=8, box=1e308, x_coord=0, y_coord=0)
+        NetSpec(cells=8, box=8.98e307, x_coord=0, y_coord=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
     def test_overflowing_orbit_stops_instead_of_raising(self, scale_grid):
         # 3^n x leaves float range near n = 646; the cells the orbit hits
         # on its way out are all hit within the first 20 steps
-        net = NetSpec()
+        net = NetSpec(cells=8, box=4.0, x_coord=0, y_coord=0)
         long = u3_density(3 * np.eye(2), net, horizon=1000, scale_grid=scale_grid)
         short = u3_density(3 * np.eye(2), net, horizon=20, scale_grid=scale_grid)
         assert long.to_dict() == {**short.to_dict(), "horizon": 1000}
@@ -239,7 +239,7 @@ class TestU3Density:
 
     @pytest.mark.parametrize("scale_grid", [None, default_scale_grid()])
     def test_overflowing_orbit_matches_reference(self, scale_grid):
-        net = NetSpec()
+        net = NetSpec(cells=8, box=4.0, x_coord=0, y_coord=0)
         kwargs = dict(horizon=1000, scale_grid=scale_grid)
         assert u3_density(3 * np.eye(2), net, **kwargs) == reference_u3_density(3 * np.eye(2), net, **kwargs)
 
@@ -268,7 +268,7 @@ class TestU3Density:
     def test_cell_of_matches_scalar_floor_division(self):
         # side 1.0: integer coordinates sit on cell edges, +-4 on the box
         # edges, and 9 / -7 lie off the net
-        net = NetSpec(cells=8, box=4.0)
+        net = NetSpec(cells=8, box=4.0, x_coord=0, y_coord=0)
         us = [9.0, -7.0, -4.0, 4.0, 0.0, 3.0, -1.0, 2.5]
         vs = [a * y for y in (1.0, 2.0, -4.0, 4.0, 3.0, -3.0, 8.0, -0.5) for a in (1.0, -1.0, 2.0, -2.0, 0.0)]
         side = 2.0 * net.box / net.cells

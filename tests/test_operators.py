@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_identity_pairing, exact_unit, log_abs, pairing_value
+from conftest import dense_columns, exact_identity_pairing, exact_unit, log_abs, pairing_value
 from shiftlab.errors import InputError
 from shiftlab.operators import (
     TAIL_KINDS,
     TensorElement,
     WeightSequence,
+    _saan_columns,
     _simpson_columns,
     bilateral_shift,
     constant_weights,
@@ -434,6 +435,12 @@ class TestTensorOp:
         assert s.data == tuple(map(tuple, s_ref))
 
 
+def _dense_generators(k, ntrunc):
+    """The exact generators as RationalMatrix, from their sparse columns."""
+    gens, den = _saan_columns(k, ntrunc)
+    return [dense_columns(cols, den) for cols in gens]
+
+
 class TestSaanGenerators:
     def test_k1_weighted_backward_shift(self):
         mats = saan_generators(1, 6)
@@ -447,8 +454,7 @@ class TestSaanGenerators:
         k = 2
         idx = graded_lex_indices(k, 21)
         pos = {m: i for i, m in enumerate(idx)}
-        mats = saan_generators(k, 21, exact=True)
-        a1, a2 = mats
+        a1, a2 = _dense_generators(k, 21)
         both = a1 @ a2
         rev = a2 @ a1
         assert both == rev
@@ -459,37 +465,28 @@ class TestSaanGenerators:
                 assert both[pos[target], col] == expected
 
     def test_exact_commutators_zero_k3(self):
-        mats = saan_generators(3, 60, exact=True)
+        mats = _dense_generators(3, 60)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert (mats[i] @ mats[j] - mats[j] @ mats[i]).is_zero()
 
     def test_exact_commutators_zero_k3_200_basis_vectors(self):
-        # the matrices are one-entry-per-column, so products are checked
-        # columnwise instead of through dense 200x200 rational matmuls
-        mats = saan_generators(3, 200, exact=True)
-
-        def column(mat, col):
-            for row in range(mat.rows):
-                if mat[row, col] != 0:
-                    return row, mat[row, col]
-            return None
+        # the columns hold one entry at most, so products are composed
+        # column by column instead of through dense 200x200 rational matmuls
+        gens, _ = _saan_columns(3, 200)
 
         def product_column(a, b, col):
-            first = column(b, col)
-            if first is None:
-                return None
-            row, coeff = first
-            second = column(a, row)
-            if second is None:
-                return None
-            return second[0], coeff * second[1]
+            assert len(b[col]) <= 1
+            for row, coeff in b[col].items():
+                for target, second in a[row].items():
+                    return target, coeff * second
+            return None
 
         for i in range(3):
             for j in range(i + 1, 3):
                 for col in range(200):
-                    assert product_column(mats[i], mats[j], col) == product_column(
-                        mats[j], mats[i], col
+                    assert product_column(gens[i], gens[j], col) == product_column(
+                        gens[j], gens[i], col
                     )
 
     def test_operator_norm_bound(self):
@@ -514,7 +511,7 @@ class TestSaanGenerators:
         # each float entry is its exact coefficient rounded once, byte for byte
         for k, count in ((2, 15), (3, 20)):
             floats = saan_generators(k, count)
-            exact = saan_generators(k, count, exact=True)
+            exact = _dense_generators(k, count)
             for f, e in zip(floats, exact):
                 want = np.array([[complex(float(x)) for x in row] for row in e.data])
                 assert f.dtype == np.complex128 and f.tobytes() == want.tobytes()
@@ -551,9 +548,14 @@ class TestSaanGenerators:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("ntrunc", [1, 2, 45, 56])
     def test_exact_generators_match_fraction_reference(self, k, ntrunc):
-        got = saan_generators(k, ntrunc, exact=True)
+        gens, den = _saan_columns(k, ntrunc)
+        assert den > 0 and len(gens) == k
+        for cols in gens:
+            assert len(cols) == ntrunc
+            assert all(len(col) <= 1 for col in cols)
+            assert all(type(r) is int and type(a) is int and a for col in cols for r, a in col.items())
+        got = _dense_generators(k, ntrunc)
         want = self._reference_exact(k, ntrunc)
-        assert len(got) == k
         for g, w in zip(got, want):
             assert g == w
             assert g.data == w.data
